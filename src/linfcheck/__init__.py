@@ -20,16 +20,13 @@ from .brackets import (
     verify_jacobi,
 )
 from .builtin import (
-    CoeffSequence,
     ExampleSystems,
     b_closed,
     c1_closed,
     c1_recursive,
     c2_daily,
-    coeff_sequence,
     example1_system,
     example2_system,
-    normalize_scaling,
     theta_sector_sign,
 )
 from .errors import ConsistencyError, DocumentError, TruncationError
@@ -37,10 +34,8 @@ from .grading import (
     BasisVector,
     Element,
     GradedSpace,
-    desuspend_degree,
     koszul_sign,
     perm_sign,
-    suspend_degree,
     unshuffles,
 )
 from .series import (
@@ -70,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisVector",
     "BracketSystem",
-    "CoeffSequence",
     "ConsistencyError",
     "DeltaSpec",
     "DeltaSquaredReport",
@@ -92,9 +86,7 @@ __all__ = [
     "c1_closed",
     "c1_recursive",
     "c2_daily",
-    "coeff_sequence",
     "delta_squared_check",
-    "desuspend_degree",
     "desuspend_system",
     "desuspension_sign",
     "example1_system",
@@ -108,11 +100,9 @@ __all__ = [
     "lambert_w_series",
     "nilcheck_one_boson",
     "nilpotency_conditions",
-    "normalize_scaling",
     "perm_sign",
     "solve_f1",
     "solve_g2",
-    "suspend_degree",
     "suspend_system",
     "theta_sector_sign",
     "unshuffles",

@@ -153,9 +153,6 @@ class BracketSystem:
     def entry_count(self) -> int:
         return sum(len(t) for t in self.tables.values())
 
-    def arities(self) -> tuple[int, ...]:
-        return tuple(sorted(self.tables))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BracketSystem):
             return NotImplemented
@@ -227,14 +224,10 @@ def jacobi_summands(
     return out
 
 
-def jacobi_defect(
-    system: BracketSystem, inputs: Sequence[BasisVector], arity: int | None = None
-) -> Element:
+def jacobi_defect(system: BracketSystem, inputs: Sequence[BasisVector]) -> Element:
     """Left-hand side of the arity-n generalized Jacobi identity."""
     inputs = tuple(inputs)
     n = len(inputs)
-    if arity is not None and arity != n:
-        raise ValueError(f"arity {arity} does not match {n} inputs")
     total = Element.zero(system.space.space_id)
     for i, summand in jacobi_summands(system, inputs).items():
         sign = -1 if (i * (n - i)) % 2 else 1
@@ -309,7 +302,7 @@ def desuspension_sign(w_degrees: Sequence[int]) -> int:
 
 
 def _shift_space(
-    space: GradedSpace, target_id: str, like: GradedSpace | None, down: bool
+    space: GradedSpace, like: GradedSpace | None, down: bool
 ) -> tuple[GradedSpace, dict[BasisVector, BasisVector]]:
     """Build the shifted space and the generator map, preserving order."""
     degrees = {g.degree for g in space.generators}
@@ -332,6 +325,7 @@ def _shift_space(
             mapping[old] = new
         return like, mapping
     shift = -1 if down else 1
+    target_id = "W" if down else "V"
     odd_prefix, even_prefix = ("theta", "x") if down else ("v", "w")
     mapping = {}
     counters = {0: 0, 1: 0, -1: 0}
@@ -344,12 +338,9 @@ def _shift_space(
 
 
 def _shift_system(
-    system: BracketSystem,
-    target_id: str,
-    like: GradedSpace | None,
-    down: bool,
+    system: BracketSystem, like: GradedSpace | None, down: bool
 ) -> BracketSystem:
-    space, mapping = _shift_space(system.space, target_id, like, down)
+    space, mapping = _shift_space(system.space, like, down)
     entries = []
     for n, table in system.tables.items():
         for key, output in table.items():
@@ -370,28 +361,25 @@ def _shift_system(
 
 
 def desuspend_system(
-    system: BracketSystem,
-    target_id: str = "W",
-    like: GradedSpace | None = None,
+    system: BracketSystem, like: GradedSpace | None = None
 ) -> BracketSystem:
     """Convert a skew hierarchy on degrees {0, 1} into the symmetric
     degree-+1 hierarchy on the shifted space (degrees {-1, 0}).
 
-    Degree-0 generators map, in order, to odd generators named theta1,
-    theta2, ...; degree-1 generators to even ones named x1, x2, ...  Pass
-    ``like`` to reuse an existing shifted space instead.
+    The shifted space has id "W".  Degree-0 generators map, in order, to
+    odd generators named theta1, theta2, ...; degree-1 generators to even
+    ones named x1, x2, ...  Pass ``like`` to reuse an existing shifted space
+    instead.
     """
     if system.symmetry != SKEW:
         raise ValueError("can only desuspend a skew system")
-    return _shift_system(system, target_id, like, down=True)
+    return _shift_system(system, like, down=True)
 
 
 def suspend_system(
-    system: BracketSystem,
-    target_id: str = "V",
-    like: GradedSpace | None = None,
+    system: BracketSystem, like: GradedSpace | None = None
 ) -> BracketSystem:
-    """Inverse of :func:`desuspend_system`."""
+    """Inverse of :func:`desuspend_system`, onto a space with id "V"."""
     if system.symmetry != SYMMETRIC:
         raise ValueError("can only suspend a symmetric system")
-    return _shift_system(system, target_id, like, down=False)
+    return _shift_system(system, like, down=False)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial
-from typing import Callable, Mapping, NamedTuple, Union
+from typing import Callable, Mapping, NamedTuple
 
 from .brackets import (
     DEFAULT_MAX_ARITY,
@@ -21,11 +21,9 @@ from .brackets import (
     desuspend_system,
     desuspension_sign,
 )
-from .grading import BasisVector, Element, GradedSpace
+from .grading import BasisVector, Element, GradedSpace, Rational
 from .series import Series
 from .superspace import DeltaSpec
-
-Rational = Union[int, Fraction]
 
 DEFAULT_ORDER = 32
 
@@ -84,58 +82,6 @@ def b_closed(m: int) -> Fraction:
     if m < 0:
         raise ValueError("defined for M >= 0")
     return Fraction(1 - m) ** (m - 1)
-
-
-class CoeffSequence:
-    """A memoized integer-indexed sequence of exact rationals."""
-
-    def __init__(self, kind: str, fn: Callable[[int], Rational], min_index: int = 0):
-        self.kind = kind
-        self.min_index = min_index
-        self._fn = fn
-        self._memo: dict[int, Fraction] = {}
-
-    def value(self, n: int) -> Fraction:
-        if n < self.min_index:
-            raise ValueError(f"{self.kind} is defined from index {self.min_index}")
-        if n not in self._memo:
-            self._memo[n] = Fraction(self._fn(n))
-        return self._memo[n]
-
-    __call__ = value
-
-    def __repr__(self) -> str:
-        return f"CoeffSequence({self.kind!r})"
-
-
-_SEQUENCE_KINDS = {
-    "example1_closed": (c1_closed, 3),
-    "example1_recursive": (c1_recursive, 3),
-    "example2_daily": (c2_daily, 3),
-    "example2_b": (b_closed, 0),
-}
-
-
-def coeff_sequence(kind: str) -> CoeffSequence:
-    try:
-        fn, start = _SEQUENCE_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown sequence kind {kind!r}") from None
-    return CoeffSequence(kind, fn, start)
-
-
-def normalize_scaling(sequence: CoeffSequence) -> CoeffSequence:
-    """Rescale so the index-0 value becomes 1: B'_M = B_0^(M-1) B_M."""
-    if sequence.min_index > 0:
-        raise ValueError("normalization needs an index-0 value")
-    b0 = sequence.value(0)
-    if b0 == 0:
-        raise ValueError("cannot normalize a sequence with vanishing leading value")
-    return CoeffSequence(
-        f"{sequence.kind}_normalized",
-        lambda m: b0 ** (m - 1) * sequence.value(m),
-        sequence.min_index,
-    )
 
 
 def theta_sector_sign(n: int) -> int:

@@ -33,23 +33,33 @@ from .superspace import (
     nilpotency_conditions,
 )
 
-BUILTINS = ("example1", "example2")
+# Table entries look their functions up when called, not when the table is
+# built, so a wrapper bound to the module-level name sees every call.
+BUILTINS = {
+    "example1": lambda order: example1_system(order=order),
+    "example2": lambda order: example2_system(order=order),
+}
 
 PASS, FAIL, USAGE = 0, 1, 2
 
 
 def _load_input(name: str, order: int):
-    """Resolve a builtin name or a document path to (system, delta)."""
-    if name == "example1":
-        ex = example1_system(order=order)
-        return ex.skew_system, ex.symmetric_system, ex.delta_spec
-    if name == "example2":
-        ex = example2_system(order=order)
+    """Resolve a builtin name or a document path to (skew, symmetric, delta)."""
+    if name in BUILTINS:
+        ex = BUILTINS[name](order)
         return ex.skew_system, ex.symmetric_system, ex.delta_spec
     system, delta = load_document(name)
     skew = system if system.symmetry == SKEW else None
     symmetric = system if system.symmetry == SYMMETRIC else None
     return skew, symmetric, delta
+
+
+def _require_bound(flag: str, value: int, least: int) -> None:
+    """A bound below ``least`` checks nothing, which is a usage error."""
+    if value < least:
+        raise DocumentError(
+            f"{flag} {value} checks nothing (the effective bound must be >= {least})"
+        )
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
@@ -65,6 +75,7 @@ def cmd_verify(args) -> int:
     if skew is None:
         raise DocumentError("verify needs a skew system (use a skew document)")
     n_max = min(args.max_arity, skew.max_arity)
+    _require_bound("--max-arity", n_max, 1)
     report = verify_jacobi(skew, n_max)
     lines = []
     if n_max < args.max_arity:
@@ -98,6 +109,7 @@ def cmd_delta_check(args) -> int:
     _, _, delta = _load_input(args.input, args.order)
     if delta is None:
         raise DocumentError("delta-check needs operator data (a 'delta' section)")
+    _require_bound("--degree", args.degree, 0)
     report = delta_squared_check(delta, args.degree)
     residuals = nilpotency_conditions(delta)
     lines = []
@@ -141,6 +153,7 @@ def cmd_compare(args) -> int:
             "compare needs both a symmetric system and a 'delta' section"
         )
     n_max = min(args.max_arity, symmetric.max_arity)
+    _require_bound("--max-arity", n_max, 0)
     rebuilt = brackets_from_delta(delta, n_max)
     diff = first_difference(symmetric, rebuilt, n_max)
     if diff is None:
@@ -170,58 +183,37 @@ def cmd_compare(args) -> int:
     return FAIL
 
 
-def _coefficient_rows(which: str, n_max: int):
-    if which == "c1":
-        if n_max < 3:
-            raise DocumentError("c1 is defined from n = 3")
-        return [(n, c1_closed(n)) for n in range(3, n_max + 1)]
-    if which == "c2":
-        if n_max < 3:
-            raise DocumentError("c2 is defined from n = 3")
-        return [(n, c2_daily(n)) for n in range(3, n_max + 1)]
-    if which == "b":
-        if n_max < 0:
-            raise DocumentError("b is defined from M = 0")
-        return [(m, b_closed(m)) for m in range(0, n_max + 1)]
-    # lambert: the integer values n! * [p^n] of the inverse-of-we^w series
-    if n_max < 0:
-        raise DocumentError("lambert takes a non-negative bound")
-    return [(n, Fraction(-n) ** (n - 1)) for n in range(1, n_max + 1)]
+def _scaled(series):
+    """n! times the n-th coefficient: the integer sequence the series encodes."""
+    return lambda n: factorial(n) * series[n]
 
 
-def _coefficient_check(which: str, n_max: int) -> list[str]:
-    """Cross-validate closed forms against an independent generation route."""
-    problems = []
-    if which == "c1":
-        for n in range(3, n_max + 1):
-            if c1_closed(n) != c1_recursive(n):
-                problems.append(f"n={n}: closed {c1_closed(n)} != recursive {c1_recursive(n)}")
-    elif which == "c2":
-        for n in range(3, n_max + 1):
-            image = theta_sector_sign(n) * c2_daily(n)
-            if image != b_closed(n - 1):
-                problems.append(
-                    f"n={n}: shifted value {image} != closed form {b_closed(n - 1)}"
-                )
-    elif which == "b":
-        series = g_series(max(n_max, 1))
-        for m in range(0, n_max + 1):
-            if b_closed(m) != factorial(m) * series[m]:
-                problems.append(f"M={m}: closed {b_closed(m)} != series value")
-    else:
-        series = lambert_w_series(max(n_max, 1))
-        for n in range(1, n_max + 1):
-            if Fraction(-n) ** (n - 1) != factorial(n) * series[n]:
-                problems.append(f"n={n}: closed form != series value")
-    return problems
+# which -> (first index, printed value, independent route given the bound);
+# --check cross-validates each printed value against the route, and each
+# series is generated once, to the bound
+COEFFICIENTS = {
+    "c1": (3, c1_closed, lambda n_max: c1_recursive),
+    "c2": (3, c2_daily,
+           lambda n_max: lambda n: theta_sector_sign(n) * b_closed(n - 1)),
+    "b": (0, b_closed, lambda n_max: _scaled(g_series(max(n_max, 1)))),
+    # the integer values n! * [p^n] of the inverse-of-we^w series
+    "lambert": (1, lambda n: Fraction(-n) ** (n - 1),
+                lambda n_max: _scaled(lambert_w_series(max(n_max, 1)))),
+}
 
 
 def cmd_coefficients(args) -> int:
-    rows = _coefficient_rows(args.which, args.n_max)
-    lines = [f"{n}\t{value}" for n, value in rows]
+    first, value, route = COEFFICIENTS[args.which]
+    _require_bound("n_max", args.n_max, first)
+    rows = [(n, value(n)) for n in range(first, args.n_max + 1)]
+    lines = [f"{n}\t{v}" for n, v in rows]
     problems: list[str] = []
     if args.check:
-        problems = _coefficient_check(args.which, args.n_max)
+        independent = route(args.n_max)
+        for n, v in rows:
+            other = independent(n)
+            if v != other:
+                problems.append(f"n={n}: printed {v} != independent route {other}")
         lines += [f"MISMATCH {p}" for p in problems]
         lines.append("PASS: cross-check agrees" if not problems else "FAIL")
     _emit(
@@ -238,10 +230,7 @@ def cmd_coefficients(args) -> int:
 
 
 def cmd_export(args) -> int:
-    if args.builtin == "example1":
-        ex = example1_system(order=args.order)
-    else:
-        ex = example2_system(order=args.order)
+    ex = BUILTINS[args.builtin](args.order)
     if args.formulation == "jacobi":
         doc = system_to_document(ex.skew_system)
     else:
@@ -287,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("coefficients", help="print coefficient tables")
-    p.add_argument("which", choices=("c1", "c2", "b", "lambert"))
+    p.add_argument("which", choices=COEFFICIENTS)
     p.add_argument("n_max", type=int)
     p.add_argument("--check", action="store_true",
                    help="cross-validate against an independent route")
@@ -315,6 +304,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (DocumentError, TruncationError, ConsistencyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE
+    except Exception as exc:  # a bug must not read as exit 1, "checked and false"
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE
 
 

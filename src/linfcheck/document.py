@@ -106,16 +106,23 @@ def system_to_document(
     return doc
 
 
-def _require(doc: dict, key: str, kind, where: str = "document") -> Any:
+def _require(doc: Any, key: str, kind, where: str = "document") -> Any:
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{where} must be a JSON object, got {type(doc).__name__}")
     if key not in doc:
         raise DocumentError(f"{where} is missing the {key!r} field")
     value = doc[key]
-    if not isinstance(value, kind):
-        names = kind.__name__ if isinstance(kind, type) else "/".join(
-            k.__name__ for k in kind
-        )
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    # JSON true/false load as bool, a subclass of int
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        names = "/".join(k.__name__ for k in kinds)
         raise DocumentError(f"{where} field {key!r} must be {names}")
     return value
+
+
+def _flag(data: dict, key: str) -> bool:
+    """An optional boolean field of the delta section, False when absent."""
+    return _require(data, key, bool, "delta") if key in data else False
 
 
 def document_to_system(doc: dict) -> tuple[BracketSystem, DeltaSpec | None]:
@@ -188,8 +195,8 @@ def _delta_from_json(data: dict) -> DeltaSpec:
             f=tuple(_series_from_json(s) for s in f),
             g=tuple(tuple(_series_from_json(s) for s in row) for row in g),
             h=tuple(_series_from_json(s) for s in h),
-            momentum_shift=bool(data.get("momentum_shift", False)),
-            selection_rule=bool(data.get("selection_rule", False)),
+            momentum_shift=_flag(data, "momentum_shift"),
+            selection_rule=_flag(data, "selection_rule"),
         )
     except ValueError as exc:
         raise DocumentError(str(exc)) from None

@@ -36,9 +36,6 @@ def _as_fraction(value: Rational) -> Fraction:
 # permutations
 # ---------------------------------------------------------------------------
 
-Permutation = tuple  # tuple of 1-based images
-
-
 def check_permutation(sigma: Sequence[int]) -> tuple[int, ...]:
     """Validate a 1-based image tuple and return it as a tuple."""
     sigma = tuple(sigma)
@@ -80,26 +77,6 @@ def koszul_sign(sigma: Sequence[int], degrees: Sequence[int]) -> int:
     return -1 if crossings % 2 else 1
 
 
-def compose_permutations(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """The permutation that reorders like ``p`` first, then ``q``.
-
-    ``permute(permute(s, p), q) == permute(s, compose_permutations(p, q))``.
-    """
-    p = check_permutation(p)
-    q = check_permutation(q)
-    if len(p) != len(q):
-        raise ValueError("cannot compose permutations of different sizes")
-    return tuple(p[k - 1] for k in q)
-
-
-def permute(seq: Sequence, sigma: Sequence[int]) -> tuple:
-    """Reorder ``seq`` so the k-th entry becomes ``seq[sigma(k)]``."""
-    sigma = check_permutation(sigma)
-    if len(seq) != len(sigma):
-        raise ValueError("sequence and permutation sizes differ")
-    return tuple(seq[k - 1] for k in sigma)
-
-
 def unshuffles(i: int, n: int) -> list[tuple[int, ...]]:
     """All permutations ascending within positions 1..i and within i+1..n.
 
@@ -115,20 +92,6 @@ def unshuffles(i: int, n: int) -> list[tuple[int, ...]]:
         tail = tuple(k for k in universe if k not in chosen)
         out.append(head + tail)
     return out
-
-
-# ---------------------------------------------------------------------------
-# degree shift
-# ---------------------------------------------------------------------------
-
-def desuspend_degree(d: int) -> int:
-    """Degree of the lowered image of a degree-d element."""
-    return d - 1
-
-
-def suspend_degree(d: int) -> int:
-    """Degree of the raised image of a degree-d element."""
-    return d + 1
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +143,6 @@ class GradedSpace:
             return self._by_name[name]
         except KeyError:
             raise ValueError(f"no generator named {name!r} in {self.space_id!r}") from None
-
-    def generators_of_degree(self, degree: int) -> tuple[BasisVector, ...]:
-        return tuple(g for g in self.generators if g.degree == degree)
 
     def __iter__(self) -> Iterator[BasisVector]:
         return iter(self.generators)
@@ -240,16 +200,6 @@ class Element:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    @property
-    def degree(self) -> int | None:
-        """Common degree of all terms, or None for the zero element."""
-        degrees = {v.degree for v in self._terms}
-        if not degrees:
-            return None
-        if len(degrees) > 1:
-            raise ValueError(f"element is not homogeneous: {self}")
-        return degrees.pop()
 
     def __add__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):

@@ -12,17 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable
 
-Rational = Union[int, Fraction]
-
-
-def _as_fraction(value: Rational) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+from .grading import Rational, _as_fraction
 
 
 @dataclass(frozen=True)
@@ -123,26 +115,6 @@ class Series:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Series):
-            return self * other.inverse()
-        value = _as_fraction(other)
-        if not value:
-            raise ZeroDivisionError("division of a series by zero")
-        return self * (1 / value)
-
-    def __pow__(self, exponent: int) -> "Series":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only non-negative integer powers are supported")
-        result = Series.one(self.order)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
     # -- calculus -------------------------------------------------------------
 
     def derivative(self) -> "Series":
@@ -197,16 +169,6 @@ class Series:
         if self.coeffs[0]:
             raise ValueError("log1p needs a zero constant term")
         return (1 + self).log()
-
-    def compose(self, inner: "Series") -> "Series":
-        if inner.coeffs[0]:
-            raise ValueError("composition needs an inner series with zero constant term")
-        n = min(self.order, inner.order)
-        inner = inner.truncate(n)
-        result = Series.constant(self.coeffs[n], n)
-        for k in range(n - 1, -1, -1):
-            result = result * inner + self.coeffs[k]
-        return result
 
 
 # ---------------------------------------------------------------------------

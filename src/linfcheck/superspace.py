@@ -25,16 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb, factorial
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .brackets import SYMMETRIC, BracketSystem, canonical_tuples
 from .errors import ConsistencyError, TruncationError
-from .grading import BasisVector, Element, GradedSpace
+from .grading import BasisVector, Element, GradedSpace, Rational
 from .series import Series
-
-Rational = Union[int, Fraction]
 
 EPS_LOWER = {(1, 2): -1, (2, 1): 1}   # eps_{ab}
 EPS_UPPER = {(1, 2): 1, (2, 1): -1}   # eps^{ab}, inverse to eps_{ab}
@@ -65,10 +63,6 @@ class SuperMonomial:
     @property
     def boson_degree(self) -> int:
         return sum(self.bosons)
-
-    @property
-    def parity(self) -> int:
-        return len(self.fermions) % 2
 
     def __repr__(self) -> str:
         parts = [f"theta{a}" for a in self.fermions]
@@ -117,10 +111,6 @@ class SuperPoly:
         self._terms = clean
 
     @classmethod
-    def zero(cls, n_bosons: int) -> "SuperPoly":
-        return cls(n_bosons)
-
-    @classmethod
     def one(cls, n_bosons: int) -> "SuperPoly":
         return cls.from_monomial(SuperMonomial((), (0,) * n_bosons))
 
@@ -142,9 +132,6 @@ class SuperPoly:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def boson_degree(self) -> int:
-        return max((m.boson_degree for m in self._terms), default=0)
 
     def __add__(self, other: "SuperPoly") -> "SuperPoly":
         if not isinstance(other, SuperPoly):
@@ -180,30 +167,6 @@ class SuperPoly:
                 bosons = tuple(p + q for p, q in zip(ma.bosons, mb.bosons))
                 mono = SuperMonomial(fermions, bosons)
                 out[mono] = out.get(mono, 0) + sign * ca * cb
-        return SuperPoly(self.n_bosons, out)
-
-    def theta_derivative(self, alpha: int) -> "SuperPoly":
-        out: dict[SuperMonomial, Rational] = {}
-        for mono, coeff in self._terms.items():
-            hit = _theta_derivative(mono.fermions, alpha)
-            if hit is None:
-                continue
-            sign, fermions = hit
-            key = SuperMonomial(fermions, mono.bosons)
-            out[key] = out.get(key, 0) + sign * coeff
-        return SuperPoly(self.n_bosons, out)
-
-    def boson_derivative(self, i: int) -> "SuperPoly":
-        out: dict[SuperMonomial, Rational] = {}
-        for mono, coeff in self._terms.items():
-            m = mono.bosons[i - 1]
-            if not m:
-                continue
-            bosons = tuple(
-                q - 1 if k == i - 1 else q for k, q in enumerate(mono.bosons)
-            )
-            key = SuperMonomial(mono.fermions, bosons)
-            out[key] = out.get(key, 0) + m * coeff
         return SuperPoly(self.n_bosons, out)
 
     def __eq__(self, other) -> bool:
@@ -272,31 +235,6 @@ class DeltaSpec:
     @cached_property
     def _taylor_h(self) -> tuple[list, list]:
         return tuple(_taylor_table(s) for s in self.h)
-
-    # Taylor coefficients of the generating functions at a multi-index, as
-    # they multiply x^m / m! in the bracket tables.
-    def a_coefficient(self, gamma: int, m: Sequence[int]) -> Rational:
-        return self._lookup(self._taylor_f[gamma - 1], m)
-
-    def b_coefficient(self, i: int, alpha: int, m: Sequence[int]) -> Rational:
-        value = self._lookup(self._taylor_g[alpha - 1][i - 1], m)
-        if self.momentum_shift and sum(m) == 1 and m[i - 1] == 1:
-            value = value + 1
-        return value
-
-    def c_coefficient(self, alpha: int, m: Sequence[int]) -> Rational:
-        return self._lookup(self._taylor_h[alpha - 1], m)
-
-    def _lookup(self, table: list, m: Sequence[int]) -> Rational:
-        total = sum(m)
-        if total >= len(table):
-            raise TruncationError(
-                f"need order-{total} coefficients, stored through {len(table) - 1}"
-            )
-        return table[total]
-
-    def apply(self, poly: SuperPoly) -> SuperPoly:
-        return apply_delta(self, poly)
 
     def delta_monomial(self, mono: SuperMonomial) -> dict[SuperMonomial, Rational]:
         """Image of a single monomial under the operator, as a sparse dict."""
@@ -432,7 +370,7 @@ def koszul_bracket(spec: DeltaSpec, inputs: Sequence[BasisVector]) -> Element:
 
         return bracket, (op_parity + z_parity) % 2
 
-    op, parity = spec.apply, 1
+    op, parity = partial(apply_delta, spec), 1
     for vector in inputs:
         op, parity = commute(op, parity, _generator_poly(spec, vector), vector.parity)
     return linear_element(spec, op(SuperPoly.one(spec.n_bosons)))

@@ -5,19 +5,17 @@ import pytest
 
 from linfcheck.brackets import desuspend_system, first_difference
 from linfcheck.builtin import (
-    CoeffSequence,
     b_closed,
     c1_closed,
     c1_recursive,
     c2_daily,
-    coeff_sequence,
     example1_system,
     example2_system,
-    normalize_scaling,
     theta_sector_sign,
 )
 from linfcheck.grading import Element
 from linfcheck.series import Series, g_series
+from linfcheck.superspace import koszul_bracket
 
 
 # -- sequences ------------------------------------------------------------------
@@ -68,30 +66,6 @@ def test_coefficient_triangulation():
         image = theta_sector_sign(n) * c2_daily(n)
         assert image == Fraction((2 - n) ** (n - 2))
         assert image == b_closed(n - 1)
-
-
-def test_normalize_scaling():
-    twos = CoeffSequence("twos", lambda m: 2)
-    scaled = normalize_scaling(twos)
-    assert scaled.value(0) == 1
-    assert scaled.value(1) == 2
-    assert scaled.value(2) == 4
-    again = normalize_scaling(scaled)
-    for m in range(6):
-        assert again.value(m) == scaled.value(m)
-    with pytest.raises(ValueError):
-        normalize_scaling(CoeffSequence("zero", lambda m: 0))
-
-
-def test_coeff_sequence_factory():
-    seq = coeff_sequence("example2_b")
-    assert seq.value(4) == -27
-    with pytest.raises(ValueError):
-        seq.value(-1)
-    with pytest.raises(ValueError):
-        coeff_sequence("nope")
-    daily = coeff_sequence("example2_daily")
-    assert daily(6) == 256
 
 
 # -- first example ----------------------------------------------------------------
@@ -179,10 +153,10 @@ def test_example2_operator_data():
             series = spec.g[alpha - 1][i - 1]
             assert series[0] == (1 if i == alpha else 0)  # B_0 = 1 on the diagonal
     assert all(s.is_zero() for s in spec.f)
-    # the full mixed coefficient includes the momentum-shift unit
-    assert spec.b_coefficient(3, 1, (0, 0, 1)) == 1
-    assert spec.b_coefficient(1, 1, (0, 0, 1)) == 1  # B_1 = 1
-    assert spec.b_coefficient(1, 1, (1, 0, 0)) == 2  # B_1 + shift
+    # the operator's binary brackets carry B_1 = 1 plus the momentum-shift unit
+    theta1, x1, x3 = (spec.space.generator(n) for n in ("theta1", "x1", "x3"))
+    assert koszul_bracket(spec, (theta1, x1)) == Element.basis(x1, 2)  # B_1 + shift
+    assert koszul_bracket(spec, (theta1, x3)) == Element.basis(x1) + Element.basis(x3)
 
 
 def test_example2_dimension_checks():

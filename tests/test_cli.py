@@ -1,8 +1,15 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linfcheck.builtin import example1_system, example2_system
 from linfcheck.cli import main
-from linfcheck.document import save_document, system_to_document
+from linfcheck.document import load_document, save_document, system_to_document
+from linfcheck.errors import DocumentError
 
 
 def run(capsys, *argv):
@@ -57,11 +64,26 @@ def test_parse_failure_exits_2(capsys, tmp_path):
     assert "error" in err
 
 
-def test_usage_error_exits_2(capsys):
+def test_usage_error_exits_2(capsys, tmp_path):
     code, _, _ = run(capsys, "no-such-command")
     assert code == 2
     code, _, _ = run(capsys, "coefficients", "c1", "2")
     assert code == 2  # below the first defined index
+    # a bound that checks nothing is a usage error, not a pass
+    doc = system_to_document(example1_system().skew_system)
+    doc.update(max_arity=0, brackets=[])
+    path = tmp_path / "arity0.json"
+    save_document(doc, path)
+    for argv in (
+        ("verify", "example1", "--max-arity", "0"),
+        ("verify", str(path), "--max-arity", "8"),  # clamped to the document's 0
+        ("compare", "example1", "--max-arity", "-1"),
+        ("delta-check", "example1", "--degree", "-5"),
+        ("coefficients", "lambert", "0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "checks nothing" in err, argv
 
 
 def test_delta_check_builtins(capsys):
@@ -149,8 +171,6 @@ def test_export_round_trip(capsys, tmp_path):
     path = tmp_path / "ex1.json"
     code, out, _ = run(capsys, "export", "example1", "-o", str(path))
     assert code == 0
-    from linfcheck.document import load_document
-
     system, delta = load_document(path)
     ex = example1_system()
     assert system == ex.symmetric_system
@@ -168,3 +188,63 @@ def test_export_round_trip(capsys, tmp_path):
     assert system == ex.skew_system and delta is None
     code, _, _ = run(capsys, "verify", str(jac), "--max-arity", "6")
     assert code == 0
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _paths(child, prefix + (key,))
+
+
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["", "0", "1", "-1/2", "1/0", "v1", "w", "theta1", "x1", "skew"]),
+    st.just([]),
+    st.just({}),
+)
+
+
+@pytest.fixture(scope="module")
+def exported(tmp_path_factory):
+    ex = example1_system(order=6)
+    return tmp_path_factory.mktemp("fuzz"), {
+        "jacobi": system_to_document(ex.skew_system),
+        "operator": system_to_document(ex.symmetric_system, ex.delta_spec),
+    }
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_documents_keep_the_exit_code_contract(exported, data):
+    workdir, docs = exported
+    formulation = data.draw(st.sampled_from(sorted(docs)))
+    doc = json.loads(json.dumps(docs[formulation]))
+    path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_JSON_VALUES)
+    target = workdir / f"{formulation}.json"
+    target.write_text(json.dumps(doc))
+    try:
+        load_document(target)
+        loaded = True
+    except DocumentError:
+        loaded = False
+    argv = (["verify", str(target), "--max-arity", "3"] if formulation == "jacobi"
+            else ["delta-check", str(target), "--degree", "3"])
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert "internal error" not in err.getvalue(), err.getvalue()
+    assert code != 1 or loaded

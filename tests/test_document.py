@@ -52,8 +52,8 @@ def test_rationals_travel_as_strings(ex1):
     assert "-1/2" in text  # a genuinely fractional series coefficient
 
 
-def test_bad_documents_are_rejected(tmp_path):
-    base = system_to_document(example1_system().skew_system)
+def test_bad_documents_are_rejected(tmp_path, ex1):
+    base = system_to_document(ex1.skew_system)
 
     wrong_version = dict(base, version="99")
     with pytest.raises(DocumentError):
@@ -75,6 +75,28 @@ def test_bad_documents_are_rejected(tmp_path):
     bad_symmetry = dict(base, symmetry="both")
     with pytest.raises(DocumentError):
         document_to_system(bad_symmetry)
+
+    # a number where an object belongs, and a bool where an int belongs
+    for mangle in (
+        lambda d: d["space"]["generators"].__setitem__(0, 5),
+        lambda d: d["brackets"][0]["output"].__setitem__(0, 5),
+        lambda d: d["brackets"].__setitem__(0, 5),
+        lambda d: d.__setitem__("max_arity", True),
+        lambda d: d["space"]["generators"][0].__setitem__("degree", False),
+    ):
+        mangled = json.loads(json.dumps(base))
+        mangle(mangled)
+        with pytest.raises(DocumentError):
+            document_to_system(mangled)
+
+    # the operator flags are JSON booleans, not strings; bosons is an int
+    with_delta = system_to_document(ex1.symmetric_system, ex1.delta_spec)
+    for key, value in (("momentum_shift", "false"), ("selection_rule", 1),
+                       ("bosons", True)):
+        mangled = json.loads(json.dumps(with_delta))
+        mangled["delta"][key] = value
+        with pytest.raises(DocumentError):
+            document_to_system(mangled)
 
     missing = tmp_path / "missing.json"
     with pytest.raises(DocumentError):

@@ -68,8 +68,6 @@ def test_argument_errors():
     with pytest.raises(ValueError):
         (1 + p).log1p()
     with pytest.raises(ValueError):
-        p.compose(1 + p)
-    with pytest.raises(ValueError):
         Series.from_coeffs([1]).derivative()
     with pytest.raises(IndexError):
         p[9]
@@ -93,13 +91,6 @@ def test_exp_is_a_homomorphism(a, b):
 @settings(max_examples=40, deadline=None)
 def test_exp_log_round_trip(a):
     assert (1 + a).log().exp() == 1 + a
-
-
-def test_compose_matches_substitution():
-    outer = Series.from_coeffs([2, 1, 3, 0, 1])
-    inner = Series.from_coeffs([0, 1, 1, 0, 0])
-    direct = 2 + inner + 3 * inner * inner + inner * inner * inner * inner
-    assert outer.compose(inner) == direct
 
 
 # -- the one-variable pairing condition --------------------------------------

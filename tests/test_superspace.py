@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -16,6 +17,7 @@ from linfcheck.superspace import (
     brackets_from_delta,
     delta_squared_check,
     koszul_bracket,
+    _theta_derivative,
     nilpotency_conditions,
 )
 
@@ -67,29 +69,21 @@ def test_supercommutative_product():
 
 
 def test_left_theta_derivative_signs():
-    t1t2 = SuperPoly.theta(1, 1) * SuperPoly.theta(2, 1)
-    assert t1t2.theta_derivative(1) == SuperPoly.theta(2, 1)
-    assert t1t2.theta_derivative(2) == -1 * SuperPoly.theta(1, 1)
-    assert SuperPoly.one(1).theta_derivative(1).is_zero()
+    ((mono, coeff),) = (SuperPoly.theta(1, 1) * SuperPoly.theta(2, 1)).items()
+    assert (mono.fermions, coeff) == ((1, 2), 1)
+    assert _theta_derivative(mono.fermions, 1) == (1, (2,))
+    assert _theta_derivative(mono.fermions, 2) == (-1, (1,))
+    assert _theta_derivative((), 1) is None
 
 
 def test_three_theta_derivatives_annihilate_everything():
-    # with two odd generators, any triple derivative kills every polynomial
-    polys = [
-        SuperPoly.one(2),
-        SuperPoly.theta(1, 2) * SuperPoly.theta(2, 2) * SuperPoly.boson(1, 2),
-        SuperPoly.theta(2, 2) * SuperPoly.boson(2, 2),
-    ]
-    for poly in polys:
-        for a in (1, 2):
-            for b in (1, 2):
-                for c in (1, 2):
-                    result = (
-                        poly.theta_derivative(a)
-                        .theta_derivative(b)
-                        .theta_derivative(c)
-                    )
-                    assert result.is_zero()
+    # with two odd generators, any triple derivative kills every theta block
+    for fermions in ((), (1,), (2,), (1, 2)):
+        for order in product((1, 2), repeat=3):
+            hit = (1, fermions)
+            for alpha in order:
+                hit = hit and _theta_derivative(hit[1], alpha)
+            assert hit is None
 
 
 # -- applying the operator -------------------------------------------------------

@@ -144,10 +144,10 @@ class BracketSystem:
             )
         key, sign = canonical_key(self.space, self.symmetry, inputs)
         if key is None:
-            return Element.zero(self.space.space_id)
+            return Element(self.space.space_id)
         entry = self.tables.get(n, {}).get(key)
         if entry is None:
-            return Element.zero(self.space.space_id)
+            return Element(self.space.space_id)
         return sign * entry
 
     def entry_count(self) -> int:
@@ -182,8 +182,8 @@ def first_difference(
             set(ta) | set(tb),
             key=lambda k: tuple(a.space.index(v) for v in k),
         ):
-            va = ta.get(key, Element.zero(a.space.space_id))
-            vb = tb.get(key, Element.zero(b.space.space_id))
+            va = ta.get(key, Element(a.space.space_id))
+            vb = tb.get(key, Element(b.space.space_id))
             if va != vb:
                 return (n, key, va, vb)
     return None
@@ -207,7 +207,7 @@ def jacobi_summands(
     inputs = tuple(inputs)
     n = len(inputs)
     degrees = tuple(v.degree for v in inputs)
-    zero = Element.zero(system.space.space_id)
+    zero = Element(system.space.space_id)
     out: dict[int, Element] = {}
     for i in range(1, n + 1):
         acc = zero
@@ -228,7 +228,7 @@ def jacobi_defect(system: BracketSystem, inputs: Sequence[BasisVector]) -> Eleme
     """Left-hand side of the arity-n generalized Jacobi identity."""
     inputs = tuple(inputs)
     n = len(inputs)
-    total = Element.zero(system.space.space_id)
+    total = Element(system.space.space_id)
     for i, summand in jacobi_summands(system, inputs).items():
         sign = -1 if (i * (n - i)) % 2 else 1
         total = total + sign * summand

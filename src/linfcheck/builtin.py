@@ -167,11 +167,10 @@ def _second_family_skew(
     b1: Fraction,
     c_of: Callable[[int], Fraction],
     max_arity: int,
-    space_id: str = "V",
 ) -> BracketSystem:
-    vs = [BasisVector(space_id, f"v{i}", 0) for i in range(1, n_v + 1)]
-    ws = [BasisVector(space_id, f"w{j}", 1) for j in range(1, n_w + 1)]
-    space = GradedSpace(space_id, vs + ws)
+    vs = [BasisVector("V", f"v{i}", 0) for i in range(1, n_v + 1)]
+    ws = [BasisVector("V", f"w{j}", 1) for j in range(1, n_w + 1)]
+    space = GradedSpace("V", vs + ws)
     entries: list[tuple[tuple[BasisVector, ...], Element]] = []
     for i, v in enumerate(vs):
         entries.append(((v,), Element.basis(ws[i])))
@@ -179,7 +178,7 @@ def _second_family_skew(
         for j, wv in enumerate(ws):
             terms: dict[BasisVector, Fraction] = {ws[i]: b1}
             terms[wv] = terms.get(wv, Fraction(0)) + 1
-            entries.append(((v, wv), Element(space_id, terms)))
+            entries.append(((v, wv), Element("V", terms)))
     for n in range(3, max_arity + 1):
         cn = c_of(n)
         if not cn:

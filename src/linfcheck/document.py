@@ -204,9 +204,11 @@ def _delta_from_json(data: dict) -> DeltaSpec:
 
 def load_document(path: str | Path) -> tuple[BracketSystem, DeltaSpec | None]:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise DocumentError(f"{path} is not UTF-8 text") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -215,4 +217,7 @@ def load_document(path: str | Path) -> tuple[BracketSystem, DeltaSpec | None]:
 
 
 def save_document(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    try:
+        Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}") from None

@@ -24,12 +24,15 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 Rational = Union[int, Fraction]
 
 
-def _as_fraction(value: Rational) -> Fraction:
-    if isinstance(value, Fraction):
+def _exact(value: Rational) -> Rational:
+    """Return an int or Fraction unchanged; reject anything inexact."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _as_fraction(value: Rational) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(_exact(value))
 
 
 # ---------------------------------------------------------------------------
@@ -166,37 +169,41 @@ class GradedSpace:
 class Element:
     """A finite linear combination of basis vectors with exact coefficients.
 
-    Stored sparsely; zero coefficients are pruned on construction.
+    Stored sparsely with int or Fraction coefficients kept as given; zero
+    coefficients are pruned on construction.  ``space_id`` names the space
+    every term belongs to, as read off a key by ``_space_of``; a subclass
+    with other keys overrides that rule and inherits the arithmetic, and
+    combinations of different spaces never add or compare equal.
     """
 
     __slots__ = ("space_id", "_terms")
 
-    def __init__(self, space_id: str, terms: Mapping[BasisVector, Rational] | None = None):
+    def __init__(self, space_id, terms: Mapping | None = None):
         self.space_id = space_id
-        clean: dict[BasisVector, Fraction] = {}
-        for vector, coeff in (terms or {}).items():
-            if vector.space_id != space_id:
+        space_of = self._space_of
+        clean = {}
+        for key, coeff in (terms or {}).items():
+            if space_of(key) != space_id:
                 raise ValueError(
-                    f"term {vector!r} from space {vector.space_id!r}, expected {space_id!r}"
+                    f"term {key!r} from space {space_of(key)!r}, expected {space_id!r}"
                 )
-            coeff = _as_fraction(coeff)
-            if coeff:
-                clean[vector] = coeff
+            if _exact(coeff):
+                clean[key] = coeff
         self._terms = clean
 
-    @classmethod
-    def zero(cls, space_id: str) -> "Element":
-        return cls(space_id)
+    @staticmethod
+    def _space_of(vector: BasisVector) -> str:
+        return vector.space_id
 
     @classmethod
-    def basis(cls, vector: BasisVector, coeff: Rational = 1) -> "Element":
-        return cls(vector.space_id, {vector: coeff})
+    def basis(cls, key, coeff: Rational = 1) -> "Element":
+        return cls(cls._space_of(key), {key: coeff})
 
     def items(self):
         return self._terms.items()
 
-    def coefficient(self, vector: BasisVector) -> Fraction:
-        return self._terms.get(vector, Fraction(0))
+    def coefficient(self, vector: BasisVector) -> Rational:
+        return self._terms.get(vector, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -207,9 +214,9 @@ class Element:
         if other.space_id != self.space_id:
             raise ValueError("cannot add elements of different spaces")
         terms = dict(self._terms)
-        for vector, coeff in other._terms.items():
-            terms[vector] = terms.get(vector, Fraction(0)) + coeff
-        return Element(self.space_id, terms)
+        for key, coeff in other._terms.items():
+            terms[key] = terms.get(key, 0) + coeff
+        return type(self)(self.space_id, terms)
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-1) * other
@@ -218,8 +225,8 @@ class Element:
         return (-1) * self
 
     def __rmul__(self, scalar: Rational) -> "Element":
-        scalar = _as_fraction(scalar)
-        return Element(self.space_id, {v: scalar * c for v, c in self._terms.items()})
+        scalar = _exact(scalar)
+        return type(self)(self.space_id, {k: scalar * c for k, c in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):

@@ -23,11 +23,11 @@ theta_a sits behind k other thetas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from math import comb, factorial
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .brackets import SYMMETRIC, BracketSystem, canonical_tuples
 from .errors import ConsistencyError, TruncationError
@@ -93,64 +93,32 @@ def _theta_derivative(fermions: tuple[int, ...], alpha: int):
     return (-1 if j % 2 else 1), fermions[:j] + fermions[j + 1 :]
 
 
-class SuperPoly:
-    """Sparse exact-rational combination of :class:`SuperMonomial`."""
+class SuperPoly(Element):
+    """Sparse exact-rational combination of :class:`SuperMonomial`; its space
+    is the number of even generators."""
 
-    __slots__ = ("n_bosons", "_terms")
+    __slots__ = ()
 
-    def __init__(self, n_bosons: int, terms: Mapping[SuperMonomial, Rational] | None = None):
-        self.n_bosons = n_bosons
-        clean: dict[SuperMonomial, Rational] = {}
-        for mono, coeff in (terms or {}).items():
-            if len(mono.bosons) != n_bosons:
-                raise ValueError(
-                    f"monomial over {len(mono.bosons)} even generators, expected {n_bosons}"
-                )
-            if coeff:
-                clean[mono] = coeff
-        self._terms = clean
+    @staticmethod
+    def _space_of(mono: SuperMonomial) -> int:
+        return len(mono.bosons)
+
+    @property
+    def n_bosons(self) -> int:
+        return self.space_id
 
     @classmethod
     def one(cls, n_bosons: int) -> "SuperPoly":
-        return cls.from_monomial(SuperMonomial((), (0,) * n_bosons))
-
-    @classmethod
-    def from_monomial(cls, mono: SuperMonomial, coeff: Rational = 1) -> "SuperPoly":
-        return cls(len(mono.bosons), {mono: coeff})
+        return cls.basis(SuperMonomial((), (0,) * n_bosons))
 
     @classmethod
     def theta(cls, alpha: int, n_bosons: int) -> "SuperPoly":
-        return cls.from_monomial(SuperMonomial((alpha,), (0,) * n_bosons))
+        return cls.basis(SuperMonomial((alpha,), (0,) * n_bosons))
 
     @classmethod
     def boson(cls, i: int, n_bosons: int) -> "SuperPoly":
         exps = tuple(1 if k == i - 1 else 0 for k in range(n_bosons))
-        return cls.from_monomial(SuperMonomial((), exps))
-
-    def items(self):
-        return self._terms.items()
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "SuperPoly") -> "SuperPoly":
-        if not isinstance(other, SuperPoly):
-            return NotImplemented
-        if other.n_bosons != self.n_bosons:
-            raise ValueError("mismatched numbers of even generators")
-        terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            terms[mono] = terms.get(mono, 0) + coeff
-        return SuperPoly(self.n_bosons, terms)
-
-    def __sub__(self, other: "SuperPoly") -> "SuperPoly":
-        return self + (-1) * other
-
-    def __neg__(self) -> "SuperPoly":
-        return (-1) * self
-
-    def __rmul__(self, scalar: Rational) -> "SuperPoly":
-        return SuperPoly(self.n_bosons, {m: scalar * c for m, c in self._terms.items()})
+        return cls.basis(SuperMonomial((), exps))
 
     def __mul__(self, other):
         if not isinstance(other, SuperPoly):
@@ -168,11 +136,6 @@ class SuperPoly:
                 mono = SuperMonomial(fermions, bosons)
                 out[mono] = out.get(mono, 0) + sign * ca * cb
         return SuperPoly(self.n_bosons, out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SuperPoly):
-            return NotImplemented
-        return self.n_bosons == other.n_bosons and self._terms == other._terms
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -192,7 +155,8 @@ class DeltaSpec:
     ``f`` and ``h`` hold two series each, ``g[a-1][i-1]`` the series part of
     g^i_a; all are series in the total momentum.  With ``momentum_shift``
     every g^i_a additionally contains the term + p_i.  ``selection_rule``
-    asserts the degree bookkeeping that forces h to vanish.
+    asserts the degree bookkeeping that forces h to vanish.  Each monomial's
+    image is computed once per spec and cached.
     """
 
     n_bosons: int
@@ -201,6 +165,9 @@ class DeltaSpec:
     h: tuple[Series, Series]
     momentum_shift: bool = False
     selection_rule: bool = False
+    _images: dict[SuperMonomial, SuperPoly] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.n_bosons < 1:
@@ -236,8 +203,11 @@ class DeltaSpec:
     def _taylor_h(self) -> tuple[list, list]:
         return tuple(_taylor_table(s) for s in self.h)
 
-    def delta_monomial(self, mono: SuperMonomial) -> dict[SuperMonomial, Rational]:
-        """Image of a single monomial under the operator, as a sparse dict."""
+    def delta_monomial(self, mono: SuperMonomial) -> SuperPoly:
+        """Image of a single monomial under the operator."""
+        cached = self._images.get(mono)
+        if cached is not None:
+            return cached
         degree = mono.boson_degree
         if degree > self.coefficient_order:
             raise TruncationError(
@@ -293,7 +263,7 @@ class DeltaSpec:
             s2, _ = second
             contraction += eps * s1 * s2
         if contraction:
-            half = Fraction(contraction, 2)
+            half = _normalize(Fraction(contraction, 2))
             for gamma in (1, 2):
                 table = self._taylor_f[gamma - 1]
                 if not any(table):
@@ -301,7 +271,9 @@ class DeltaSpec:
                 for weight, reduced in _series_operator_terms(table, bosons):
                     put(SuperMonomial((gamma,), reduced), half * weight)
 
-        return {m: _normalize(c) for m, c in out.items() if c}
+        image = SuperPoly(self.n_bosons, out)
+        self._images[mono] = image
+        return image
 
 
 def _taylor_table(series: Series) -> list:
@@ -434,29 +406,14 @@ def delta_squared_check(spec: DeltaSpec, degree_bound: int) -> DeltaSquaredRepor
             f"degree bound {degree_bound} needs coefficients through order "
             f"{degree_bound + 1}, stored through {spec.coefficient_order}"
         )
-    cache: dict[SuperMonomial, dict[SuperMonomial, Rational]] = {}
-
-    def image(mono: SuperMonomial) -> dict[SuperMonomial, Rational]:
-        hit = cache.get(mono)
-        if hit is None:
-            hit = spec.delta_monomial(mono)
-            cache[mono] = hit
-        return hit
-
     checked = 0
     for fermions in ((), (1,), (2,), (1, 2)):
         for bosons in _multi_indices(spec.n_bosons, degree_bound):
             mono = SuperMonomial(fermions, bosons)
-            acc: dict[SuperMonomial, Rational] = {}
-            for mid, c1 in image(mono).items():
-                for final, c2 in image(mid).items():
-                    acc[final] = acc.get(final, 0) + c1 * c2
+            residue = apply_delta(spec, spec.delta_monomial(mono))
             checked += 1
-            residue = {m: c for m, c in acc.items() if c}
-            if residue:
-                return DeltaSquaredReport(
-                    False, checked, mono, SuperPoly(spec.n_bosons, residue)
-                )
+            if not residue.is_zero():
+                return DeltaSquaredReport(False, checked, mono, residue)
     return DeltaSquaredReport(True, checked, None, None)
 
 

@@ -84,6 +84,18 @@ def test_usage_error_exits_2(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "checks nothing" in err, argv
+    # document I/O errors name the file and are not internal errors
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"version": "1", "space": "\xe9"}')
+    unwritable = tmp_path / "no-such-dir" / "x.json"
+    for argv, path, fragment in (
+        (("export", "example1", "-o", str(unwritable)), unwritable, "cannot write"),
+        (("verify", str(latin1)), latin1, "is not UTF-8 text"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert str(path) in err and fragment in err, argv
+        assert "internal error" not in err, argv
 
 
 def test_delta_check_builtins(capsys):

@@ -144,3 +144,5 @@ def test_element_arithmetic_and_pruning():
     assert Element("V", {a: 0}).is_zero()
     with pytest.raises(ValueError):
         Element("V", {BasisVector("U", "u", 0): 1})
+    with pytest.raises(TypeError):
+        0.5 * e

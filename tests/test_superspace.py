@@ -1,8 +1,11 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linfcheck.brackets import first_difference
 from linfcheck.builtin import example1_system, example2_system
@@ -11,6 +14,7 @@ from linfcheck.grading import Element
 from linfcheck.series import Series
 from linfcheck.superspace import (
     DeltaSpec,
+    DeltaSquaredReport,
     SuperMonomial,
     SuperPoly,
     apply_delta,
@@ -66,6 +70,49 @@ def test_supercommutative_product():
     assert (x * x).items().__len__() == 1
     m = dict((x * x * t2).items())
     assert m == {SuperMonomial((2,), (2,)): 1}
+    # coefficients stay exact: a float never enters silently
+    for make in (
+        lambda: 0.5 * t1,
+        lambda: t1 * 0.5,
+        lambda: SuperPoly(1, {SuperMonomial((), (0,)): 0.25}),
+    ):
+        with pytest.raises(TypeError):
+            make()
+
+
+_SECTORS = ((), (1,), (2,), (1, 2))
+_TWO_BOSON_MONOS = [
+    SuperMonomial(f, (i, j)) for f in _SECTORS for i in range(3) for j in range(3)
+]
+_COEFFS = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=3)
+)
+
+
+def _two_boson_polys(parity=None):
+    monos = [m for m in _TWO_BOSON_MONOS
+             if parity is None or len(m.fermions) % 2 == parity]
+    return st.dictionaries(st.sampled_from(monos), _COEFFS, max_size=4).map(
+        lambda terms: SuperPoly(2, terms)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_superpoly_arithmetic_laws(data):
+    par_p, par_q = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+    p, q = data.draw(_two_boson_polys(par_p)), data.draw(_two_boson_polys(par_q))
+    r = data.draw(_two_boson_polys())
+    assert p * q == (-1) ** (par_p * par_q) * (q * p)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert (q + r) * p == q * p + r * p
+    assert (p - p).is_zero()
+    for other in (SuperPoly.one(1), SuperPoly(3), Element("W")):
+        with pytest.raises(ValueError):
+            p + other
+        with pytest.raises(ValueError):
+            other + p
 
 
 def test_left_theta_derivative_signs():
@@ -121,7 +168,7 @@ def test_apply_delta_is_linear(ex1):
 
 def test_apply_delta_truncation_guard():
     spec = _one_boson_spec(g1=1, g2=1, order=3)
-    too_deep = SuperPoly.from_monomial(SuperMonomial((1,), (4,)))
+    too_deep = SuperPoly.basis(SuperMonomial((1,), (4,)))
     with pytest.raises(TruncationError):
         apply_delta(spec, too_deep)
 
@@ -215,6 +262,75 @@ def test_delta_squared_catches_a_mutated_coefficient():
 def test_delta_squared_constant_g_identity_passes():
     spec = _one_boson_spec(g1=1, g2=1)
     assert delta_squared_check(spec, 6).passed
+
+
+def _delta_squared_oracle(spec, degree_bound):
+    """The double loop over ``delta_monomial`` that composed the operator
+    with itself before ``delta_squared_check`` went through ``apply_delta``;
+    each image comes from a fresh copy of the spec, so no cache is read."""
+
+    def image(mono):
+        return replace(spec).delta_monomial(mono)
+
+    checked = 0
+    for fermions in _SECTORS:
+        for bosons in product(range(degree_bound + 1), repeat=spec.n_bosons):
+            if sum(bosons) > degree_bound:
+                continue
+            mono = SuperMonomial(fermions, bosons)
+            acc = {}
+            for mid, c1 in image(mono).items():
+                for final, c2 in image(mid).items():
+                    acc[final] = acc.get(final, 0) + c1 * c2
+            checked += 1
+            residue = {m: c for m, c in acc.items() if c}
+            if residue:
+                return DeltaSquaredReport(
+                    False, checked, mono, SuperPoly(spec.n_bosons, residue)
+                )
+    return DeltaSquaredReport(True, checked, None, None)
+
+
+@st.composite
+def _small_specs(draw):
+    n_bosons = draw(st.integers(1, 2))
+    order = 4
+
+    def series():
+        return Series.from_coeffs(draw(st.lists(st.integers(-2, 2),
+                                                min_size=order + 1,
+                                                max_size=order + 1)))
+
+    zero = Series.zero(order)
+    return DeltaSpec(
+        n_bosons=n_bosons,
+        f=(series(), series()),
+        g=tuple(tuple(series() for _ in range(n_bosons)) for _ in (1, 2)),
+        h=(series(), series()) if draw(st.booleans()) else (zero, zero),
+        momentum_shift=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_specs(), st.integers(0, 3))
+def test_delta_squared_check_matches_the_double_loop(spec, degree_bound):
+    expected = _delta_squared_oracle(spec, degree_bound)
+    assert delta_squared_check(spec, degree_bound) == expected
+    assert delta_squared_check(spec, degree_bound) == expected  # warm cache
+
+
+def test_operator_image_cache_is_per_spec():
+    intact = example2_system().delta_spec
+    mutant = example2_system(b_values={2: 1}).delta_spec
+    for _ in range(2):
+        assert delta_squared_check(intact, 4).passed
+        assert not delta_squared_check(mutant, 4).passed
+    fresh = example2_system().delta_spec
+    for fermions in _SECTORS:
+        for bosons in ((0, 0, 0), (1, 0, 2), (0, 3, 1), (2, 1, 1)):
+            mono = SuperMonomial(fermions, bosons)
+            assert intact.delta_monomial(mono) is intact.delta_monomial(mono)
+            assert intact.delta_monomial(mono) == fresh.delta_monomial(mono)
 
 
 def test_delta_squared_truncation_guard(ex1):
@@ -316,10 +432,10 @@ def test_linear_element_rejects_higher_terms(ex1):
     from linfcheck.superspace import linear_element
 
     spec = ex1.delta_spec
-    quadratic = SuperPoly.from_monomial(SuperMonomial((), (2,)))
+    quadratic = SuperPoly.basis(SuperMonomial((), (2,)))
     with pytest.raises(ConsistencyError):
         linear_element(spec, quadratic)
-    pair = SuperPoly.from_monomial(SuperMonomial((1, 2), (0,)))
+    pair = SuperPoly.basis(SuperMonomial((1, 2), (0,)))
     with pytest.raises(ConsistencyError):
         linear_element(spec, pair)
     assert linear_element(spec, SuperPoly.theta(2, 1)) == Element.basis(

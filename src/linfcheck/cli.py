@@ -2,7 +2,8 @@
 
 Exit codes are the machine contract: 0 for a verified property, 1 for a
 property that was checked and found false, 2 for usage or document errors.
-Pass --json for a machine-readable report on stdout.
+Each command returns one report of JSON values; ``main`` prints it as JSON
+with --json and otherwise as text rendered from the same report.
 """
 
 from __future__ import annotations
@@ -62,91 +63,83 @@ def _require_bound(flag: str, value: int, least: int) -> None:
         )
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, default=str))
-    else:
-        for line in lines:
-            print(line)
-
-
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     skew, _, _ = _load_input(args.input, DEFAULT_ORDER)
     if skew is None:
         raise DocumentError("verify needs a skew system (use a skew document)")
     n_max = min(args.max_arity, skew.max_arity)
     _require_bound("--max-arity", n_max, 1)
     report = verify_jacobi(skew, n_max)
-    lines = []
-    if n_max < args.max_arity:
-        lines.append(f"note: document stores arities up to {n_max}; checking that far")
-    arities = []
-    for check in report.checks:
-        if check.ok:
-            lines.append(f"arity {check.arity}: ok ({check.inputs_checked} tuples)")
-            arities.append({"arity": check.arity, "ok": True,
-                            "tuples": check.inputs_checked})
+    arities = [
+        {"arity": check.arity, "ok": True, "tuples": check.inputs_checked}
+        if check.ok else
+        {"arity": check.arity, "ok": False,
+         "counterexample": [v.name for v in check.counterexample],
+         "defect": str(check.defect)}
+        for check in report.checks
+    ]
+    return {"command": "verify", "pass": report.passed, "max_arity": n_max,
+            "requested_max_arity": args.max_arity, "arities": arities}
+
+
+def _verify_text(report: dict):
+    if report["max_arity"] != report["requested_max_arity"]:
+        yield (f"note: document stores arities up to {report['max_arity']}; "
+               "checking that far")
+    for check in report["arities"]:
+        if check["ok"]:
+            yield f"arity {check['arity']}: ok ({check['tuples']} tuples)"
         else:
-            inputs = ", ".join(v.name for v in check.counterexample)
-            lines.append(
-                f"arity {check.arity}: FAIL on ({inputs}): defect = {check.defect}"
-            )
-            arities.append({
-                "arity": check.arity,
-                "ok": False,
-                "counterexample": [v.name for v in check.counterexample],
-                "defect": str(check.defect),
-            })
-    if report.passed:
-        lines.append(f"PASS: all Jacobi identities hold through arity {n_max}")
+            inputs = ", ".join(check["counterexample"])
+            yield (f"arity {check['arity']}: FAIL on ({inputs}): "
+                   f"defect = {check['defect']}")
+    if report["pass"]:
+        yield f"PASS: all Jacobi identities hold through arity {report['max_arity']}"
     else:
-        lines.append("FAIL: at least one Jacobi identity is violated")
-    _emit(args, {"command": "verify", "pass": report.passed, "arities": arities}, lines)
-    return PASS if report.passed else FAIL
+        yield "FAIL: at least one Jacobi identity is violated"
 
 
-def cmd_delta_check(args) -> int:
+def cmd_delta_check(args) -> dict:
     _, _, delta = _load_input(args.input, args.order)
     if delta is None:
         raise DocumentError("delta-check needs operator data (a 'delta' section)")
     _require_bound("--degree", args.degree, 0)
     report = delta_squared_check(delta, args.degree)
-    residuals = nilpotency_conditions(delta)
-    lines = []
-    res_payload = {}
-    for label, group in residuals.groups():
-        entries = {}
-        for key, series in group.items():
-            entries[key] = "0" if series.is_zero() else str(series)
-            state = "zero" if series.is_zero() else f"NONZERO {series}"
-            lines.append(f"residual {label}[{key}] (order {series.order}): {state}")
-        res_payload[label] = entries
-    if report.passed:
-        lines.append(
-            f"squared operator vanishes on all {report.monomials_checked} "
-            f"monomials through degree {args.degree}"
-        )
+    conditions = nilpotency_conditions(delta)
+    residuals, residual_orders = {}, {}
+    for label, group in conditions.groups():
+        residuals[label] = {key: "0" if series.is_zero() else str(series)
+                            for key, series in group.items()}
+        residual_orders[label] = {key: series.order for key, series in group.items()}
+    return {
+        "command": "delta-check",
+        "pass": report.passed and conditions.all_zero,
+        "degree": args.degree,
+        "order": delta.coefficient_order,
+        "monomials_checked": report.monomials_checked,
+        "witness": str(report.witness) if report.witness else None,
+        "residue": None if report.passed else str(report.residue),
+        "residuals": residuals,
+        "residual_orders": residual_orders,
+    }
+
+
+def _delta_check_text(report: dict):
+    for label, group in report["residuals"].items():
+        for key, value in group.items():
+            state = "zero" if value == "0" else f"NONZERO {value}"
+            order = report["residual_orders"][label][key]
+            yield f"residual {label}[{key}] (order {order}): {state}"
+    if report["residue"] is None:
+        yield (f"squared operator vanishes on all {report['monomials_checked']} "
+               f"monomials through degree {report['degree']}")
     else:
-        lines.append(
-            f"FAIL: squared operator is nonzero on {report.witness}: {report.residue}"
-        )
-    ok = report.passed and residuals.all_zero
-    lines.append("PASS" if ok else "FAIL")
-    _emit(
-        args,
-        {
-            "command": "delta-check",
-            "pass": ok,
-            "monomials_checked": report.monomials_checked,
-            "witness": str(report.witness) if report.witness else None,
-            "residuals": res_payload,
-        },
-        lines,
-    )
-    return PASS if ok else FAIL
+        yield (f"FAIL: squared operator is nonzero on {report['witness']}: "
+               f"{report['residue']}")
+    yield "PASS" if report["pass"] else "FAIL"
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> dict:
     _, symmetric, delta = _load_input(args.input, DEFAULT_ORDER)
     if delta is None or symmetric is None:
         raise DocumentError(
@@ -156,31 +149,24 @@ def cmd_compare(args) -> int:
     _require_bound("--max-arity", n_max, 0)
     rebuilt = brackets_from_delta(delta, n_max)
     diff = first_difference(symmetric, rebuilt, n_max)
-    if diff is None:
-        lines = [
-            f"PASS: operator brackets match the declared tables through "
-            f"arity {n_max}"
-        ]
-        payload = {"command": "compare", "pass": True}
-        _emit(args, payload, lines)
-        return PASS
-    arity, key, declared, recovered = diff
-    where = "space/symmetry" if key is None else "(" + ", ".join(v.name for v in key) + ")"
-    lines = [
-        f"FAIL at arity {arity}, inputs {where}:",
-        f"  declared:  {declared}",
-        f"  recovered: {recovered}",
-    ]
-    payload = {
-        "command": "compare",
-        "pass": False,
-        "arity": arity,
-        "inputs": None if key is None else [v.name for v in key],
-        "declared": str(declared),
-        "recovered": str(recovered),
-    }
-    _emit(args, payload, lines)
-    return FAIL
+    report = {"command": "compare", "pass": diff is None, "max_arity": n_max}
+    if diff is not None:
+        arity, key, declared, recovered = diff
+        report.update(arity=arity, inputs=None if key is None else [v.name for v in key],
+                      declared=str(declared), recovered=str(recovered))
+    return report
+
+
+def _compare_text(report: dict):
+    if report["pass"]:
+        yield ("PASS: operator brackets match the declared tables through "
+               f"arity {report['max_arity']}")
+        return
+    inputs = report["inputs"]
+    where = "space/symmetry" if inputs is None else "(" + ", ".join(inputs) + ")"
+    yield f"FAIL at arity {report['arity']}, inputs {where}:"
+    yield f"  declared:  {report['declared']}"
+    yield f"  recovered: {report['recovered']}"
 
 
 def _scaled(series):
@@ -202,46 +188,49 @@ COEFFICIENTS = {
 }
 
 
-def cmd_coefficients(args) -> int:
+def cmd_coefficients(args) -> dict:
     first, value, route = COEFFICIENTS[args.which]
     _require_bound("n_max", args.n_max, first)
     rows = [(n, value(n)) for n in range(first, args.n_max + 1)]
-    lines = [f"{n}\t{v}" for n, v in rows]
-    problems: list[str] = []
+    mismatches: list[str] = []
     if args.check:
         independent = route(args.n_max)
         for n, v in rows:
             other = independent(n)
             if v != other:
-                problems.append(f"n={n}: printed {v} != independent route {other}")
-        lines += [f"MISMATCH {p}" for p in problems]
-        lines.append("PASS: cross-check agrees" if not problems else "FAIL")
-    _emit(
-        args,
-        {
-            "command": "coefficients",
-            "which": args.which,
-            "values": {str(n): str(v) for n, v in rows},
-            "pass": not problems,
-        },
-        lines,
-    )
-    return PASS if not problems else FAIL
+                mismatches.append(f"n={n}: printed {v} != independent route {other}")
+    return {
+        "command": "coefficients",
+        "which": args.which,
+        "values": {str(n): str(v) for n, v in rows},
+        "checked": args.check,
+        "mismatches": mismatches,
+        "pass": not mismatches,
+    }
 
 
-def cmd_export(args) -> int:
+def _coefficients_text(report: dict):
+    for n, v in report["values"].items():
+        yield f"{n}\t{v}"
+    if report["checked"]:
+        yield from (f"MISMATCH {m}" for m in report["mismatches"])
+        yield "PASS: cross-check agrees" if report["pass"] else "FAIL"
+
+
+def cmd_export(args) -> dict:
     ex = BUILTINS[args.builtin](args.order)
     if args.formulation == "jacobi":
         doc = system_to_document(ex.skew_system)
     else:
         doc = system_to_document(ex.symmetric_system, ex.delta_spec)
-    if args.output:
-        save_document(doc, args.output)
-        if not args.json:
-            print(f"wrote {args.output}")
-    else:
-        print(json.dumps(doc, indent=2))
-    return PASS
+    if not args.output:
+        return {"command": "export", "pass": True, "document": doc}
+    save_document(doc, args.output)
+    return {"command": "export", "pass": True, "wrote": args.output}
+
+
+def _export_text(report: dict):
+    yield f"wrote {report['wrote']}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,45 +241,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--json", action="store_true", help="machine-readable report")
-
     p = sub.add_parser("verify", help="check generalized Jacobi identities")
     p.add_argument("input", help="builtin name (example1, example2) or document path")
     p.add_argument("--max-arity", type=int, default=8)
-    add_common(p)
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn=cmd_verify, text=_verify_text)
 
     p = sub.add_parser("delta-check", help="check that the odd operator squares to zero")
     p.add_argument("input", help="builtin name or document path")
     p.add_argument("--degree", type=int, default=10, help="even-degree bound for monomials")
     p.add_argument("--order", type=int, default=DEFAULT_ORDER,
                    help="series order for builtin inputs")
-    add_common(p)
-    p.set_defaults(fn=cmd_delta_check)
+    p.set_defaults(fn=cmd_delta_check, text=_delta_check_text)
 
     p = sub.add_parser("compare", help="rebuild brackets from the operator and diff")
     p.add_argument("input", help="builtin name or document path")
     p.add_argument("--max-arity", type=int, default=8)
-    add_common(p)
-    p.set_defaults(fn=cmd_compare)
+    p.set_defaults(fn=cmd_compare, text=_compare_text)
 
     p = sub.add_parser("coefficients", help="print coefficient tables")
     p.add_argument("which", choices=COEFFICIENTS)
     p.add_argument("n_max", type=int)
     p.add_argument("--check", action="store_true",
                    help="cross-validate against an independent route")
-    add_common(p)
-    p.set_defaults(fn=cmd_coefficients)
+    p.set_defaults(fn=cmd_coefficients, text=_coefficients_text)
 
     p = sub.add_parser("export", help="write a builtin system as a JSON document")
     p.add_argument("builtin", choices=BUILTINS)
     p.add_argument("--formulation", choices=("jacobi", "operator"), default="operator")
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("-o", "--output", default=None)
-    add_common(p)
-    p.set_defaults(fn=cmd_export)
+    p.set_defaults(fn=cmd_export, text=_export_text)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="machine-readable report")
     return parser
 
 
@@ -301,13 +284,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE if exc.code else PASS
     try:
-        return args.fn(args)
+        report = args.fn(args)
+        # an export to stdout prints the document itself in both modes
+        if args.json or "document" in report:
+            text = json.dumps(report.get("document", report), indent=2)
+        else:
+            text = "\n".join(args.text(report))
     except (DocumentError, TruncationError, ConsistencyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except Exception as exc:  # a bug must not read as exit 1, "checked and false"
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE
+    print(text)
+    return PASS if report["pass"] else FAIL
 
 
 def entry() -> None:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linfcheck.builtin import example1_system, example2_system
+from linfcheck import cli
+from linfcheck.builtin import b_closed, example1_system, example2_system
 from linfcheck.cli import main
 from linfcheck.document import load_document, save_document, system_to_document
 from linfcheck.errors import DocumentError
@@ -115,6 +116,17 @@ def test_delta_check_mutated_fails_with_witness(capsys, tmp_path):
     code, out, _ = run(capsys, "delta-check", str(path), "--degree", "5")
     assert code == 1
     assert "theta1*theta2" in out
+    # the JSON report states the bounds and the residue the text shows
+    lines = out.splitlines()
+    code, out, _ = run(capsys, "delta-check", str(path), "--degree", "5", "--json")
+    payload = json.loads(out)
+    assert code == 1 and payload["pass"] is False
+    assert payload["degree"] == 5
+    assert payload["order"] == len(json.loads(path.read_text())["delta"]["f"][0]) - 1
+    assert lines[-2] == (f"FAIL: squared operator is nonzero on "
+                         f"{payload['witness']}: {payload['residue']}")
+    pairing = next(line for line in lines if line.startswith("residual h_pairing[i=1]"))
+    assert f"(order {payload['residual_orders']['h_pairing']['i=1']})" in pairing
 
 
 def test_delta_check_requires_operator_data(capsys, tmp_path):
@@ -177,12 +189,41 @@ def test_json_reports_are_machine_readable(capsys):
     code, out, _ = run(capsys, "coefficients", "b", "4", "--json")
     payload = json.loads(out)
     assert payload["values"]["4"] == "-27"
+    assert payload["checked"] is False
+    code, out, _ = run(capsys, "coefficients", "b", "4", "--check", "--json")
+    payload = json.loads(out)
+    assert (payload["checked"], payload["mismatches"]) == (True, [])
+    # the effective bounds after clamping to what the document stores
+    code, out, _ = run(capsys, "verify", "example1", "--max-arity", "11", "--json")
+    payload = json.loads(out)
+    assert (payload["max_arity"], payload["requested_max_arity"]) == (10, 11)
+    code, out, _ = run(capsys, "compare", "example1", "--max-arity", "3", "--json")
+    payload = json.loads(out)
+    assert (code, payload["pass"], payload["max_arity"]) == (0, True, 3)
+
+
+def test_coefficients_check_reports_a_mismatch(capsys, monkeypatch):
+    def off_by_one_at_3(n_max):
+        return lambda n: b_closed(n) + (n == 3)
+
+    monkeypatch.setitem(cli.COEFFICIENTS, "b", (0, b_closed, off_by_one_at_3))
+    mismatch = "n=3: printed 4 != independent route 5"
+    code, out, _ = run(capsys, "coefficients", "b", "4", "--check")
+    assert code == 1
+    assert out.splitlines()[-2:] == [f"MISMATCH {mismatch}", "FAIL"]
+    code, out, _ = run(capsys, "coefficients", "b", "4", "--check", "--json")
+    payload = json.loads(out)
+    assert code == 1 and payload["pass"] is False
+    assert payload["mismatches"] == [mismatch]
 
 
 def test_export_round_trip(capsys, tmp_path):
     path = tmp_path / "ex1.json"
     code, out, _ = run(capsys, "export", "example1", "-o", str(path))
     assert code == 0
+    code, out, _ = run(capsys, "export", "example1", "-o", str(path), "--json")
+    assert code == 0
+    assert json.loads(out) == {"command": "export", "pass": True, "wrote": str(path)}
     system, delta = load_document(path)
     ex = example1_system()
     assert system == ex.symmetric_system

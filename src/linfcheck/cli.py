@@ -44,11 +44,15 @@ BUILTINS = {
 PASS, FAIL, USAGE = 0, 1, 2
 
 
-def _load_input(name: str, order: int):
-    """Resolve a builtin name or a document path to (skew, symmetric, delta)."""
+def _load_input(name: str, order: int | None = None):
+    """Resolve a builtin name or a document path to (skew, symmetric, delta);
+    ``order`` is the series order of a builtin (default DEFAULT_ORDER)."""
     if name in BUILTINS:
-        ex = BUILTINS[name](order)
+        ex = BUILTINS[name](DEFAULT_ORDER if order is None else order)
         return ex.skew_system, ex.symmetric_system, ex.delta_spec
+    if order is not None:
+        raise DocumentError("--order applies to builtin inputs only; "
+                            "a document carries its own series orders")
     system, delta = load_document(name)
     skew = system if system.symmetry == SKEW else None
     symmetric = system if system.symmetry == SYMMETRIC else None
@@ -64,7 +68,7 @@ def _require_bound(flag: str, value: int, least: int) -> None:
 
 
 def cmd_verify(args) -> dict:
-    skew, _, _ = _load_input(args.input, DEFAULT_ORDER)
+    skew, _, _ = _load_input(args.input)
     if skew is None:
         raise DocumentError("verify needs a skew system (use a skew document)")
     n_max = min(args.max_arity, skew.max_arity)
@@ -117,6 +121,7 @@ def cmd_delta_check(args) -> dict:
         "degree": args.degree,
         "order": delta.coefficient_order,
         "monomials_checked": report.monomials_checked,
+        "images": delta.images_computed,
         "witness": str(report.witness) if report.witness else None,
         "residue": None if report.passed else str(report.residue),
         "residuals": residuals,
@@ -140,7 +145,7 @@ def _delta_check_text(report: dict):
 
 
 def cmd_compare(args) -> dict:
-    _, symmetric, delta = _load_input(args.input, DEFAULT_ORDER)
+    _, symmetric, delta = _load_input(args.input)
     if delta is None or symmetric is None:
         raise DocumentError(
             "compare needs both a symmetric system and a 'delta' section"
@@ -149,7 +154,8 @@ def cmd_compare(args) -> dict:
     _require_bound("--max-arity", n_max, 0)
     rebuilt = brackets_from_delta(delta, n_max)
     diff = first_difference(symmetric, rebuilt, n_max)
-    report = {"command": "compare", "pass": diff is None, "max_arity": n_max}
+    report = {"command": "compare", "pass": diff is None, "max_arity": n_max,
+              "images": delta.images_computed}
     if diff is not None:
         arity, key, declared, recovered = diff
         report.update(arity=arity, inputs=None if key is None else [v.name for v in key],
@@ -249,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta-check", help="check that the odd operator squares to zero")
     p.add_argument("input", help="builtin name or document path")
     p.add_argument("--degree", type=int, default=10, help="even-degree bound for monomials")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER,
+    p.add_argument("--order", type=int, default=None,
                    help="series order for builtin inputs")
     p.set_defaults(fn=cmd_delta_check, text=_delta_check_text)
 

@@ -3,7 +3,8 @@ odd differential operator assembled from generating-series data.
 
 The algebra has odd generators theta_1, theta_2 (degree -1, squaring to
 zero) and even generators x_1 .. x_N (degree 0).  A monomial is a strictly
-increasing subset of the thetas times an exponent vector for the x's.
+increasing subset of the thetas times an exponent vector for the x's, keyed
+as the tuple ``(fermions, bosons)``; every construction validates both.
 
 The operator is a sum of three pieces, written with all derivatives on the
 right::
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from math import comb, factorial
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .brackets import SYMMETRIC, BracketSystem, canonical_tuples
@@ -36,6 +38,7 @@ from .series import Series
 
 EPS_LOWER = {(1, 2): -1, (2, 1): 1}   # eps_{ab}
 EPS_UPPER = {(1, 2): 1, (2, 1): -1}   # eps^{ab}, inverse to eps_{ab}
+_THETA_BLOCKS = frozenset({(), (1,), (2,), (1, 2)})
 
 
 def _normalize(value):
@@ -45,20 +48,28 @@ def _normalize(value):
     return value
 
 
-@dataclass(frozen=True)
-class SuperMonomial:
-    """theta subset (strictly increasing) times an exponent vector."""
+class SuperMonomial(tuple):
+    """theta subset (strictly increasing) times an exponent vector, stored as
+    the tuple ``(fermions, bosons)``."""
 
-    fermions: tuple[int, ...]
-    bosons: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(a not in (1, 2) for a in self.fermions):
-            raise ValueError("odd generators are indexed by 1 and 2")
-        if any(a >= b for a, b in zip(self.fermions, self.fermions[1:])):
+    def __new__(cls, fermions, bosons):
+        fermions, bosons = tuple(fermions), tuple(bosons)
+        if fermions not in _THETA_BLOCKS:
+            if any(a not in (1, 2) for a in fermions):
+                raise ValueError("odd generators are indexed by 1 and 2")
             raise ValueError("theta factors must be strictly increasing")
-        if any(m < 0 for m in self.bosons):
+        if bosons and min(bosons) < 0:
             raise ValueError("exponents must be non-negative")
+        return tuple.__new__(cls, (fermions, bosons))
+
+    def __getnewargs__(self):
+        """copy and pickle rebuild a monomial through ``__new__``."""
+        return tuple(self)
+
+    fermions = property(itemgetter(0))
+    bosons = property(itemgetter(1))
 
     @property
     def boson_degree(self) -> int:
@@ -203,6 +214,11 @@ class DeltaSpec:
     def _taylor_h(self) -> tuple[list, list]:
         return tuple(_taylor_table(s) for s in self.h)
 
+    @property
+    def images_computed(self) -> int:
+        """Number of distinct monomials whose image is in the cache."""
+        return len(self._images)
+
     def delta_monomial(self, mono: SuperMonomial) -> SuperPoly:
         """Image of a single monomial under the operator."""
         cached = self._images.get(mono)
@@ -215,7 +231,8 @@ class DeltaSpec:
                 f"beyond the stored order {self.coefficient_order}"
             )
         out: dict[SuperMonomial, Rational] = {}
-        fermions, bosons = mono.fermions, mono.bosons
+        fermions, bosons = mono
+        terms = _derivative_terms(bosons)
 
         def put(key: SuperMonomial, value) -> None:
             out[key] = out.get(key, 0) + value
@@ -229,7 +246,7 @@ class DeltaSpec:
             if merged is None:
                 continue
             sign, new_fermions = merged
-            for weight, reduced in _series_operator_terms(table, bosons):
+            for weight, reduced in _series_operator_terms(table, terms):
                 put(SuperMonomial(new_fermions, reduced), sign * weight)
 
         # D1 = x_i g^i_a(d/dx) d/dtheta_a
@@ -241,7 +258,7 @@ class DeltaSpec:
             for i in range(1, self.n_bosons + 1):
                 table = self._taylor_g[alpha - 1][i - 1]
                 if any(table):
-                    for weight, reduced in _series_operator_terms(table, bosons):
+                    for weight, reduced in _series_operator_terms(table, terms):
                         lifted = tuple(
                             q + 1 if k == i - 1 else q for k, q in enumerate(reduced)
                         )
@@ -268,7 +285,7 @@ class DeltaSpec:
                 table = self._taylor_f[gamma - 1]
                 if not any(table):
                     continue
-                for weight, reduced in _series_operator_terms(table, bosons):
+                for weight, reduced in _series_operator_terms(table, terms):
                     put(SuperMonomial((gamma,), reduced), half * weight)
 
         image = SuperPoly(self.n_bosons, out)
@@ -281,25 +298,26 @@ def _taylor_table(series: Series) -> list:
     return [_normalize(factorial(m) * c) for m, c in enumerate(series.coeffs)]
 
 
-def _series_operator_terms(table: list, bosons: tuple[int, ...]):
-    """Terms of F(d/dx) applied to x^bosons: pairs (coefficient, exponents).
-
-    F's Taylor coefficient at the multi-index mu is table[|mu|]; the
-    derivative weight works out to the product of binomials C(m_i, mu_i).
-    """
-    stack = [((), 1, 0)]
+def _derivative_terms(bosons: tuple[int, ...]) -> list:
+    """The derivatives d^mu x^m for every mu <= m, as the triples
+    (prod C(m_i, mu_i), |mu|, m - mu) that every series operator shares."""
+    terms = [(1, 0, ())]
     for m in bosons:
-        stack = [
-            (prefix + (mu,), weight * comb(m, mu), total + mu)
-            for prefix, weight, total in stack
+        terms = [
+            (weight * comb(m, mu), total + mu, reduced + (m - mu,))
+            for weight, total, reduced in terms
             for mu in range(m + 1)
         ]
-    for exponents, weight, total in stack:
+    return terms
+
+
+def _series_operator_terms(table: list, terms: list):
+    """Terms of F(d/dx) applied to x^m, given m's derivative terms: pairs
+    (coefficient, exponents).  F's Taylor coefficient at mu is table[|mu|]."""
+    for weight, total, reduced in terms:
         coeff = table[total]
         if coeff:
-            yield weight * coeff, tuple(
-                m - mu for m, mu in zip(bosons, exponents)
-            )
+            yield weight * coeff, reduced
 
 
 def apply_delta(spec: DeltaSpec, poly: SuperPoly) -> SuperPoly:

@@ -11,6 +11,7 @@ from linfcheck.builtin import b_closed, example1_system, example2_system
 from linfcheck.cli import main
 from linfcheck.document import load_document, save_document, system_to_document
 from linfcheck.errors import DocumentError
+from linfcheck.superspace import DeltaSpec
 
 
 def run(capsys, *argv):
@@ -75,6 +76,13 @@ def test_usage_error_exits_2(capsys, tmp_path):
     doc.update(max_arity=0, brackets=[])
     path = tmp_path / "arity0.json"
     save_document(doc, path)
+    # a document carries its own series orders; --order would be ignored
+    operator_doc = tmp_path / "operator.json"
+    save_document(system_to_document(example1_system().symmetric_system,
+                                     example1_system().delta_spec), operator_doc)
+    code, out, err = run(capsys, "delta-check", str(operator_doc), "--order", "10")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "--order" in err
     for argv in (
         ("verify", "example1", "--max-arity", "0"),
         ("verify", str(path), "--max-arity", "8"),  # clamped to the document's 0
@@ -200,6 +208,26 @@ def test_json_reports_are_machine_readable(capsys):
     code, out, _ = run(capsys, "compare", "example1", "--max-arity", "3", "--json")
     payload = json.loads(out)
     assert (code, payload["pass"], payload["max_arity"]) == (0, True, 3)
+
+
+def test_json_reports_count_operator_images(capsys, monkeypatch):
+    seen = set()
+    compute = DeltaSpec.delta_monomial
+
+    def recording(spec, mono):
+        seen.add((mono.fermions, mono.bosons))
+        return compute(spec, mono)
+
+    monkeypatch.setattr(DeltaSpec, "delta_monomial", recording)
+    for argv in (
+        ("delta-check", "example1", "--degree", "12"),
+        ("delta-check", "example2", "--degree", "4"),
+        ("compare", "example1"),
+    ):
+        seen.clear()
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0, argv
+        assert json.loads(out)["images"] == len(seen) > 0, argv
 
 
 def test_coefficients_check_reports_a_mismatch(capsys, monkeypatch):

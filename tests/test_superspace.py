@@ -1,7 +1,10 @@
+import copy
+import pickle
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,8 @@ from linfcheck.superspace import (
     brackets_from_delta,
     delta_squared_check,
     koszul_bracket,
+    EPS_LOWER,
+    _merge_fermions,
     _theta_derivative,
     nilpotency_conditions,
 )
@@ -52,12 +57,29 @@ def _one_boson_spec(f1=0, f2=0, g1=0, g2=0, h1=0, h2=0, order=8, **kw):
 # -- the algebra itself ---------------------------------------------------------
 
 def test_monomial_validation():
-    with pytest.raises(ValueError):
-        SuperMonomial((2, 1), (0,))
-    with pytest.raises(ValueError):
-        SuperMonomial((3,), (0,))
-    with pytest.raises(ValueError):
-        SuperMonomial((), (-1,))
+    for fermions, message in (
+        ((1, 1), "theta factors must be strictly increasing"),
+        ((2, 1), "theta factors must be strictly increasing"),
+        ((3,), "odd generators are indexed by 1 and 2"),
+        ((0,), "odd generators are indexed by 1 and 2"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            SuperMonomial(fermions, (0,))
+    for bosons in ((-1,), (-1, 0, 0), (0, -2, 0), (0, 0, -1)):
+        with pytest.raises(ValueError, match="exponents must be non-negative"):
+            SuperMonomial((1,), bosons)
+    mono = SuperMonomial([1, 2], [0, 0, 1])
+    assert (mono.fermions, mono.bosons) == ((1, 2), (0, 0, 1))
+    assert type(mono.fermions) is tuple and type(mono.bosons) is tuple
+    twin = SuperMonomial((1, 2), (0, 0, 1))
+    assert mono == twin and hash(mono) == hash(twin)
+    assert hash(mono) == hash(((1, 2), (0, 0, 1)))
+    assert copy.copy(mono) == mono and pickle.loads(pickle.dumps(mono)) == mono
+    for name in ("fermions", "bosons", "other"):
+        with pytest.raises(AttributeError):
+            setattr(mono, name, ())
+    assert repr(mono) == "theta1*theta2*x3"
+    assert repr(SuperMonomial((), (0, 0))) == "1"
 
 
 def test_supercommutative_product():
@@ -317,6 +339,101 @@ def test_delta_squared_check_matches_the_double_loop(spec, degree_bound):
     expected = _delta_squared_oracle(spec, degree_bound)
     assert delta_squared_check(spec, degree_bound) == expected
     assert delta_squared_check(spec, degree_bound) == expected  # warm cache
+
+
+@dataclass(frozen=True)
+class _OracleMonomial:
+    """A validated frozen-dataclass monomial, independent of the tuple keys
+    the operator uses."""
+
+    fermions: tuple
+    bosons: tuple
+
+    def __post_init__(self):
+        if any(a not in (1, 2) for a in self.fermions):
+            raise ValueError("odd generators are indexed by 1 and 2")
+        if any(a >= b for a, b in zip(self.fermions, self.fermions[1:])):
+            raise ValueError("theta factors must be strictly increasing")
+        if any(m < 0 for m in self.bosons):
+            raise ValueError("exponents must be non-negative")
+
+
+def _oracle_operator_terms(table, bosons):
+    """F(d/dx) on x^bosons, rebuilding the binomial stack for every table."""
+    stack = [((), 1, 0)]
+    for m in bosons:
+        stack = [
+            (prefix + (mu,), weight * comb(m, mu), total + mu)
+            for prefix, weight, total in stack
+            for mu in range(m + 1)
+        ]
+    for exponents, weight, total in stack:
+        coeff = table[total]
+        if coeff:
+            yield weight * coeff, tuple(m - mu for m, mu in zip(bosons, exponents))
+
+
+def _oracle_image(spec, fermions, bosons):
+    """Image of one monomial as ordered ``((fermions, bosons), coeff)`` pairs,
+    computed term by term from the spec's series with no cache."""
+
+    def taylor(series):
+        return [factorial(m) * c for m, c in enumerate(series.coeffs)]
+
+    out = {}
+
+    def put(fermions, bosons, value):
+        key = _OracleMonomial(fermions, bosons)
+        out[key] = out.get(key, 0) + value
+
+    for alpha in (1, 2):  # D0
+        table = taylor(spec.h[alpha - 1])
+        merged = _merge_fermions((alpha,), fermions)
+        if any(table) and merged is not None:
+            for weight, reduced in _oracle_operator_terms(table, bosons):
+                put(merged[1], reduced, merged[0] * weight)
+    for alpha in (1, 2):  # D1
+        hit = _theta_derivative(fermions, alpha)
+        if hit is None:
+            continue
+        dsign, rest = hit
+        for i in range(spec.n_bosons):
+            table = taylor(spec.g[alpha - 1][i])
+            for weight, reduced in _oracle_operator_terms(table, bosons):
+                lifted = tuple(q + (k == i) for k, q in enumerate(reduced))
+                put(rest, lifted, dsign * weight)
+            if spec.momentum_shift and bosons[i]:
+                put(rest, bosons, dsign * bosons[i])
+    contraction = 0  # D2
+    for (alpha, beta), eps in EPS_LOWER.items():
+        first = _theta_derivative(fermions, alpha)
+        second = first and _theta_derivative(first[1], beta)
+        if second:
+            contraction += eps * first[0] * second[0]
+    for gamma in (1, 2) if contraction else ():
+        table = taylor(spec.f[gamma - 1])
+        for weight, reduced in _oracle_operator_terms(table, bosons):
+            put((gamma,), reduced, Fraction(contraction, 2) * weight)
+    return [((m.fermions, m.bosons), c) for m, c in out.items() if c]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_specs(), st.data())
+def test_delta_monomial_matches_the_dataclass_oracle(spec, data):
+    exponents = st.lists(st.integers(0, 3), min_size=spec.n_bosons,
+                         max_size=spec.n_bosons)
+    exponents = exponents.filter(lambda b: sum(b) <= 3).map(tuple)
+    monomials = data.draw(st.lists(st.tuples(st.sampled_from(_SECTORS), exponents),
+                                   min_size=1, max_size=4))
+    for fermions, bosons in monomials:  # one spec, several monomials
+        image = spec.delta_monomial(SuperMonomial(fermions, bosons))
+        assert [((m.fermions, m.bosons), c) for m, c in image.items()] == (
+            _oracle_image(spec, fermions, bosons)
+        )
+        for mono, _ in image.items():
+            assert type(mono) is SuperMonomial
+            assert mono.fermions in _SECTORS
+            assert len(mono.bosons) == spec.n_bosons and min(mono.bosons) >= 0
 
 
 def test_operator_image_cache_is_per_spec():

@@ -20,16 +20,24 @@ one-variable coefficient times |m|!).  Entries of g may additionally carry
 the momentum-shift term + p_i, which the second bundled example uses.
 Theta derivatives act from the left: d/dtheta_a picks up (-1)^k when
 theta_a sits behind k other thetas.
+
+The brackets of the operator are its nested graded commutators with the
+multiplications by their inputs (Koszul's higher derived brackets), summed in
+closed form: over subsets T of the odd inputs and multi-indices mu <= m, m
+that of the even inputs, of C(m, mu) (-1)^|m - mu| eps_T theta_out x^(m - mu)
+D(theta_T x^mu).  D's argument multiplies the inputs inside it in input
+order, theta_out the others in reverse input order, and each input left
+outside gives a sign: -1 if even, (-1)^j if odd with j odd inputs before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from math import comb, factorial
-from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from operator import add, itemgetter, sub
+from typing import Iterator, Sequence
 
 from .brackets import SYMMETRIC, BracketSystem, canonical_tuples
 from .errors import ConsistencyError, TruncationError
@@ -347,23 +355,42 @@ def koszul_bracket(spec: DeltaSpec, inputs: Sequence[BasisVector]) -> Element:
     """n-th bracket of the operator: the n-fold graded commutator with the
     left multiplications by the inputs, applied to 1.
 
-    The commutator recursion is ``[A, L_z](w) = A(z w) - (-1)^(par A * par z)
-    z A(w)`` with the operator itself odd.  The result must land in the span
-    of the generators; anything else signals malformed data.
+    The recursion ``[A, L_z](w) = A(z w) - (-1)^(par A * par z) z A(w)``,
+    with the operator odd, is summed in closed form over the subsets T of the
+    odd inputs and the mu <= m, m the multi-index of the even inputs:
+    C(m, mu) (-1)^|m - mu| eps_T theta_out x^(m - mu) D(theta_T x^mu).  D's
+    argument multiplies the inputs inside it in input order, theta_out the
+    others in reverse input order, and each input left outside gives a sign:
+    -1 if even, (-1)^j (a factor of eps_T) if odd with j odd inputs before
+    it.  Each image of D is one cached ``delta_monomial`` lookup.  The result
+    must be linear in the generators; anything else signals malformed data.
     """
-
-    def commute(op: Callable, op_parity: int, z: SuperPoly, z_parity: int):
-        sign = 1 if (op_parity and z_parity) else -1
-
-        def bracket(w: SuperPoly) -> SuperPoly:
-            return op(z * w) + sign * (z * op(w))
-
-        return bracket, (op_parity + z_parity) % 2
-
-    op, parity = partial(apply_delta, spec), 1
+    thetas, m = [], (0,) * spec.n_bosons
     for vector in inputs:
-        op, parity = commute(op, parity, _generator_poly(spec, vector), vector.parity)
-    return linear_element(spec, op(SuperPoly.one(spec.n_bosons)))
+        (((fermions, bosons), _),) = _generator_poly(spec, vector).items()
+        thetas, m = thetas + list(fermions), tuple(map(add, m, bosons))
+    # Each odd input goes inside D (appended to theta_T) or outside it
+    # (prepended to theta_out, with eps_T's factor); a split keeps its sign
+    # and both blocks sorted.  A repeated theta gives sign 0, but D still runs
+    # on the split, so a truncated operator raises when the recursion does.
+    splits = [(1, (), ())]
+    for j, alpha in enumerate(thetas):
+        grown = []
+        for sign, inside, outside in splits:
+            s_in, t_in = _merge_fermions(inside, (alpha,)) or (0, inside)
+            s_out, t_out = _merge_fermions((alpha,), outside) or (0, outside)
+            grown += [(sign * s_in, t_in, outside), ((-1) ** j * sign * s_out, inside, t_out)]
+        splits = grown
+    out, terms = {}, _derivative_terms(m)
+    for sign, inside, outside in splits:
+        for weight, total, reduced in terms:
+            coeff = (-1) ** (sum(m) - total) * sign * weight
+            image = spec.delta_monomial(SuperMonomial(inside, map(sub, m, reduced)))
+            for (fermions, bosons), value in image.items():
+                if merged := _merge_fermions(outside, fermions):
+                    key = SuperMonomial(merged[1], map(add, reduced, bosons))
+                    out[key] = out.get(key, 0) + merged[0] * coeff * value
+    return linear_element(spec, SuperPoly(spec.n_bosons, out))
 
 
 def linear_element(spec: DeltaSpec, poly: SuperPoly) -> Element:

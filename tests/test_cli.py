@@ -33,6 +33,12 @@ def test_verify_mutated_document_fails_with_counterexample(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(path), "--max-arity", "4")
     assert code == 1
     assert "v1, v2, w, w" in out
+    # the JSON names the inner splits that carry the defect; they sum to it
+    code, out, _ = run(capsys, "verify", str(path), "--max-arity", "4", "--json")
+    (failure,) = [check for check in json.loads(out)["arities"] if not check["ok"]]
+    assert (code, failure["counterexample"]) == (1, ["v1", "v2", "w", "w"])
+    assert failure["summands"] == {"1": "w", "2": "2*w", "3": "-w"}
+    assert failure["defect"] == "2*w"
 
 
 def test_verify_zero_system_passes(capsys, tmp_path):

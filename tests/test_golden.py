@@ -26,6 +26,7 @@ CASES = {
     "delta-check-b2-mutant": (("delta-check", "{b2_mutant}", "--degree", "5"), 1),
     "compare-example1": (("compare", "example1", "--max-arity", "8"), 0),
     "compare-zeroed": (("compare", "{zeroed}", "--max-arity", "4"), 1),
+    "compare-mixed": (("compare", "{mixed}", "--max-arity", "6"), 1),
     **{
         f"coefficients-{which}{suffix}": (("coefficients", which, n, *flags), 0)
         for which, n in (("c1", "12"), ("c2", "10"), ("b", "10"), ("lambert", "10"))
@@ -37,12 +38,16 @@ CASES = {
 
 def _documents(tmp: Path) -> dict[str, str]:
     ex = example1_system()
+    ex2 = example2_system()
     b2 = example2_system(b_values={2: 1})
+    b3 = example2_system(b_values={3: 5})
     docs = {
         "c4_mutant": system_to_document(example1_system(c_values={4: 1}).skew_system),
         "skew_arity3": system_to_document(ex.skew_system),
         "b2_mutant": system_to_document(b2.symmetric_system, b2.delta_spec),
         "zeroed": system_to_document(ex.symmetric_system, ex.delta_spec),
+        # example2's declared tables beside the operator of its B3 = 5 mutant
+        "mixed": system_to_document(ex2.symmetric_system, b3.delta_spec),
     }
     trimmed = docs["skew_arity3"]
     trimmed["max_arity"] = 3

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linfcheck.brackets import first_difference
+from linfcheck.brackets import SYMMETRIC, BracketSystem, canonical_tuples, first_difference
 from linfcheck.builtin import example1_system, example2_system
 from linfcheck.errors import ConsistencyError, TruncationError
-from linfcheck.grading import Element
+from linfcheck.grading import BasisVector, Element
 from linfcheck.series import Series
 from linfcheck.superspace import (
     DeltaSpec,
@@ -25,8 +25,10 @@ from linfcheck.superspace import (
     delta_squared_check,
     koszul_bracket,
     EPS_LOWER,
+    _generator_poly,
     _merge_fermions,
     _theta_derivative,
+    linear_element,
     nilpotency_conditions,
 )
 
@@ -314,9 +316,8 @@ def _delta_squared_oracle(spec, degree_bound):
 
 
 @st.composite
-def _small_specs(draw):
+def _small_specs(draw, order=4):
     n_bosons = draw(st.integers(1, 2))
-    order = 4
 
     def series():
         return Series.from_coeffs(draw(st.lists(st.integers(-2, 2),
@@ -558,3 +559,81 @@ def test_linear_element_rejects_higher_terms(ex1):
     assert linear_element(spec, SuperPoly.theta(2, 1)) == Element.basis(
         spec.space.generator("theta2")
     )
+
+
+# -- bracket extraction against the commutator recursion -------------------------
+
+def _koszul_bracket_oracle(spec, inputs):
+    """The nested graded commutators that ``koszul_bracket`` sums in closed
+    form: ``[A, L_z](w) = A(z w) - (-1)^(par A * par z) z A(w)``, the operator
+    odd, applied to 1.  Its algebra is only ``apply_delta`` and products of
+    polynomials, so it applies the operator 2^n times per input sequence."""
+
+    def commute(op, op_parity, z, z_parity):
+        sign = 1 if (op_parity and z_parity) else -1
+
+        def bracket(w):
+            return op(z * w) + sign * (z * op(w))
+
+        return bracket, (op_parity + z_parity) % 2
+
+    op, parity = (lambda w: apply_delta(spec, w)), 1
+    for vector in inputs:
+        op, parity = commute(op, parity, _generator_poly(spec, vector), vector.parity)
+    return linear_element(spec, op(SuperPoly.one(spec.n_bosons)))
+
+
+def _outcome(bracket, spec, inputs):
+    """The bracket's value, or the type of the exception it raises."""
+    try:
+        return bracket(spec, inputs)
+    except (ValueError, ConsistencyError, TruncationError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda order: _small_specs(order=order)), st.data())
+def test_koszul_bracket_matches_the_commutator_recursion(spec, data):
+    # any order, repeats (repeated thetas too), now and then a foreign vector;
+    # more even inputs than the stored order hit the truncation guard
+    pool = spec.space.generators + (BasisVector("W", "x3", 0),)
+    vectors = st.sampled_from(pool[:-1]) | st.sampled_from(pool)
+    for inputs in data.draw(st.lists(st.lists(vectors, max_size=5), min_size=1, max_size=6)):
+        expected = _outcome(_koszul_bracket_oracle, replace(spec), inputs)
+        assert _outcome(koszul_bracket, spec, inputs) == expected, inputs
+
+
+def test_koszul_bracket_on_unordered_and_repeated_inputs(ex2):
+    spec = ex2.delta_spec
+    gen = spec.space.generator
+    for names in (("x3", "theta2", "theta1"), ("theta2", "theta2"),
+                  ("theta1", "x3"), ("x2", "theta1", "x2"), ("theta2", "x1", "theta1", "x1"),
+                  ("theta1", "theta2", "theta1")):
+        inputs = tuple(gen(name) for name in names)
+        assert koszul_bracket(spec, inputs) == _koszul_bracket_oracle(spec, inputs), names
+    with pytest.raises(ValueError):
+        koszul_bracket(spec, (BasisVector("V", "x1", 0),))
+    # three even inputs need order 3: both raise, repeated thetas or not
+    short = _one_boson_spec(g1=1, g2=1, order=2)
+    theta1, x1 = short.space.generator("theta1"), short.space.generator("x1")
+    for inputs in ((x1,) * 3, (theta1, x1, theta1, x1, x1)):
+        for bracket in (koszul_bracket, _koszul_bracket_oracle):
+            with pytest.raises(TruncationError):
+                bracket(short, inputs)
+
+
+def _oracle_tables(spec, max_arity):
+    entries = [
+        (tup, _koszul_bracket_oracle(spec, tup))
+        for n in range(max_arity + 1)
+        for tup in canonical_tuples(spec.space, SYMMETRIC, n)
+    ]
+    return BracketSystem.from_entries(spec.space, SYMMETRIC, entries, max_arity)
+
+
+def test_brackets_from_delta_match_oracle_tables(ex1, ex2):
+    for ex, max_arity in ((ex1, 8), (ex2, 6)):
+        spec = replace(ex.delta_spec)
+        rebuilt = brackets_from_delta(spec, max_arity)
+        assert rebuilt == _oracle_tables(replace(spec), max_arity)
+        assert rebuilt.entry_count() > 0

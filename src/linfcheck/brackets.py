@@ -224,15 +224,19 @@ def jacobi_summands(
     return out
 
 
+def _split_defect(system: BracketSystem, inputs: Sequence[BasisVector]):
+    """The defect on ``inputs`` and its nonzero summands by inner arity i, each
+    weighted by (-1)^(i * (n - i)) as in the defect."""
+    summands = jacobi_summands(system, inputs)
+    n = len(summands)  # one summand per inner arity 1 .. n
+    parts = {i: (-1 if (i * (n - i)) % 2 else 1) * summand for i, summand in summands.items()}
+    defect = sum(parts.values(), Element(system.space.space_id))
+    return defect, {i: part for i, part in parts.items() if not part.is_zero()}
+
+
 def jacobi_defect(system: BracketSystem, inputs: Sequence[BasisVector]) -> Element:
     """Left-hand side of the arity-n generalized Jacobi identity."""
-    inputs = tuple(inputs)
-    n = len(inputs)
-    total = Element(system.space.space_id)
-    for i, summand in jacobi_summands(system, inputs).items():
-        sign = -1 if (i * (n - i)) % 2 else 1
-        total = total + sign * summand
-    return total
+    return _split_defect(system, inputs)[0]
 
 
 @dataclass(frozen=True)
@@ -241,6 +245,8 @@ class ArityCheck:
     inputs_checked: int
     counterexample: tuple[BasisVector, ...] | None = None
     defect: Element | None = None
+    # the counterexample's nonzero weighted summands, by inner arity i
+    summands: dict[int, Element] | None = None
 
     @property
     def ok(self) -> bool:
@@ -270,16 +276,15 @@ def verify_jacobi(system: BracketSystem, n_max: int) -> JacobiReport:
         )
     checks = []
     for n in range(1, n_max + 1):
-        counterexample = None
-        defect = None
+        counterexample = defect = summands = None
         count = 0
         for tup in canonical_tuples(system.space, system.symmetry, n):
             count += 1
-            value = jacobi_defect(system, tup)
+            value, parts = _split_defect(system, tup)
             if not value.is_zero():
-                counterexample, defect = tup, value
+                counterexample, defect, summands = tup, value, parts
                 break
-        checks.append(ArityCheck(n, count, counterexample, defect))
+        checks.append(ArityCheck(n, count, counterexample, defect, summands))
     return JacobiReport(tuple(checks))
 
 

@@ -19,7 +19,8 @@ mixed Taylor coefficient at the multi-index m is F_{|m|} (the |m|-th
 one-variable coefficient times |m|!).  Entries of g may additionally carry
 the momentum-shift term + p_i, which the second bundled example uses.
 Theta derivatives act from the left: d/dtheta_a picks up (-1)^k when
-theta_a sits behind k other thetas.
+theta_a sits behind k other thetas.  A spec builds its operator once, as a
+table of pieces that each act on the theta block and apply one series.
 
 The brackets of the operator are its nested graded commutators with the
 multiplications by their inputs (Koszul's higher derived brackets), summed in
@@ -174,8 +175,9 @@ class DeltaSpec:
     ``f`` and ``h`` hold two series each, ``g[a-1][i-1]`` the series part of
     g^i_a; all are series in the total momentum.  With ``momentum_shift``
     every g^i_a additionally contains the term + p_i.  ``selection_rule``
-    asserts the degree bookkeeping that forces h to vanish.  Each monomial's
-    image is computed once per spec and cached.
+    asserts the degree bookkeeping that forces h to vanish.  The operator is
+    held as a table of pieces built once per spec; each monomial's image is
+    computed once and cached.
     """
 
     n_bosons: int
@@ -211,16 +213,37 @@ class DeltaSpec:
         return min(orders)
 
     @cached_property
-    def _taylor_f(self) -> tuple[list, list]:
-        return tuple(_taylor_table(s) for s in self.f)
+    def _pieces(self) -> tuple:
+        """The operator as pieces (theta action, Taylor table, lifted index)
+        in emission order.  An action maps each theta block the piece does not
+        kill to (sign, new block); D1 lifts by x_i (index i - 1), and the
+        table ``None`` flags its shift x_i d/dp_i.  All-zero tables are left
+        out."""
 
-    @cached_property
-    def _taylor_g(self) -> tuple[tuple[list, ...], tuple[list, ...]]:
-        return tuple(tuple(_taylor_table(s) for s in row) for row in self.g)
+        def action(act) -> dict:
+            return {block: hit for block in _THETA_BLOCKS if (hit := act(block))}
 
-    @cached_property
-    def _taylor_h(self) -> tuple[list, list]:
-        return tuple(_taylor_table(s) for s in self.h)
+        def contract(block, gamma):  # the theta action of D2 for f^gamma
+            total = 0
+            for (alpha, beta), eps in EPS_LOWER.items():
+                first = _theta_derivative(block, alpha)
+                if second := first and _theta_derivative(first[1], beta):
+                    total += eps * first[0] * second[0]
+            return (_normalize(Fraction(total, 2)), (gamma,)) if total else None
+
+        # D0 = theta_a h^a(d/dx)
+        pieces = [(action(lambda block: _merge_fermions((alpha,), block)),
+                   _taylor_table(series), None) for alpha, series in zip((1, 2), self.h)]
+        for alpha, row in zip((1, 2), self.g):  # D1 = x_i g^i_a(d/dx) d/dtheta_a
+            derive = action(lambda block: _theta_derivative(block, alpha))
+            for i, series in enumerate(row):
+                pieces.append((derive, _taylor_table(series), i))
+                if self.momentum_shift:
+                    pieces.append((derive, None, i))
+        # D2 = 1/2 theta_c f^c(d/dx) eps_{ab} d/dtheta_b d/dtheta_a
+        pieces += [(action(lambda block: contract(block, gamma)),
+                    _taylor_table(series), None) for gamma, series in zip((1, 2), self.f)]
+        return tuple(p for p in pieces if p[1] is None or any(p[1]))
 
     @property
     def images_computed(self) -> int:
@@ -241,60 +264,22 @@ class DeltaSpec:
         out: dict[SuperMonomial, Rational] = {}
         fermions, bosons = mono
         terms = _derivative_terms(bosons)
-
-        def put(key: SuperMonomial, value) -> None:
-            out[key] = out.get(key, 0) + value
-
-        # D0 = theta_a h^a(d/dx)
-        for alpha in (1, 2):
-            table = self._taylor_h[alpha - 1]
-            if not any(table):
+        for action, table, lift in self._pieces:
+            if fermions not in action:
                 continue
-            merged = _merge_fermions((alpha,), fermions)
-            if merged is None:
+            sign, block = action[fermions]
+            if table is None:  # x_i d/dp_i: m_i times the same monomial
+                if bosons[lift]:
+                    key = SuperMonomial(block, bosons)
+                    out[key] = out.get(key, 0) + sign * bosons[lift]
                 continue
-            sign, new_fermions = merged
-            for weight, reduced in _series_operator_terms(table, terms):
-                put(SuperMonomial(new_fermions, reduced), sign * weight)
-
-        # D1 = x_i g^i_a(d/dx) d/dtheta_a
-        for alpha in (1, 2):
-            hit = _theta_derivative(fermions, alpha)
-            if hit is None:
-                continue
-            dsign, new_fermions = hit
-            for i in range(1, self.n_bosons + 1):
-                table = self._taylor_g[alpha - 1][i - 1]
-                if any(table):
-                    for weight, reduced in _series_operator_terms(table, terms):
-                        lifted = tuple(
-                            q + 1 if k == i - 1 else q for k, q in enumerate(reduced)
-                        )
-                        put(SuperMonomial(new_fermions, lifted), dsign * weight)
-                if self.momentum_shift and bosons[i - 1]:
-                    # x_i d/dp_i contributes m_i times the same monomial
-                    put(SuperMonomial(new_fermions, bosons), dsign * bosons[i - 1])
-
-        # D2 = 1/2 theta_c f^c(d/dx) eps_{ab} d/dtheta_b d/dtheta_a
-        contraction = 0
-        for (alpha, beta), eps in EPS_LOWER.items():
-            first = _theta_derivative(fermions, alpha)
-            if first is None:
-                continue
-            s1, rest = first
-            second = _theta_derivative(rest, beta)
-            if second is None:
-                continue
-            s2, _ = second
-            contraction += eps * s1 * s2
-        if contraction:
-            half = _normalize(Fraction(contraction, 2))
-            for gamma in (1, 2):
-                table = self._taylor_f[gamma - 1]
-                if not any(table):
-                    continue
-                for weight, reduced in _series_operator_terms(table, terms):
-                    put(SuperMonomial((gamma,), reduced), half * weight)
+            for weight, total, reduced in terms:
+                coeff = table[total]
+                if coeff:
+                    if lift is not None:
+                        reduced = reduced[:lift] + (reduced[lift] + 1,) + reduced[lift + 1 :]
+                    key = SuperMonomial(block, reduced)
+                    out[key] = out.get(key, 0) + sign * (weight * coeff)
 
         image = SuperPoly(self.n_bosons, out)
         self._images[mono] = image
@@ -317,15 +302,6 @@ def _derivative_terms(bosons: tuple[int, ...]) -> list:
             for mu in range(m + 1)
         ]
     return terms
-
-
-def _series_operator_terms(table: list, terms: list):
-    """Terms of F(d/dx) applied to x^m, given m's derivative terms: pairs
-    (coefficient, exponents).  F's Taylor coefficient at mu is table[|mu|]."""
-    for weight, total, reduced in terms:
-        coeff = table[total]
-        if coeff:
-            yield weight * coeff, reduced
 
 
 def apply_delta(spec: DeltaSpec, poly: SuperPoly) -> SuperPoly:

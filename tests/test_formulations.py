@@ -1,5 +1,5 @@
 """The two formulations of one structure agree arity by arity, on random
-flat operators.
+flat operators, and the operator's two checks agree degree by degree.
 
 For an operator ``D`` with ``h = 0``, the brackets read off ``D`` and
 suspended to the skew side satisfy the Jacobi identities through arity n
@@ -11,6 +11,11 @@ that ``D^2`` does not kill, and neither exists when the structure holds.
 Curved structures (``h != 0``) are out of scope: the zeroth piece ``D0``
 gives brackets of the wrong degree for the skew side (``brackets_from_delta``
 rejects them) and an arity-0 bracket, which the Jacobi scan never sees.
+
+On the operator side, ``delta_squared_check`` first fails at the lowest even
+degree that a nonzero coefficient of a ``nilpotency_conditions`` residual
+acts on: index k of a residual series, or k + 1 for a ``p-term``, whose
+coefficients multiply one momentum p_i.
 """
 
 import io
@@ -34,6 +39,8 @@ from linfcheck.superspace import (
     SuperMonomial,
     apply_delta,
     brackets_from_delta,
+    delta_squared_check,
+    nilpotency_conditions,
 )
 
 MAX_ARITY = 5
@@ -150,3 +157,32 @@ def test_first_jacobi_failure_is_the_first_unkilled_monomial(drawn, through_cli)
         assert (code, report["pass"], failed[:1]) == (
             (0, True, []) if arity is None else (1, False, [arity])
         )
+
+
+def _first_failing_degree(spec):
+    """Lowest degree bound at which ``delta_squared_check`` fails."""
+    for degree in range(spec.coefficient_order):
+        if not delta_squared_check(spec, degree).passed:
+            return degree
+    return None
+
+
+def _first_residual_degree(spec):
+    """Lowest even degree a nonzero residual coefficient acts on, if the
+    degree scan reaches it."""
+    degrees = [
+        k + (key == "p-term")
+        for _, group in nilpotency_conditions(spec).groups()
+        for key, series in group.items()
+        for k, coeff in enumerate(series.coeffs)
+        if coeff
+    ]
+    first = min(degrees, default=None)
+    return first if first is not None and first < spec.coefficient_order else None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_solved(), _second_family(), _constant_g(), _mutant()))
+def test_first_failing_degree_is_the_first_nonzero_residual(drawn):
+    spec, _, _ = drawn
+    assert _first_failing_degree(spec) == _first_residual_degree(spec)

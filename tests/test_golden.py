@@ -3,8 +3,9 @@ commands.
 
 The expected stdout of each case is stored in ``tests/golden/<case>.txt``,
 with the temporary directory written as ``{tmp}``. The files were produced
-by the CLI before its text output was rendered from the JSON report, so a
-difference here is a change in what users see.
+by the CLI before its text output was rendered from the JSON report
+(``delta-check-curved`` before the operator was held as a table of pieces),
+so a difference here is a change in what users see.
 """
 
 from pathlib import Path
@@ -24,6 +25,7 @@ CASES = {
     "verify-clamped": (("verify", "{skew_arity3}", "--max-arity", "8"), 0),
     "delta-check-example1": (("delta-check", "example1", "--degree", "12"), 0),
     "delta-check-b2-mutant": (("delta-check", "{b2_mutant}", "--degree", "5"), 1),
+    "delta-check-curved": (("delta-check", "{curved}", "--degree", "4"), 1),
     "compare-example1": (("compare", "example1", "--max-arity", "8"), 0),
     "compare-zeroed": (("compare", "{zeroed}", "--max-arity", "4"), 1),
     "compare-mixed": (("compare", "{mixed}", "--max-arity", "6"), 1),
@@ -46,6 +48,7 @@ def _documents(tmp: Path) -> dict[str, str]:
         "skew_arity3": system_to_document(ex.skew_system),
         "b2_mutant": system_to_document(b2.symmetric_system, b2.delta_spec),
         "zeroed": system_to_document(ex.symmetric_system, ex.delta_spec),
+        "curved": system_to_document(ex.symmetric_system, ex.delta_spec),
         # example2's declared tables beside the operator of its B3 = 5 mutant
         "mixed": system_to_document(ex2.symmetric_system, b3.delta_spec),
     }
@@ -57,6 +60,10 @@ def _documents(tmp: Path) -> dict[str, str]:
     delta["f"] = [list(zero), list(zero)]
     delta["g"] = [[list(zero)], [list(zero)]]
     delta["h"] = [list(zero), list(zero)]
+    # example1's operator with a constant h^1 = 1, which reaches D0
+    curved = docs["curved"]["delta"]
+    curved["selection_rule"] = False
+    curved["h"][0] = ["1"] + zero[1:]
     paths = {"tmp": str(tmp)}
     for name, doc in docs.items():
         paths[name] = str(tmp / f"{name}.json")

@@ -142,9 +142,7 @@ def example1_system(
         return theta_sector_sign(m + 1) * cs[m + 1]
 
     g1 = 1 + Series.x(series_order)
-    g2 = Series.from_coeffs(
-        [b2(m) / factorial(m) for m in range(series_order + 1)]
-    )
+    g2 = Series.from_taylor(b2(m) for m in range(series_order + 1))
     zero = Series.zero(series_order)
     spec = DeltaSpec(
         n_bosons=1,
@@ -233,9 +231,7 @@ def example2_system(
     frame = _second_family_skew(2, n_bosons, bs[1], c_of, max_arity)
     symmetric = desuspend_system(frame)
 
-    g_part = Series.from_coeffs(
-        [bs[m] / factorial(m) for m in range(series_order + 1)]
-    )
+    g_part = Series.from_taylor(bs[m] for m in range(series_order + 1))
     zero = Series.zero(series_order)
     g = tuple(
         tuple(g_part if i == alpha else zero for i in range(1, n_bosons + 1))

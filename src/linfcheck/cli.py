@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from math import factorial
 
 from .brackets import SKEW, SYMMETRIC, first_difference, verify_jacobi
 from .builtin import (
@@ -153,7 +152,15 @@ def cmd_compare(args) -> dict:
         )
     n_max = min(args.max_arity, symmetric.max_arity)
     _require_bound("--max-arity", n_max, 0)
-    rebuilt = brackets_from_delta(delta, n_max)
+    try:
+        rebuilt = brackets_from_delta(delta, n_max)
+    except ValueError as exc:  # a rebuilt bracket of the wrong degree
+        if all(series.is_zero() for series in delta.h):
+            raise
+        raise DocumentError(
+            f"the operator is curved (nonzero h), so compare cannot rebuild "
+            f"brackets from it; delta-check can check it ({exc})"
+        ) from exc
     diff = first_difference(symmetric, rebuilt, n_max)
     report = {"command": "compare", "pass": diff is None, "max_arity": n_max,
               "images": delta.images_computed}
@@ -176,11 +183,6 @@ def _compare_text(report: dict):
     yield f"  recovered: {report['recovered']}"
 
 
-def _scaled(series):
-    """n! times the n-th coefficient: the integer sequence the series encodes."""
-    return lambda n: factorial(n) * series[n]
-
-
 # which -> (first index, printed value, independent route given the bound);
 # --check cross-validates each printed value against the route, and each
 # series is generated once, to the bound
@@ -188,10 +190,10 @@ COEFFICIENTS = {
     "c1": (3, c1_closed, lambda n_max: c1_recursive),
     "c2": (3, c2_daily,
            lambda n_max: lambda n: theta_sector_sign(n) * b_closed(n - 1)),
-    "b": (0, b_closed, lambda n_max: _scaled(g_series(max(n_max, 1)))),
+    "b": (0, b_closed, lambda n_max: g_series(max(n_max, 1)).taylor),
     # the integer values n! * [p^n] of the inverse-of-we^w series
     "lambert": (1, lambda n: Fraction(-n) ** (n - 1),
-                lambda n_max: _scaled(lambert_w_series(max(n_max, 1)))),
+                lambda n_max: lambert_w_series(max(n_max, 1)).taylor),
 }
 
 

@@ -5,6 +5,9 @@ beyond; operations return a result whose order is the largest one the
 inputs can certify.  In particular the derivative of an order-N series has
 order N - 1 and an integral has order N + 1, so exactness is tracked rather
 than silently padded.  All coefficients are ``fractions.Fraction``.
+``from_taylor`` and ``taylor`` convert from and to the Taylor coefficients
+n! * c_n, on which ``g_series`` and ``lambert_w_series`` solve their
+functional equations in integers, independently of the closed forms.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial
 from typing import Iterable
 
 from .grading import Rational, _as_fraction
@@ -31,6 +35,11 @@ class Series:
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[Rational]) -> "Series":
         return cls(tuple(coeffs))
+
+    @classmethod
+    def from_taylor(cls, values: Iterable[Rational]) -> "Series":
+        """The series whose n-th coefficient is values[n] / n!."""
+        return cls(tuple(_as_fraction(v) / factorial(n) for n, v in enumerate(values)))
 
     @classmethod
     def constant(cls, value: Rational, order: int) -> "Series":
@@ -60,6 +69,10 @@ class Series:
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient {k} beyond stored order {self.order}")
         return self.coeffs[k]
+
+    def taylor(self, n: int) -> Fraction:
+        """The n-th Taylor coefficient, n! times the n-th coefficient."""
+        return factorial(n) * self[n]
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -210,34 +223,35 @@ def solve_g2(g1: Series, f1: Series, ratio_at_zero: Rational = 1) -> Series:
 
 @lru_cache(maxsize=None)
 def lambert_w_series(order: int) -> Series:
-    """Taylor series of the inverse of w * e^w, by fixed-point refinement.
+    """Taylor series of the inverse W of w * e^w, coefficient by coefficient.
 
-    Each pass through w = p * exp(-w) gains one exact order, starting from
-    w = p.  The closed-form coefficients (-n)^(n-1)/n! are deliberately not
-    used here; they serve as an independent check elsewhere.
+    On Taylor coefficients, W = p * E and E' = -W' E (E = exp(-W), W_0 = 0,
+    E_0 = 1) read W_(n+1) = (n + 1) E_n and
+    E_(n+1) = -sum_(k <= n) C(n, k) W_(k+1) E_(n-k).  The closed form
+    (-n)^(n-1)/n! is deliberately not used; it is an independent check.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    p = Series.x(order)
-    w = p
-    for _ in range(order):
-        w = p * (-w).exp()
-    return w
+    w, e = [0], [1]
+    for n in range(order):
+        w.append((n + 1) * e[n])
+        e.append(-sum(comb(n, k) * w[k + 1] * e[n - k] for k in range(n + 1)))
+    return Series.from_taylor(w)
 
 
 @lru_cache(maxsize=None)
 def g_series(order: int) -> Series:
-    """Solution of G'(G + p) = G with G(0) = 1, order by order.
+    """Solution of G'(G + p) = G with G(0) = 1, coefficient by coefficient.
 
-    Rewritten as the fixed point G = 1 + integral of G/(G + p), which gains
-    at least one exact order per pass.
+    On Taylor coefficients a of G and b of G + p (b_0 = 1, b_1 = a_1 + 1,
+    b_j = a_j otherwise): a_0 = 1 and
+    a_(n+1) = a_n - sum_(k < n) C(n, k) a_(k+1) b_(n-k).  The closed form
+    a_M = (1 - M)^(M-1) is deliberately not used; it is an independent check.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    if order == 0:
-        return Series.one(0)
-    p = Series.x(order)
-    g = Series.one(order)
-    for _ in range(order):
-        g = (g * (g + p).inverse()).integral(1).truncate(order)
-    return g
+    a, b = [1], [1]
+    for n in range(order):
+        a.append(a[n] - sum(comb(n, k) * a[k + 1] * b[n - k] for k in range(n)))
+        b.append(a[n + 1] + 1 if n == 0 else a[n + 1])
+    return Series.from_taylor(a)

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial
+from math import comb
 from operator import add, itemgetter, sub
 from typing import Iterator, Sequence
 
@@ -288,7 +288,7 @@ class DeltaSpec:
 
 def _taylor_table(series: Series) -> list:
     """M-th entry is M! times the M-th series coefficient."""
-    return [_normalize(factorial(m) * c) for m, c in enumerate(series.coeffs)]
+    return [_normalize(series.taylor(m)) for m in range(series.order + 1)]
 
 
 def _derivative_terms(bosons: tuple[int, ...]) -> list:

@@ -113,6 +113,29 @@ def test_usage_error_exits_2(capsys, tmp_path):
         assert "internal error" not in err, argv
 
 
+def test_compare_on_a_curved_operator_is_a_document_error(capsys, tmp_path):
+    # example1's operator with selection_rule false and h^1 = 1 (the
+    # delta-check-curved golden document) or h^1 = P^5
+    ex = example1_system()
+    paths = {}
+    for power in (0, 5):
+        doc = system_to_document(ex.symmetric_system, ex.delta_spec)
+        doc["delta"]["selection_rule"] = False
+        doc["delta"]["h"][0] = ["1" if m == power else "0"
+                                for m in range(len(doc["delta"]["h"][0]))]
+        paths[power] = tmp_path / f"curved{power}.json"
+        save_document(doc, paths[power])
+    for power, tup in ((0, "()"), (5, "(x1, x1, x1, x1, x1)")):
+        code, out, err = run(capsys, "compare", str(paths[power]), "--max-arity", "8")
+        assert (code, out) == (2, ""), power
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), power
+        assert "curved (nonzero h)" in err and "delta-check" in err, power
+        assert f"bracket of {tup} " in err and "internal error" not in err, power
+    # below the arity at which h^1 = P^5 enters, the brackets still compare
+    code, out, _ = run(capsys, "compare", str(paths[5]), "--max-arity", "2")
+    assert code == 0 and out.startswith("PASS")
+
+
 def test_delta_check_builtins(capsys):
     code, out, _ = run(capsys, "delta-check", "example1", "--degree", "12")
     assert code == 0

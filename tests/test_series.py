@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linfcheck import cli
+from linfcheck.builtin import b_closed
 from linfcheck.series import (
     Series,
     g_series,
@@ -201,3 +204,70 @@ def test_w_coefficient_ratio_near_e():
     ratio = abs(w[41] / w[40])
     e = 2.718281828459045
     assert abs(float(ratio) - e) / e < 0.05
+
+
+# -- the fixed-point routes the recurrences replaced, kept as oracles --------
+
+def _lambert_w_fixed_point(order):
+    """w = p * exp(-w) iterated from w = p; each pass gains one exact order."""
+    p = Series.x(order)
+    w = p
+    for _ in range(order):
+        w = p * (-w).exp()
+    return w
+
+
+def _g_fixed_point(order):
+    """G = 1 + integral of G/(G + p) iterated from G = 1."""
+    if order == 0:
+        return Series.one(0)
+    p = Series.x(order)
+    g = Series.one(order)
+    for _ in range(order):
+        g = (g * (g + p).inverse()).integral(1).truncate(order)
+    return g
+
+
+@pytest.mark.parametrize("order", range(17))
+def test_recurrences_match_the_fixed_point_routes(order):
+    g = g_series(order)
+    assert g == _g_fixed_point(order) and g.order == order
+    if order:
+        w = lambert_w_series(order)
+        assert w == _lambert_w_fixed_point(order) and w.order == order
+
+
+def test_recurrences_match_the_closed_forms_to_order_150():
+    g, w = g_series(150), lambert_w_series(150)
+    assert [factorial(n) * g[n] for n in range(151)] == [b_closed(n) for n in range(151)]
+    assert w[0] == 0
+    assert ([factorial(n) * w[n] for n in range(1, 151)]
+            == [Fraction(-n) ** (n - 1) for n in range(1, 151)])
+
+
+def test_series_routes_at_their_smallest_orders():
+    assert g_series(0) == Series.one(0)
+    assert lambert_w_series(1) == Series.x(1)
+    with pytest.raises(ValueError):
+        g_series(-1)
+    with pytest.raises(ValueError):
+        lambert_w_series(0)
+
+
+def test_taylor_round_trip():
+    values = [1, -3, Fraction(5, 2), 0, 48]
+    f = Series.from_taylor(values)
+    assert f.coeffs == (1, -3, Fraction(5, 4), 0, 2)
+    assert [f.taylor(n) for n in range(f.order + 1)] == values
+    g = Series.from_coeffs([Fraction(1, 3), 2, Fraction(-7, 6)])
+    assert Series.from_taylor(g.taylor(n) for n in range(g.order + 1)) == g
+    with pytest.raises(IndexError):
+        f.taylor(5)
+    with pytest.raises(TypeError):
+        Series.from_taylor([1.5])
+
+
+def test_coefficients_check_at_order_150(capsys):
+    assert cli.main(["coefficients", "b", "150", "--check", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["checked"] and report["mismatches"] == [] and report["pass"]

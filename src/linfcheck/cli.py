@@ -74,12 +74,14 @@ def cmd_verify(args) -> dict:
     _require_bound("--max-arity", n_max, 1)
     report = verify_jacobi(skew, n_max)
     arities = [
-        {"arity": check.arity, "ok": True, "tuples": check.inputs_checked}
+        {"arity": check.arity, "ok": True, "tuples": check.inputs_checked,
+         "pairs": check.pairs}
         if check.ok else
         {"arity": check.arity, "ok": False,
          "counterexample": [v.name for v in check.counterexample],
          "defect": str(check.defect),
-         "summands": {str(i): str(part) for i, part in check.summands.items()}}
+         "summands": {str(i): str(part) for i, part in check.summands.items()},
+         "pairs": check.pairs}
         for check in report.checks
     ]
     return {"command": "verify", "pass": report.passed, "max_arity": n_max,

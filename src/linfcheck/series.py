@@ -33,10 +33,6 @@ class Series:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_coeffs(cls, coeffs: Iterable[Rational]) -> "Series":
-        return cls(tuple(coeffs))
-
-    @classmethod
     def from_taylor(cls, values: Iterable[Rational]) -> "Series":
         """The series whose n-th coefficient is values[n] / n!."""
         return cls(tuple(_as_fraction(v) / factorial(n) for n, v in enumerate(values)))
@@ -48,10 +44,6 @@ class Series:
     @classmethod
     def zero(cls, order: int) -> "Series":
         return cls.constant(0, order)
-
-    @classmethod
-    def one(cls, order: int) -> "Series":
-        return cls.constant(1, order)
 
     @classmethod
     def x(cls, order: int) -> "Series":
@@ -156,32 +148,6 @@ class Series:
                     acc += cj * out[k - j]
             out.append(-inv0 * acc)
         return Series(tuple(out))
-
-    def exp(self) -> "Series":
-        if self.coeffs[0]:
-            raise ValueError("exp needs a zero constant term")
-        # e' = e * f' solved coefficient by coefficient
-        out = [Fraction(1)]
-        for k in range(1, self.order + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                cj = self.coeffs[j]
-                if cj:
-                    acc += j * cj * out[k - j]
-            out.append(acc / k)
-        return Series(tuple(out))
-
-    def log(self) -> "Series":
-        if self.coeffs[0] != 1:
-            raise ValueError("log needs constant term 1")
-        if self.order < 1:
-            return Series.zero(0)
-        return (self.derivative() * self.inverse()).integral(0)
-
-    def log1p(self) -> "Series":
-        if self.coeffs[0]:
-            raise ValueError("log1p needs a zero constant term")
-        return (1 + self).log()
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from linfcheck.series import (
     solve_g2,
 )
 from linfcheck.superspace import brackets_from_delta, delta_squared_check
+from series_ops import exp, log1p
 
 
 @contextmanager
@@ -101,7 +102,7 @@ def test_criterion_06_lambert_series():
         for n in range(1, 21):
             assert factorial(n) * w[n] == Fraction(-n) ** (n - 1), f"n={n}"
         g = g_series(20)
-        assert g == w.exp()
+        assert g == exp(w)
         assert w * g == Series.x(20)
 
 
@@ -149,7 +150,7 @@ def test_criterion_08_special_case_solvers():
         p = Series.x(33)
         g1 = 1 + p
         f1 = Series.constant(-1, 33)
-        expected = (1 + p) * (1 - p.log1p())
+        expected = (1 + p) * (1 - log1p(p))
         assert solve_g2(g1, f1, 1).truncate(32) == expected.truncate(32)
         assert solve_f1(g1, expected) == Series.constant(-1, 32)
 

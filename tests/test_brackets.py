@@ -1,12 +1,19 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linfcheck.brackets import (
     SKEW,
     SYMMETRIC,
+    ArityCheck,
     BracketSystem,
+    JacobiReport,
+    _pair_defects,
+    _split_defect,
     canonical_tuples,
     desuspend_system,
     desuspension_sign,
@@ -175,6 +182,115 @@ def test_summands_match_the_compact_per_split_values(ex1):
         for p in range(3, n - 1):
             assert summands[p].is_zero()
         assert summands[n].is_zero()
+
+
+# -- the pair scan against the tuple scan ---------------------------------------
+
+def _verify_jacobi_oracle(system, n_max):
+    """The tuple scan ``verify_jacobi`` replaced: every canonical tuple in order,
+    each through the full unshuffle sum, stopping at the first nonzero defect."""
+    checks = []
+    for n in range(1, n_max + 1):
+        counterexample = defect = summands = None
+        count = 0
+        for tup in canonical_tuples(system.space, system.symmetry, n):
+            count += 1
+            value, parts = _split_defect(system, tup)
+            if not value.is_zero():
+                counterexample, defect, summands = tup, value, parts
+                break
+        checks.append(ArityCheck(n, count, counterexample, defect, summands))
+    return JacobiReport(tuple(checks))
+
+
+def _assert_matches_oracle(system, n_max):
+    report = verify_jacobi(system, n_max)
+    assert tuple(replace(c, pairs=0) for c in report.checks) == \
+        _verify_jacobi_oracle(system, n_max).checks
+    return report
+
+
+def _assert_pair_defects_exact(system, n_max):
+    """The pair-summed defect equals ``jacobi_defect`` on every canonical tuple."""
+    defects, _ = _pair_defects(system, n_max)
+    space = system.space
+    for n in range(1, n_max + 1):
+        for tup in canonical_tuples(space, SKEW, n):
+            summed = defects[n].get(tuple(space.index(v) for v in tup), {})
+            value = Element(space.space_id, {space.generators[k]: c for k, c in summed.items()})
+            assert value == jacobi_defect(system, tup), tup
+
+
+_COEFFS = st.one_of(st.integers(-2, 2),
+                    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+
+
+@st.composite
+def _random_skew_systems(draw, max_arity=5):
+    """Random tables on two to four generators of degrees -1 .. 2: odd
+    generators repeat in the keys, and a degree-2 generator admits arity-0
+    entries."""
+    degrees = draw(st.lists(st.sampled_from((0, 1, 0, 1, 2, -1)), min_size=2, max_size=4))
+    space = GradedSpace("V", (BasisVector("V", f"e{k}", d) for k, d in enumerate(degrees)))
+    entries = []
+    for n in range(max_arity + 1):
+        keys = list(canonical_tuples(space, SKEW, n))
+        if not keys:
+            continue
+        for key in draw(st.lists(st.sampled_from(keys), unique=True, min_size=1, max_size=6)):
+            target = 2 - n + sum(v.degree for v in key)
+            outputs = [g for g in space.generators if g.degree == target]
+            if outputs:
+                chosen = draw(st.lists(st.sampled_from(outputs), unique=True, min_size=1))
+                entries.append((key, Element("V", {g: draw(_COEFFS) for g in chosen})))
+    return BracketSystem.from_entries(space, SKEW, entries, max_arity)
+
+
+@st.composite
+def _perturbed_examples(draw):
+    """The bundled structures, whose defects cancel, with one coefficient
+    replaced by a drawn (possibly Fraction) value."""
+    if draw(st.booleans()):
+        index = draw(st.integers(3, 5))
+        return example1_system(max_arity=5, c_values={index: draw(_COEFFS)}).skew_system
+    dim0 = draw(st.integers(1, 2))
+    index = draw(st.integers(1, 4))
+    return example2_system(dim0, draw(st.integers(dim0, 2)), n_bosons=2, order=4,
+                           max_arity=5, b_values={index: draw(_COEFFS)}).skew_system
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_random_skew_systems(), _perturbed_examples()))
+def test_pair_scan_matches_the_tuple_scan_on_random_systems(system):
+    _assert_pair_defects_exact(system, 5)
+    _assert_matches_oracle(system, 5)
+
+
+@pytest.mark.parametrize("example, index, value", [
+    # the seed-1 mutants of the benchmark's mutants workload
+    ("example1", 4, -22), ("example1", 5, 7), ("example1", 6, 25),
+    ("example2", 2, 22), ("example2", 3, 19), ("example2", 4, -25),
+])
+def test_pair_scan_matches_the_tuple_scan_on_mutants(example, index, value):
+    if example == "example1":
+        system = example1_system(c_values={index: value}).skew_system
+    else:
+        system = example2_system(b_values={index: value}).skew_system
+    assert not _assert_matches_oracle(system, 6).passed
+
+
+def test_pair_scan_matches_the_tuple_scan_on_example2_dims_4_4():
+    system = example2_system(4, 4).skew_system
+    _assert_pair_defects_exact(system, 5)
+    assert _assert_matches_oracle(system, 5).passed
+
+
+def test_pair_counts(ex1, ex2):
+    # example1 pairs nothing at arity 1 (no l1 takes w); from arity 4 on it
+    # nests l1(v1) in l_n(v2, w, ...), l2(v1, w) in l_(n-1)(v2, w, ...), and
+    # l_(n-1)(v2, w, ...) in l2(v1, w)
+    assert [c.pairs for c in verify_jacobi(ex1.skew_system, 6).checks] == [0, 2, 2, 3, 3, 3]
+    assert [c.pairs for c in verify_jacobi(ex2.skew_system, 3).checks] == [0, 6, 48]
 
 
 # -- degree shift ---------------------------------------------------------------

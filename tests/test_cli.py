@@ -55,6 +55,33 @@ def test_verify_zero_system_passes(capsys, tmp_path):
     assert code == 0
 
 
+def test_verify_ignores_arity_zero_entries(capsys, tmp_path):
+    # l0 = c (c of degree 2) could pair with l2(a, c) = c into an arity-1
+    # term on (a); the Jacobi sum starts at inner arity 1, so the only
+    # failure is l2(a, l1(b)) on (a, b)
+    doc = {
+        "version": "1",
+        "space": {"id": "V", "generators": [
+            {"name": "a", "degree": 0}, {"name": "b", "degree": 1}, {"name": "c", "degree": 2}]},
+        "symmetry": "skew",
+        "max_arity": 4,
+        "brackets": [
+            {"inputs": [], "output": [{"gen": "c", "coeff": "1"}]},
+            {"inputs": ["a", "c"], "output": [{"gen": "c", "coeff": "1"}]},
+            {"inputs": ["b"], "output": [{"gen": "c", "coeff": "1"}]},
+        ],
+    }
+    path = tmp_path / "arity0.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(path), "--max-arity", "4")
+    assert (code, out) == (1, (
+        "arity 1: ok (3 tuples)\n"
+        "arity 2: FAIL on (a, b): defect = -c\n"
+        "arity 3: ok (4 tuples)\n"
+        "arity 4: ok (4 tuples)\n"
+        "FAIL: at least one Jacobi identity is violated\n"))
+
+
 def test_verify_rejects_symmetric_document(capsys, tmp_path):
     ex = example1_system()
     path = tmp_path / "sym.json"

@@ -42,6 +42,7 @@ from linfcheck.superspace import (
     delta_squared_check,
     nilpotency_conditions,
 )
+from series_ops import from_coeffs
 
 MAX_ARITY = 5
 ORDER = MAX_ARITY + 1  # D^2 on degree n needs coefficients through n + 1
@@ -52,7 +53,7 @@ def _series(draw, constant=None):
     coeffs = draw(st.lists(st.integers(-2, 2), min_size=ORDER + 1, max_size=ORDER + 1))
     if constant is not None:
         coeffs[0] = constant
-    return Series.from_coeffs(coeffs)
+    return from_coeffs(coeffs)
 
 
 @st.composite

@@ -31,6 +31,7 @@ from linfcheck.superspace import (
     linear_element,
     nilpotency_conditions,
 )
+from series_ops import from_coeffs, one
 
 
 @pytest.fixture(scope="module")
@@ -320,7 +321,7 @@ def _small_specs(draw, order=4):
     n_bosons = draw(st.integers(1, 2))
 
     def series():
-        return Series.from_coeffs(draw(st.lists(st.integers(-2, 2),
+        return from_coeffs(draw(st.lists(st.integers(-2, 2),
                                                 min_size=order + 1,
                                                 max_size=order + 1)))
 
@@ -472,7 +473,7 @@ def test_nilpotency_conditions_example2_reduce_to_the_ode(ex2):
     # replacing the series solution by something else leaves exactly the
     # ODE residual G'(G + p) - G in the first condition group
     order = 10
-    g_bad = Series.one(order) + Series.x(order)  # G = 1 + p
+    g_bad = one(order) + Series.x(order)  # G = 1 + p
     zero = Series.zero(order)
     spec = DeltaSpec(
         n_bosons=3,
@@ -531,10 +532,10 @@ def test_bracket_values_are_always_generator_linear():
     # for operators of this shape the nested commutators cancel every
     # higher-degree term; check a spec with all three pieces active
     spec = _one_boson_spec(
-        f1=Series.from_coeffs([1, 2, 0, 1, 0, 0, 0, 0, 0]),
-        g1=Series.from_coeffs([1, 1, 1, 0, 0, 0, 0, 0, 0]),
-        g2=Series.from_coeffs([2, 0, 1, 1, 0, 0, 0, 0, 0]),
-        h1=Series.from_coeffs([0, 1, 0, 1, 0, 0, 0, 0, 0]),
+        f1=from_coeffs([1, 2, 0, 1, 0, 0, 0, 0, 0]),
+        g1=from_coeffs([1, 1, 1, 0, 0, 0, 0, 0, 0]),
+        g2=from_coeffs([2, 0, 1, 1, 0, 0, 0, 0, 0]),
+        h1=from_coeffs([0, 1, 0, 1, 0, 0, 0, 0, 0]),
     )
     gens = spec.space.generators
     from itertools import combinations_with_replacement

@@ -17,23 +17,20 @@ two adjacent inputs a, b contributes
 so a skew bracket vanishes on a repeated even generator and a symmetric one
 on a repeated odd generator; such keys are never stored.
 
-The generalized Jacobi identities are checked by entry pairs.  The paper
-settles them "by degree arguments and combinatorics": a nested term
-l_j(l_i(head), tail) vanishes unless the head is a stored key and the tail,
-with a generator of that entry's output, is another stored key, and the
-degree rule leaves few such matches.  So the checker never enumerates input
-tuples and unshuffles.  It pairs each entry A with each entry B whose inputs
-contain a generator g of A's output, and adds the signed term to the defect
-on the merged inputs: the Nijenhuis-Richardson composition l o l, written on
-the skew side.  Only the first failing tuple of an arity goes through the
-full unshuffle sum, which splits its defect by inner arity.
+The generalized Jacobi identities are checked tuple by tuple: for each
+canonically ordered input tuple, the sum over unshuffles of the nested terms
+l_j(l_i(head), tail).  The paper settles them "by degree arguments and
+combinatorics": almost every nested term vanishes because its head is not a
+stored key.  Each such term costs one table lookup on generator indices, and
+the unshuffles and their signs repeat from tuple to tuple, so they come from
+caches (see :mod:`linfcheck.grading`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
-from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import TruncationError
@@ -41,6 +38,7 @@ from .grading import (
     BasisVector,
     Element,
     GradedSpace,
+    int_if_integral,
     koszul_sign,
     perm_sign,
     unshuffles,
@@ -146,6 +144,31 @@ class BracketSystem:
             table[key] = sign * output
         return cls(space, symmetry, max_arity, tables)
 
+    # Lookups for evaluate, built on its first call: many systems are never
+    # evaluated.
+
+    @cached_property
+    def _by_index(self) -> dict:
+        """Each stored entry and its negative, keyed by generator indices.
+        Integral coefficients are ints: the Jacobi sums would spend most of
+        their time in Fraction arithmetic otherwise."""
+        indices = self.space.indices
+        by_index = {}
+        for table in self.tables.values():
+            for key, entry in table.items():
+                entry = Element(entry.space_id,
+                                {v: int_if_integral(c) for v, c in entry.items()})
+                by_index[indices(key)] = (entry, -1 * entry)
+        return by_index
+
+    @cached_property
+    def _odd(self) -> tuple[bool, ...]:
+        return tuple(g.parity == 1 for g in self.space.generators)
+
+    @cached_property
+    def _zero(self) -> Element:
+        return Element(self.space.space_id)
+
     def evaluate(self, inputs: Sequence[BasisVector]) -> Element:
         """Bracket value on the given inputs, following the sign rules."""
         inputs = tuple(inputs)
@@ -154,13 +177,25 @@ class BracketSystem:
             raise TruncationError(
                 f"arity {n} exceeds the system's bound {self.max_arity}"
             )
-        key, sign = canonical_key(self.space, self.symmetry, inputs)
-        if key is None:
-            return Element(self.space.space_id)
-        entry = self.tables.get(n, {}).get(key)
+        # Keys the symmetry forces to vanish are never stored, so they miss,
+        # and a miss needs no sign.
+        position = self.space.indices(inputs)
+        entry = self._by_index.get(tuple(sorted(position)))
         if entry is None:
-            return Element(self.space.space_id)
-        return sign * entry
+            return self._zero
+        # the sign of canonical_key (see _swap_factor), sorting on indices
+        odd, skew = self._odd, self.symmetry == SKEW
+        position = list(position)
+        sign = 1
+        for k in range(1, n):
+            j = k
+            while j and position[j - 1] > position[j]:
+                a, b = position[j - 1], position[j]
+                if (odd[a] and odd[b]) != skew:
+                    sign = -sign
+                position[j - 1], position[j] = b, a
+                j -= 1
+        return entry[0] if sign == 1 else entry[1]
 
     def entry_count(self) -> int:
         return sum(len(t) for t in self.tables.values())
@@ -219,20 +254,21 @@ def jacobi_summands(
     inputs = tuple(inputs)
     n = len(inputs)
     degrees = tuple(v.degree for v in inputs)
-    zero = Element(system.space.space_id)
+    evaluate = system.evaluate
     out: dict[int, Element] = {}
     for i in range(1, n + 1):
-        acc = zero
+        acc: dict = {}  # coefficient of each output generator
         for sigma in unshuffles(i, n):
             sign = perm_sign(sigma) * koszul_sign(sigma, degrees)
-            head = [inputs[k - 1] for k in sigma[:i]]
-            tail = [inputs[k - 1] for k in sigma[i:]]
-            inner = system.evaluate(head)
+            inner = evaluate([inputs[k - 1] for k in sigma[:i]])
             if inner.is_zero():
                 continue
+            tail = [inputs[k - 1] for k in sigma[i:]]
             for vector, coeff in inner.items():
-                acc = acc + (sign * coeff) * system.evaluate([vector, *tail])
-        out[i] = acc
+                coeff *= sign
+                for w, d in evaluate([vector, *tail]).items():
+                    acc[w] = acc.get(w, 0) + coeff * d
+        out[i] = Element(system.space.space_id, acc)
     return out
 
 
@@ -259,8 +295,6 @@ class ArityCheck:
     defect: Element | None = None
     # the counterexample's nonzero weighted summands, by inner arity i
     summands: dict[int, Element] | None = None
-    # entry triples (A, g, B) summed into the defects of this arity
-    pairs: int = 0
 
     @property
     def ok(self) -> bool:
@@ -282,85 +316,11 @@ class JacobiReport:
         return None
 
 
-def _pair_defects(system: BracketSystem, n_max: int):
-    """The Jacobi defects of arities 1 .. n_max, summed over entry pairs.
-
-    A term l_j(l_i(head), tail) of the unshuffle sum is nonzero only when
-    the head is the key ``a`` of an entry A, some generator g of A's output
-    is an input of an entry B, and the tail is B's key ``b`` less that g.
-    Summing over those triples (A, g, B) alone gives, for each arity n,
-    ``{T: {k: coefficient}}`` on the canonical tuples T = sorted(a + t)
-    that some triple reaches, all as generator indices, together with the
-    number of triples summed at each arity.  Arity-0 entries take no part:
-    the unshuffle sum starts at inner arity i = 1.
-    """
-    index = system.space.index
-    odd = [g.parity for g in system.space.generators]
-    # whole Fractions as ints: only whether each sum is zero is read off
-    entries = [
-        (tuple(index(v) for v in key),
-         [(index(v), c.numerator if c.denominator == 1 else c)
-          for v, c in output.items()])
-        for n, table in system.tables.items() if 0 < n <= n_max
-        for key, output in table.items()
-    ]
-    # by generator g: each entry B with g among its inputs, as (t, s_move,
-    # output) in order of len(t), where t is B's key less one g and s_move
-    # the sign of moving g to the front of t
-    outer: dict[int, list] = {}
-    for b, output in entries:
-        for g in set(b):
-            k = b.index(g)
-            s_move = (-1) ** sum(1 for y in b[:k] if not (odd[y] and odd[g]))
-            outer.setdefault(g, []).append((b[:k] + b[k + 1:], s_move, output))
-    for row in outer.values():
-        row.sort(key=lambda item: len(item[0]))
-    defects: dict[int, dict] = {n: {} for n in range(1, n_max + 1)}
-    pairs = dict.fromkeys(range(1, n_max + 1), 0)
-    for a, inner in entries:
-        i = len(a)
-        for g, c in inner:
-            for t, s_move, output in outer.get(g, ()):
-                n = i + len(t)
-                if n > n_max:
-                    break
-                hit = _merge(a, t, odd)
-                if hit is None:
-                    continue
-                T, factor = hit
-                pairs[n] += 1
-                weight = factor * s_move * c
-                acc = defects[n].setdefault(T, {})
-                for k, d in output:
-                    acc[k] = acc.get(k, 0) + weight * d
-    return defects, pairs
-
-
-def _merge(a: tuple[int, ...], t: tuple[int, ...], odd: list[int]):
-    """``(sorted(a + t), factor)`` for head ``a`` and tail ``t``, or None when
-    the two share an even generator.  The factor is (-1)^(i(n-i)) times the
-    unshuffle sign of moving ``a`` ahead of ``t``, times the number of ways
-    to pick the head's positions among repeated odd generators."""
-    i, n = len(a), len(a) + len(t)
-    factor = -1 if (i * (n - i)) % 2 else 1
-    for x in a:
-        for y in t:
-            if y == x and not odd[x]:
-                return None
-            if y < x and not (odd[x] and odd[y]):
-                factor = -factor
-    for v in set(a) & set(t):
-        factor *= comb(a.count(v) + t.count(v), a.count(v))
-    return tuple(sorted(a + t)), factor
-
-
 def verify_jacobi(system: BracketSystem, n_max: int) -> JacobiReport:
     """Check every Jacobi identity of arity <= n_max on canonical basis tuples.
 
-    The defects come from the entry pairs (:func:`_pair_defects`); at each
-    arity the first canonical tuple with a nonzero defect is the
-    counterexample, and its defect and summands are recomputed from the
-    unshuffle sum.
+    At each arity the tuples are taken in canonical order, and the first
+    with a nonzero defect is the counterexample.
     """
     if n_max > system.max_arity:
         raise TruncationError(
@@ -368,21 +328,17 @@ def verify_jacobi(system: BracketSystem, n_max: int) -> JacobiReport:
         )
     if system.symmetry != SKEW:
         raise ValueError("Jacobi identities are stated for skew systems")
-    defects, pairs = _pair_defects(system, n_max)
-    generators = system.space.generators
     checks = []
     for n in range(1, n_max + 1):
-        failing = [T for T, acc in defects[n].items() if any(acc.values())]
-        first = tuple(generators[k] for k in min(failing)) if failing else None
+        counterexample = defect = summands = None
         count = 0
         for tup in canonical_tuples(system.space, system.symmetry, n):
             count += 1
-            if tup == first:
+            value, parts = _split_defect(system, tup)
+            if not value.is_zero():
+                counterexample, defect, summands = tup, value, parts
                 break
-        defect = summands = None
-        if first is not None:
-            defect, summands = _split_defect(system, first)
-        checks.append(ArityCheck(n, count, first, defect, summands, pairs[n]))
+        checks.append(ArityCheck(n, count, counterexample, defect, summands))
     return JacobiReport(tuple(checks))
 
 

@@ -74,14 +74,12 @@ def cmd_verify(args) -> dict:
     _require_bound("--max-arity", n_max, 1)
     report = verify_jacobi(skew, n_max)
     arities = [
-        {"arity": check.arity, "ok": True, "tuples": check.inputs_checked,
-         "pairs": check.pairs}
+        {"arity": check.arity, "ok": True, "tuples": check.inputs_checked}
         if check.ok else
         {"arity": check.arity, "ok": False,
          "counterexample": [v.name for v in check.counterexample],
          "defect": str(check.defect),
-         "summands": {str(i): str(part) for i, part in check.summands.items()},
-         "pairs": check.pairs}
+         "summands": {str(i): str(part) for i, part in check.summands.items()}}
         for check in report.checks
     ]
     return {"command": "verify", "pass": report.passed, "max_arity": n_max,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -35,6 +36,13 @@ def _as_fraction(value: Rational) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(_exact(value))
 
 
+def int_if_integral(value: Rational) -> Rational:
+    """Prefer plain ints over integral Fractions in hot paths."""
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    return value
+
+
 # ---------------------------------------------------------------------------
 # permutations
 # ---------------------------------------------------------------------------
@@ -49,12 +57,7 @@ def check_permutation(sigma: Sequence[int]) -> tuple[int, ...]:
 
 def perm_sign(sigma: Sequence[int]) -> int:
     """Parity of a permutation: -1 raised to the number of inversions."""
-    sigma = check_permutation(sigma)
-    n = len(sigma)
-    inversions = sum(
-        1 for k in range(n) for l in range(k + 1, n) if sigma[k] > sigma[l]
-    )
-    return -1 if inversions % 2 else 1
+    return _perm_sign(tuple(sigma))
 
 
 def koszul_sign(sigma: Sequence[int], degrees: Sequence[int]) -> int:
@@ -64,6 +67,34 @@ def koszul_sign(sigma: Sequence[int], degrees: Sequence[int]) -> int:
     each inversion of ``sigma`` whose two elements both have odd degree
     contributes a factor of -1.
     """
+    return _koszul_sign(tuple(sigma), tuple(degrees))
+
+
+def unshuffles(i: int, n: int) -> list[tuple[int, ...]]:
+    """All permutations ascending within positions 1..i and within i+1..n.
+
+    Returned in lexicographic order of the first block; there are
+    binomial(n, i) of them.
+    """
+    return list(_unshuffles(i, n))
+
+
+# The Jacobi scan asks for the same few permutations over and over (2^n
+# unshuffles at arity n, on a handful of degree patterns), so the three
+# functions above answer from bounded caches keyed on tuples.
+
+@lru_cache(maxsize=4096)
+def _perm_sign(sigma: tuple[int, ...]) -> int:
+    sigma = check_permutation(sigma)
+    n = len(sigma)
+    inversions = sum(
+        1 for k in range(n) for l in range(k + 1, n) if sigma[k] > sigma[l]
+    )
+    return -1 if inversions % 2 else 1
+
+
+@lru_cache(maxsize=4096)
+def _koszul_sign(sigma: tuple[int, ...], degrees: tuple[int, ...]) -> int:
     sigma = check_permutation(sigma)
     if len(sigma) != len(degrees):
         raise ValueError(
@@ -80,12 +111,8 @@ def koszul_sign(sigma: Sequence[int], degrees: Sequence[int]) -> int:
     return -1 if crossings % 2 else 1
 
 
-def unshuffles(i: int, n: int) -> list[tuple[int, ...]]:
-    """All permutations ascending within positions 1..i and within i+1..n.
-
-    Returned in lexicographic order of the first block; there are
-    binomial(n, i) of them.
-    """
+@lru_cache(maxsize=256)
+def _unshuffles(i: int, n: int) -> tuple[tuple[int, ...], ...]:
     if not 0 <= i <= n:
         raise ValueError(f"block size {i} out of range 0..{n}")
     universe = range(1, n + 1)
@@ -94,7 +121,7 @@ def unshuffles(i: int, n: int) -> list[tuple[int, ...]]:
         chosen = set(head)
         tail = tuple(k for k in universe if k not in chosen)
         out.append(head + tail)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +135,17 @@ class BasisVector:
     space_id: str
     name: str
     degree: int
+
+    def __post_init__(self) -> None:
+        # vectors key every table and element; hash the fields once
+        object.__setattr__(self, "_hash", hash((self.space_id, self.name, self.degree)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild from the fields: str hashes differ from process to process
+        return (BasisVector, (self.space_id, self.name, self.degree))
 
     @property
     def parity(self) -> int:
@@ -139,6 +177,15 @@ class GradedSpace:
         except KeyError:
             raise ValueError(
                 f"{vector!r} is not a generator of space {self.space_id!r}"
+            ) from None
+
+    def indices(self, vectors: Iterable[BasisVector]) -> tuple[int, ...]:
+        """``index`` of each vector, in order."""
+        try:
+            return tuple(map(self._index.__getitem__, vectors))
+        except KeyError as missing:
+            raise ValueError(
+                f"{missing.args[0]!r} is not a generator of space {self.space_id!r}"
             ) from None
 
     def generator(self, name: str) -> BasisVector:

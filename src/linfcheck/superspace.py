@@ -42,19 +42,12 @@ from typing import Iterator, Sequence
 
 from .brackets import SYMMETRIC, BracketSystem, canonical_tuples
 from .errors import ConsistencyError, TruncationError
-from .grading import BasisVector, Element, GradedSpace, Rational
+from .grading import BasisVector, Element, GradedSpace, Rational, int_if_integral
 from .series import Series
 
 EPS_LOWER = {(1, 2): -1, (2, 1): 1}   # eps_{ab}
 EPS_UPPER = {(1, 2): 1, (2, 1): -1}   # eps^{ab}, inverse to eps_{ab}
 _THETA_BLOCKS = frozenset({(), (1,), (2,), (1, 2)})
-
-
-def _normalize(value):
-    """Prefer plain ints over integral Fractions in hot paths."""
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
-    return value
 
 
 class SuperMonomial(tuple):
@@ -229,7 +222,7 @@ class DeltaSpec:
                 first = _theta_derivative(block, alpha)
                 if second := first and _theta_derivative(first[1], beta):
                     total += eps * first[0] * second[0]
-            return (_normalize(Fraction(total, 2)), (gamma,)) if total else None
+            return (int_if_integral(Fraction(total, 2)), (gamma,)) if total else None
 
         # D0 = theta_a h^a(d/dx)
         pieces = [(action(lambda block: _merge_fermions((alpha,), block)),
@@ -288,7 +281,7 @@ class DeltaSpec:
 
 def _taylor_table(series: Series) -> list:
     """M-th entry is M! times the M-th series coefficient."""
-    return [_normalize(series.taylor(m)) for m in range(series.order + 1)]
+    return [int_if_integral(series.taylor(m)) for m in range(series.order + 1)]
 
 
 def _derivative_terms(bosons: tuple[int, ...]) -> list:

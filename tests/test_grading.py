@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb
@@ -107,6 +108,20 @@ def test_unshuffles_against_brute_force():
             assert set(got) == set(_unshuffles_brute(i, n))
 
 
+def test_cached_signs_and_unshuffles_behave_like_fresh_ones():
+    # the results come from caches: a caller's list must not reach them
+    first = unshuffles(2, 3)
+    first.clear()
+    assert unshuffles(2, 3) == [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
+    assert perm_sign([2, 1]) == perm_sign((2, 1)) == -1
+    assert koszul_sign([2, 1], [1, 1]) == koszul_sign((2, 1), (1, 1)) == -1
+    for _ in range(2):  # a rejected argument is rejected every time
+        with pytest.raises(ValueError):
+            perm_sign((1, 1))
+        with pytest.raises(ValueError):
+            koszul_sign((1, 2), (1,))
+
+
 def test_unshuffles_rejects_bad_block():
     with pytest.raises(ValueError):
         unshuffles(4, 3)
@@ -118,6 +133,13 @@ def test_basis_vector_parity():
     assert BasisVector("V", "v", 0).parity == 0
     assert BasisVector("V", "w", 1).parity == 1
     assert BasisVector("W", "theta", -1).parity == 1
+
+
+def test_basis_vector_pickles_from_its_fields():
+    v = BasisVector("V", "v1", 0)
+    payload = pickle.dumps(v)
+    assert b"_hash" not in payload  # the cached hash is not carried along
+    assert pickle.loads(payload) == v and hash(pickle.loads(payload)) == hash(v)
 
 
 def test_space_lookup_and_foreign_vector():

@@ -214,6 +214,9 @@ def example2_system(
     """
     if dim1 < dim0:
         raise ValueError("need dim1 >= dim0 so every even generator has an image")
+    if n_bosons < 2:
+        raise ValueError("need n_bosons >= 2: the operator frame pairs each of "
+                         "the two odd generators with its own even generator")
     series_order = order + 1
     bs = {m: b_closed(m) for m in range(0, max(series_order, max_arity) + 1)}
     if b_values:

@@ -20,7 +20,12 @@ one-variable coefficient times |m|!).  Entries of g may additionally carry
 the momentum-shift term + p_i, which the second bundled example uses.
 Theta derivatives act from the left: d/dtheta_a picks up (-1)^k when
 theta_a sits behind k other thetas.  A spec builds its operator once, as a
-table of pieces that each act on the theta block and apply one series.
+table of pieces that each act on the theta block and apply one series.  It
+also keeps one table of validated monomials: its images share these key
+objects, so each distinct monomial is validated once per spec.  The check
+that D squares to zero numbers the monomials it meets with dense ints, holds
+each image as a row of ids and coefficients, and sums D(D(m)) over the ids;
+only a nonzero residue is turned back into a polynomial.
 
 The brackets of the operator are its nested graded commutators with the
 multiplications by their inputs (Koszul's higher derived brackets), summed in
@@ -170,7 +175,10 @@ class DeltaSpec:
     every g^i_a additionally contains the term + p_i.  ``selection_rule``
     asserts the degree bookkeeping that forces h to vanish.  The operator is
     held as a table of pieces built once per spec; each monomial's image is
-    computed once and cached.
+    computed once and cached.  The monomials of the images come from the
+    spec's key table, which maps ``(fermions, bosons)`` to one validated
+    :class:`SuperMonomial`, so equal monomials are the same object within a
+    spec and each is validated once; a copy starts with empty tables.
     """
 
     n_bosons: int
@@ -180,6 +188,9 @@ class DeltaSpec:
     momentum_shift: bool = False
     selection_rule: bool = False
     _images: dict[SuperMonomial, SuperPoly] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _keys: dict[SuperMonomial, SuperMonomial] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -243,6 +254,15 @@ class DeltaSpec:
         """Number of distinct monomials whose image is in the cache."""
         return len(self._images)
 
+    def _key(self, fermions: tuple, bosons: tuple) -> SuperMonomial:
+        """The spec's one validated monomial for ``(fermions, bosons)``,
+        built and validated on the first request."""
+        key = self._keys.get((fermions, bosons))
+        if key is None:
+            key = SuperMonomial(fermions, bosons)
+            self._keys[key] = key
+        return key
+
     def delta_monomial(self, mono: SuperMonomial) -> SuperPoly:
         """Image of a single monomial under the operator."""
         cached = self._images.get(mono)
@@ -256,22 +276,20 @@ class DeltaSpec:
             )
         out: dict[SuperMonomial, Rational] = {}
         fermions, bosons = mono
-        terms = _derivative_terms(bosons)
+        keys = self._keys
         for action, table, lift in self._pieces:
             if fermions not in action:
                 continue
             sign, block = action[fermions]
             if table is None:  # x_i d/dp_i: m_i times the same monomial
                 if bosons[lift]:
-                    key = SuperMonomial(block, bosons)
+                    key = keys.get((block, bosons)) or self._key(block, bosons)
                     out[key] = out.get(key, 0) + sign * bosons[lift]
                 continue
-            for weight, total, reduced in terms:
+            for weight, total, reduced in _derivative_terms(bosons, lift):
                 coeff = table[total]
                 if coeff:
-                    if lift is not None:
-                        reduced = reduced[:lift] + (reduced[lift] + 1,) + reduced[lift + 1 :]
-                    key = SuperMonomial(block, reduced)
+                    key = keys.get((block, reduced)) or self._key(block, reduced)
                     out[key] = out.get(key, 0) + sign * (weight * coeff)
 
         image = SuperPoly(self.n_bosons, out)
@@ -284,16 +302,15 @@ def _taylor_table(series: Series) -> list:
     return [int_if_integral(series.taylor(m)) for m in range(series.order + 1)]
 
 
-def _derivative_terms(bosons: tuple[int, ...]) -> list:
+def _derivative_terms(bosons: tuple[int, ...], lift: int | None = None) -> list:
     """The derivatives d^mu x^m for every mu <= m, as the triples
-    (prod C(m_i, mu_i), |mu|, m - mu) that every series operator shares."""
+    (prod C(m_i, mu_i), |mu|, m - mu); with ``lift`` = i the exponents are
+    those of x_i d^mu x^m, as D1's pieces need."""
     terms = [(1, 0, ())]
-    for m in bosons:
-        terms = [
-            (weight * comb(m, mu), total + mu, reduced + (m - mu,))
-            for weight, total, reduced in terms
-            for mu in range(m + 1)
-        ]
+    for k, m in enumerate(bosons):
+        bump = int(k == lift)
+        level = [(comb(m, mu), mu, (m - mu + bump,)) for mu in range(m + 1)]
+        terms = [(w * c, t + mu, r + e) for w, t, r in terms for c, mu, e in level]
     return terms
 
 
@@ -354,10 +371,10 @@ def koszul_bracket(spec: DeltaSpec, inputs: Sequence[BasisVector]) -> Element:
     for sign, inside, outside in splits:
         for weight, total, reduced in terms:
             coeff = (-1) ** (sum(m) - total) * sign * weight
-            image = spec.delta_monomial(SuperMonomial(inside, map(sub, m, reduced)))
+            image = spec.delta_monomial(spec._key(inside, tuple(map(sub, m, reduced))))
             for (fermions, bosons), value in image.items():
                 if merged := _merge_fermions(outside, fermions):
-                    key = SuperMonomial(merged[1], map(add, reduced, bosons))
+                    key = spec._key(merged[1], tuple(map(add, reduced, bosons)))
                     out[key] = out.get(key, 0) + merged[0] * coeff * value
     return linear_element(spec, SuperPoly(spec.n_bosons, out))
 
@@ -420,14 +437,41 @@ def delta_squared_check(spec: DeltaSpec, degree_bound: int) -> DeltaSquaredRepor
             f"degree bound {degree_bound} needs coefficients through order "
             f"{degree_bound + 1}, stored through {spec.coefficient_order}"
         )
+    ids: dict[SuperMonomial, int] = {}
+    monos: list[SuperMonomial] = []
+    rows: list = []  # per id: its image as (ids, coefficients), None until fetched
+    acc: list = []   # D^2 of the current monomial by id; all zero after a pass
+
+    def ident(mono: SuperMonomial) -> int:
+        if mono not in ids:
+            ids[mono] = len(monos)
+            monos.append(mono)
+            rows.append(None)
+            acc.append(0)
+        return ids[mono]
+
+    def row(i: int) -> tuple:
+        terms = spec.delta_monomial(monos[i]).items()
+        rows[i] = [ids[m] if m in ids else ident(m) for m, _ in terms], [c for _, c in terms]
+        return rows[i]
+
     checked = 0
     for fermions in ((), (1,), (2,), (1, 2)):
         for bosons in _multi_indices(spec.n_bosons, degree_bound):
-            mono = SuperMonomial(fermions, bosons)
-            residue = apply_delta(spec, spec.delta_monomial(mono))
+            mono = spec._key(fermions, bosons)
+            i = ident(mono)
+            mids, firsts = rows[i] or row(i)
+            touched = []
+            for mid, c1 in zip(mids, firsts):
+                finals, seconds = rows[mid] or row(mid)
+                touched += finals
+                for final, c2 in zip(finals, seconds):
+                    acc[final] += c1 * c2
             checked += 1
-            if not residue.is_zero():
-                return DeltaSquaredReport(False, checked, mono, residue)
+            if any(map(acc.__getitem__, touched)):
+                residue = {monos[f]: acc[f] for f in touched if acc[f]}
+                return DeltaSquaredReport(False, checked, mono,
+                                          SuperPoly(spec.n_bosons, residue))
     return DeltaSquaredReport(True, checked, None, None)
 
 

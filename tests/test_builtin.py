@@ -165,6 +165,9 @@ def test_example2_dimension_checks():
         example2_system(dim0=3, dim1=2)
     with pytest.raises(ValueError):
         example2_system(b_values={0: 2})
+    for n_bosons in (0, 1):
+        with pytest.raises(ValueError, match="n_bosons >= 2"):
+            example2_system(n_bosons=n_bosons)
     wide = example2_system(dim0=2, dim1=4, n_bosons=4)
     assert len(wide.skew_system.space.generators) == 6
     assert wide.delta_spec.n_bosons == 4

@@ -286,6 +286,16 @@ def test_json_reports_count_operator_images(capsys, monkeypatch):
         assert json.loads(out)["images"] == len(seen) > 0, argv
 
 
+def test_json_pins_the_operator_work_counts(capsys):
+    # 4 theta sectors x C(6 + 3, 3) exponent vectors of degree <= 6, and the
+    # distinct images D^2 needs for them: a change to how D is composed with
+    # itself must not move either count
+    code, out, _ = run(capsys, "delta-check", "example2", "--degree", "6", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["pass"] is True
+    assert (payload["monomials_checked"], payload["images"]) == (336, 427)
+
+
 def test_coefficients_check_reports_a_mismatch(capsys, monkeypatch):
     def off_by_one_at_3(n_max):
         return lambda n: b_closed(n) + (n == 3)

@@ -343,6 +343,21 @@ def test_delta_squared_check_matches_the_double_loop(spec, degree_bound):
     assert delta_squared_check(spec, degree_bound) == expected  # warm cache
 
 
+@pytest.mark.parametrize("example, index, value", [
+    # the seed-1 mutants of the benchmark's mutants workload
+    ("example1", 4, -22), ("example1", 5, 7), ("example1", 6, 25),
+    ("example2", 2, 22), ("example2", 3, 19), ("example2", 4, -25),
+])
+def test_delta_squared_check_matches_the_double_loop_on_mutants(example, index, value):
+    if example == "example1":
+        spec = example1_system(c_values={index: value}).delta_spec
+    else:
+        spec = example2_system(b_values={index: value}).delta_spec
+    expected = _delta_squared_oracle(spec, 6)
+    assert not expected.passed
+    assert delta_squared_check(spec, 6) == expected
+
+
 @dataclass(frozen=True)
 class _OracleMonomial:
     """A validated frozen-dataclass monomial, independent of the tuple keys
@@ -450,6 +465,24 @@ def test_operator_image_cache_is_per_spec():
             mono = SuperMonomial(fermions, bosons)
             assert intact.delta_monomial(mono) is intact.delta_monomial(mono)
             assert intact.delta_monomial(mono) == fresh.delta_monomial(mono)
+    # one table of validated monomials per spec, shared by all its images
+    copied = replace(intact)
+    assert copied._keys == {} and copied._images == {}
+    first_seen, repeats = {}, 0
+    for image in intact._images.values():
+        for mono, _ in image.items():
+            assert type(mono) is SuperMonomial
+            assert SuperMonomial(mono.fermions, mono.bosons) == mono
+            assert intact._keys[mono] is mono
+            repeats += mono in first_seen
+            assert first_seen.setdefault(mono, mono) is mono
+    assert repeats  # some monomial sits in two images, as one object
+    mono = SuperMonomial((1, 2), (2, 1, 1))
+    assert not copied.delta_monomial(mono).is_zero()
+    assert copied.delta_monomial(mono) == intact.delta_monomial(mono)
+    for other in (fresh, mutant, copied):
+        shared = {id(k) for k in other._keys.values()} & {id(k) for k in intact._keys.values()}
+        assert other._keys.keys() & intact._keys.keys() and not shared
 
 
 def test_delta_squared_truncation_guard(ex1):

@@ -6,106 +6,44 @@ symmetric hierarchies on the degree-shifted space encoded by an odd
 differential operator whose square must vanish.
 """
 
-from .brackets import (
-    SKEW,
-    SYMMETRIC,
-    BracketSystem,
-    JacobiReport,
-    desuspend_system,
-    desuspension_sign,
-    first_difference,
-    jacobi_defect,
-    jacobi_summands,
-    suspend_system,
-    verify_jacobi,
-)
-from .builtin import (
-    ExampleSystems,
-    b_closed,
-    c1_closed,
-    c1_recursive,
-    c2_daily,
-    example1_system,
-    example2_system,
-    theta_sector_sign,
-)
-from .errors import ConsistencyError, DocumentError, TruncationError
-from .grading import (
-    BasisVector,
-    Element,
-    GradedSpace,
-    koszul_sign,
-    perm_sign,
-    unshuffles,
-)
-from .series import (
-    Series,
-    g_series,
-    lambert_w_series,
-    nilcheck_one_boson,
-    solve_f1,
-    solve_g2,
-    wronskian,
-)
-from .superspace import (
-    DeltaSpec,
-    DeltaSquaredReport,
-    NilpotencyReport,
-    SuperMonomial,
-    SuperPoly,
-    apply_delta,
-    brackets_from_delta,
-    delta_squared_check,
-    koszul_bracket,
-    nilpotency_conditions,
-)
+from importlib import import_module
+
+# each public name and the module that defines it; the module is imported on
+# the first access of one of its names (PEP 562), so importing the package,
+# or one command's modules, loads nothing else
+_HOME = {
+    name: module
+    for module, names in {
+        "brackets": ("SKEW", "SYMMETRIC", "BracketSystem", "JacobiReport",
+                     "desuspend_system", "first_difference", "jacobi_defect",
+                     "jacobi_summands", "suspend_system", "verify_jacobi"),
+        "builtin": ("ExampleSystems", "b_closed", "c1_closed", "c1_recursive",
+                    "c2_daily", "example1_system", "example2_system",
+                    "theta_sector_sign"),
+        "errors": ("ConsistencyError", "DocumentError", "TruncationError"),
+        "grading": ("BasisVector", "Element", "GradedSpace", "desuspension_sign",
+                    "koszul_sign", "perm_sign", "unshuffles"),
+        "series": ("Series", "g_series", "lambert_w_series", "nilcheck_one_boson",
+                   "solve_f1", "solve_g2", "wronskian"),
+        "superspace": ("DeltaSpec", "DeltaSquaredReport", "NilpotencyReport",
+                       "SuperMonomial", "SuperPoly", "apply_delta",
+                       "brackets_from_delta", "delta_squared_check",
+                       "koszul_bracket", "nilpotency_conditions"),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_HOME[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisVector",
-    "BracketSystem",
-    "ConsistencyError",
-    "DeltaSpec",
-    "DeltaSquaredReport",
-    "DocumentError",
-    "Element",
-    "ExampleSystems",
-    "GradedSpace",
-    "JacobiReport",
-    "NilpotencyReport",
-    "SKEW",
-    "SYMMETRIC",
-    "Series",
-    "SuperMonomial",
-    "SuperPoly",
-    "TruncationError",
-    "apply_delta",
-    "b_closed",
-    "brackets_from_delta",
-    "c1_closed",
-    "c1_recursive",
-    "c2_daily",
-    "delta_squared_check",
-    "desuspend_system",
-    "desuspension_sign",
-    "example1_system",
-    "example2_system",
-    "first_difference",
-    "g_series",
-    "jacobi_defect",
-    "jacobi_summands",
-    "koszul_bracket",
-    "koszul_sign",
-    "lambert_w_series",
-    "nilcheck_one_boson",
-    "nilpotency_conditions",
-    "perm_sign",
-    "solve_f1",
-    "solve_g2",
-    "suspend_system",
-    "theta_sector_sign",
-    "unshuffles",
-    "verify_jacobi",
-    "wronskian",
-]
+__all__ = sorted(_HOME)

@@ -28,16 +28,17 @@ caches (see :mod:`linfcheck.grading`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import TruncationError
 from .grading import (
+    DEFAULT_MAX_ARITY,
     BasisVector,
     Element,
     GradedSpace,
+    desuspension_sign,
     int_if_integral,
     koszul_sign,
     perm_sign,
@@ -46,8 +47,6 @@ from .grading import (
 
 SKEW = "skew"
 SYMMETRIC = "symmetric"
-
-DEFAULT_MAX_ARITY = 10
 
 
 def _swap_factor(symmetry: str, a: BasisVector, b: BasisVector) -> int:
@@ -95,14 +94,20 @@ def canonical_tuples(
             yield tup
 
 
-@dataclass(frozen=True)
 class BracketSystem:
     """Arity-indexed sparse tables defining a bracket hierarchy."""
 
-    space: GradedSpace
-    symmetry: str
-    max_arity: int
-    tables: Mapping[int, Mapping[tuple[BasisVector, ...], Element]]
+    def __init__(
+        self,
+        space: GradedSpace,
+        symmetry: str,
+        max_arity: int,
+        tables: Mapping[int, Mapping[tuple[BasisVector, ...], Element]],
+    ):
+        self.space = space
+        self.symmetry = symmetry
+        self.max_arity = max_arity
+        self.tables = tables
 
     @classmethod
     def from_entries(
@@ -287,8 +292,7 @@ def jacobi_defect(system: BracketSystem, inputs: Sequence[BasisVector]) -> Eleme
     return _split_defect(system, inputs)[0]
 
 
-@dataclass(frozen=True)
-class ArityCheck:
+class ArityCheck(NamedTuple):
     arity: int
     inputs_checked: int
     counterexample: tuple[BasisVector, ...] | None = None
@@ -301,8 +305,7 @@ class ArityCheck:
         return self.counterexample is None
 
 
-@dataclass(frozen=True)
-class JacobiReport:
+class JacobiReport(NamedTuple):
     checks: tuple[ArityCheck, ...]
 
     @property
@@ -345,20 +348,6 @@ def verify_jacobi(system: BracketSystem, n_max: int) -> JacobiReport:
 # ---------------------------------------------------------------------------
 # the degree-shift functor between the two symmetries
 # ---------------------------------------------------------------------------
-
-def desuspension_sign(w_degrees: Sequence[int]) -> int:
-    """Sign relating an n-ary skew bracket to its degree-shifted companion.
-
-    ``w_degrees`` are the degrees of the inputs on the shifted side.  The
-    factor is the global (-1)^(n(n-1)/2) times (-1)^d for each raising
-    operator moved past an element of degree d, right to left across the
-    tensor factors.  The same factor converts in either direction.
-    """
-    n = len(w_degrees)
-    exponent = n * (n - 1) // 2
-    exponent += sum((n - 1 - pos) * d for pos, d in enumerate(w_degrees))
-    return -1 if exponent % 2 else 1
-
 
 def _shift_space(
     space: GradedSpace, like: GradedSpace | None, down: bool

@@ -4,34 +4,59 @@ Each constructor returns the skew system on the unshifted space, the
 symmetric system on the degree-shifted space, and the operator data, all
 generated from one coefficient sequence so that perturbing a single
 coefficient perturbs every formulation consistently.
+
+The coefficient sequences need only the grading conventions.  A constructor
+checks its arguments at once, but builds each of the three parts, and loads
+the modules that part needs, on its first access.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial
-from typing import Callable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Mapping
 
-from .brackets import (
+from .grading import (
     DEFAULT_MAX_ARITY,
-    SKEW,
-    BracketSystem,
-    desuspend_system,
+    BasisVector,
+    Element,
+    GradedSpace,
+    Rational,
     desuspension_sign,
 )
-from .grading import BasisVector, Element, GradedSpace, Rational
-from .series import Series
-from .superspace import DeltaSpec
+
+if TYPE_CHECKING:
+    from .brackets import BracketSystem
+    from .superspace import DeltaSpec
 
 DEFAULT_ORDER = 32
 
 
-class ExampleSystems(NamedTuple):
-    skew_system: BracketSystem
-    symmetric_system: BracketSystem
-    delta_spec: DeltaSpec
+class ExampleSystems:
+    """The three formulations of one structure, each built by its
+    zero-argument builder on first access."""
+
+    def __init__(
+        self,
+        skew_system: Callable[[], BracketSystem],
+        symmetric_system: Callable[[], BracketSystem],
+        delta_spec: Callable[[], DeltaSpec],
+    ):
+        self._build = skew_system, symmetric_system, delta_spec
+
+    @cached_property
+    def skew_system(self) -> BracketSystem:
+        return self._build[0]()
+
+    @cached_property
+    def symmetric_system(self) -> BracketSystem:
+        return self._build[1]()
+
+    @cached_property
+    def delta_spec(self) -> DeltaSpec:
+        return self._build[2]()
 
 
 # ---------------------------------------------------------------------------
@@ -116,21 +141,30 @@ def example1_system(
             if n < 3:
                 raise ValueError("coefficients are indexed from 3")
             cs[n] = Fraction(value)
+    if series_order < 1:  # g1 = 1 + x
+        raise ValueError("the coordinate series needs order >= 1")
 
-    v1 = BasisVector("V", "v1", 0)
-    v2 = BasisVector("V", "v2", 0)
-    w = BasisVector("V", "w", 1)
-    space = GradedSpace("V", (v1, v2, w))
-    entries = [
-        ((v1,), Element.basis(w)),
-        ((v2,), Element.basis(w)),
-        ((v1, v2), Element.basis(v1)),
-        ((v1, w), Element.basis(w)),
-    ]
-    for n in range(3, max_arity + 1):
-        entries.append(((v2,) + (w,) * (n - 1), Element.basis(w, cs[n])))
-    skew = BracketSystem.from_entries(space, SKEW, entries, max_arity)
-    symmetric = desuspend_system(skew)
+    def skew() -> BracketSystem:
+        from .brackets import SKEW, BracketSystem
+
+        v1 = BasisVector("V", "v1", 0)
+        v2 = BasisVector("V", "v2", 0)
+        w = BasisVector("V", "w", 1)
+        space = GradedSpace("V", (v1, v2, w))
+        entries = [
+            ((v1,), Element.basis(w)),
+            ((v2,), Element.basis(w)),
+            ((v1, v2), Element.basis(v1)),
+            ((v1, w), Element.basis(w)),
+        ]
+        for n in range(3, max_arity + 1):
+            entries.append(((v2,) + (w,) * (n - 1), Element.basis(w, cs[n])))
+        return BracketSystem.from_entries(space, SKEW, entries, max_arity)
+
+    def symmetric() -> BracketSystem:
+        from .brackets import desuspend_system
+
+        return desuspend_system(example.skew_system)
 
     # theta-sector series: b_2(0) = 1, b_2(1) = 0, and for m >= 2 the
     # degree-shift image of C_(m+1)
@@ -141,18 +175,24 @@ def example1_system(
             return Fraction(0)
         return theta_sector_sign(m + 1) * cs[m + 1]
 
-    g1 = 1 + Series.x(series_order)
-    g2 = Series.from_taylor(b2(m) for m in range(series_order + 1))
-    zero = Series.zero(series_order)
-    spec = DeltaSpec(
-        n_bosons=1,
-        f=(Series.constant(-1, series_order), zero),
-        g=((g1,), (g2,)),
-        h=(zero, zero),
-        momentum_shift=False,
-        selection_rule=True,
-    )
-    return ExampleSystems(skew, symmetric, spec)
+    def delta() -> DeltaSpec:
+        from .series import Series
+        from .superspace import DeltaSpec
+
+        g1 = 1 + Series.x(series_order)
+        g2 = Series.from_taylor(b2(m) for m in range(series_order + 1))
+        zero = Series.zero(series_order)
+        return DeltaSpec(
+            n_bosons=1,
+            f=(Series.constant(-1, series_order), zero),
+            g=((g1,), (g2,)),
+            h=(zero, zero),
+            momentum_shift=False,
+            selection_rule=True,
+        )
+
+    example = ExampleSystems(skew, symmetric, delta)
+    return example
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +206,8 @@ def _second_family_skew(
     c_of: Callable[[int], Fraction],
     max_arity: int,
 ) -> BracketSystem:
+    from .brackets import SKEW, BracketSystem
+
     vs = [BasisVector("V", f"v{i}", 0) for i in range(1, n_v + 1)]
     ws = [BasisVector("V", f"w{j}", 1) for j in range(1, n_w + 1)]
     space = GradedSpace("V", vs + ws)
@@ -226,26 +268,37 @@ def example2_system(
             bs[m] = Fraction(value)
     if bs[0] != 1:
         raise ValueError("the sequence must be normalized to B_0 = 1")
+    if series_order < 0:  # G needs its constant coefficient
+        raise ValueError("a series needs at least the constant coefficient")
 
     def c_of(n: int) -> Fraction:
         return theta_sector_sign(n) * bs[n - 1]
 
-    skew = _second_family_skew(dim0, dim1, bs[1], c_of, max_arity)
-    frame = _second_family_skew(2, n_bosons, bs[1], c_of, max_arity)
-    symmetric = desuspend_system(frame)
+    def skew() -> BracketSystem:
+        return _second_family_skew(dim0, dim1, bs[1], c_of, max_arity)
 
-    g_part = Series.from_taylor(bs[m] for m in range(series_order + 1))
-    zero = Series.zero(series_order)
-    g = tuple(
-        tuple(g_part if i == alpha else zero for i in range(1, n_bosons + 1))
-        for alpha in (1, 2)
-    )
-    spec = DeltaSpec(
-        n_bosons=n_bosons,
-        f=(zero, zero),
-        g=g,
-        h=(zero, zero),
-        momentum_shift=True,
-        selection_rule=True,
-    )
-    return ExampleSystems(skew, symmetric, spec)
+    def symmetric() -> BracketSystem:
+        from .brackets import desuspend_system
+
+        return desuspend_system(_second_family_skew(2, n_bosons, bs[1], c_of, max_arity))
+
+    def delta() -> DeltaSpec:
+        from .series import Series
+        from .superspace import DeltaSpec
+
+        g_part = Series.from_taylor(bs[m] for m in range(series_order + 1))
+        zero = Series.zero(series_order)
+        g = tuple(
+            tuple(g_part if i == alpha else zero for i in range(1, n_bosons + 1))
+            for alpha in (1, 2)
+        )
+        return DeltaSpec(
+            n_bosons=n_bosons,
+            f=(zero, zero),
+            g=g,
+            h=(zero, zero),
+            momentum_shift=True,
+            selection_rule=True,
+        )
+
+    return ExampleSystems(skew, symmetric, delta)

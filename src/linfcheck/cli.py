@@ -4,6 +4,13 @@ Exit codes are the machine contract: 0 for a verified property, 1 for a
 property that was checked and found false, 2 for usage or document errors.
 Each command returns one report of JSON values; ``main`` prints it as JSON
 with --json and otherwise as text rendered from the same report.
+
+A command loads and builds only what it runs: each ``cmd_*`` imports its
+engine modules in its body, and a builtin builds each formulation on first
+access. Engine functions are resolved when called, never when this module is
+imported or a table is built; the entries of ``BUILTINS`` and
+``COEFFICIENTS`` look them up as module attributes at call time. So a
+wrapper bound to a module attribute sees every call.
 """
 
 from __future__ import annotations
@@ -12,50 +19,38 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
-from .brackets import SKEW, SYMMETRIC, first_difference, verify_jacobi
-from .builtin import (
-    DEFAULT_ORDER,
-    b_closed,
-    c1_closed,
-    c1_recursive,
-    c2_daily,
-    example1_system,
-    example2_system,
-    theta_sector_sign,
-)
-from .document import load_document, save_document, system_to_document
+from . import builtin
 from .errors import ConsistencyError, DocumentError, TruncationError
-from .series import g_series, lambert_w_series
-from .superspace import (
-    brackets_from_delta,
-    delta_squared_check,
-    nilpotency_conditions,
-)
 
-# Table entries look their functions up when called, not when the table is
-# built, so a wrapper bound to the module-level name sees every call.
 BUILTINS = {
-    "example1": lambda order: example1_system(order=order),
-    "example2": lambda order: example2_system(order=order),
+    "example1": lambda order: builtin.example1_system(order=order),
+    "example2": lambda order: builtin.example2_system(order=order),
 }
 
 PASS, FAIL, USAGE = 0, 1, 2
 
 
 def _load_input(name: str, order: int | None = None):
-    """Resolve a builtin name or a document path to (skew, symmetric, delta);
-    ``order`` is the series order of a builtin (default DEFAULT_ORDER)."""
+    """Resolve a builtin name or a document path to an object with the
+    attributes skew_system, symmetric_system and delta_spec, None where a
+    document has no such part. ``order`` is the series order of a builtin
+    (default DEFAULT_ORDER); a builtin builds each part on first access."""
     if name in BUILTINS:
-        ex = BUILTINS[name](DEFAULT_ORDER if order is None else order)
-        return ex.skew_system, ex.symmetric_system, ex.delta_spec
+        return BUILTINS[name](builtin.DEFAULT_ORDER if order is None else order)
     if order is not None:
         raise DocumentError("--order applies to builtin inputs only; "
                             "a document carries its own series orders")
+    from .brackets import SKEW, SYMMETRIC
+    from .document import load_document
+
     system, delta = load_document(name)
-    skew = system if system.symmetry == SKEW else None
-    symmetric = system if system.symmetry == SYMMETRIC else None
-    return skew, symmetric, delta
+    return SimpleNamespace(
+        skew_system=system if system.symmetry == SKEW else None,
+        symmetric_system=system if system.symmetry == SYMMETRIC else None,
+        delta_spec=delta,
+    )
 
 
 def _require_bound(flag: str, value: int, least: int) -> None:
@@ -67,7 +62,9 @@ def _require_bound(flag: str, value: int, least: int) -> None:
 
 
 def cmd_verify(args) -> dict:
-    skew, _, _ = _load_input(args.input)
+    from .brackets import verify_jacobi
+
+    skew = _load_input(args.input).skew_system
     if skew is None:
         raise DocumentError("verify needs a skew system (use a skew document)")
     n_max = min(args.max_arity, skew.max_arity)
@@ -104,7 +101,9 @@ def _verify_text(report: dict):
 
 
 def cmd_delta_check(args) -> dict:
-    _, _, delta = _load_input(args.input, args.order)
+    from .superspace import delta_squared_check, nilpotency_conditions
+
+    delta = _load_input(args.input, args.order).delta_spec
     if delta is None:
         raise DocumentError("delta-check needs operator data (a 'delta' section)")
     _require_bound("--degree", args.degree, 0)
@@ -145,7 +144,11 @@ def _delta_check_text(report: dict):
 
 
 def cmd_compare(args) -> dict:
-    _, symmetric, delta = _load_input(args.input)
+    from .brackets import first_difference
+    from .superspace import brackets_from_delta
+
+    loaded = _load_input(args.input)
+    symmetric, delta = loaded.symmetric_system, loaded.delta_spec
     if delta is None or symmetric is None:
         raise DocumentError(
             "compare needs both a symmetric system and a 'delta' section"
@@ -183,17 +186,25 @@ def _compare_text(report: dict):
     yield f"  recovered: {report['recovered']}"
 
 
+def _series():
+    """The series module, imported by the first route that needs it."""
+    from . import series
+
+    return series
+
+
 # which -> (first index, printed value, independent route given the bound);
 # --check cross-validates each printed value against the route, and each
 # series is generated once, to the bound
 COEFFICIENTS = {
-    "c1": (3, c1_closed, lambda n_max: c1_recursive),
-    "c2": (3, c2_daily,
-           lambda n_max: lambda n: theta_sector_sign(n) * b_closed(n - 1)),
-    "b": (0, b_closed, lambda n_max: g_series(max(n_max, 1)).taylor),
+    "c1": (3, lambda n: builtin.c1_closed(n), lambda n_max: builtin.c1_recursive),
+    "c2": (3, lambda n: builtin.c2_daily(n),
+           lambda n_max: lambda n: builtin.theta_sector_sign(n) * builtin.b_closed(n - 1)),
+    "b": (0, lambda n: builtin.b_closed(n),
+          lambda n_max: _series().g_series(max(n_max, 1)).taylor),
     # the integer values n! * [p^n] of the inverse-of-we^w series
     "lambert": (1, lambda n: Fraction(-n) ** (n - 1),
-                lambda n_max: lambert_w_series(max(n_max, 1)).taylor),
+                lambda n_max: _series().lambert_w_series(max(n_max, 1)).taylor),
 }
 
 
@@ -227,6 +238,8 @@ def _coefficients_text(report: dict):
 
 
 def cmd_export(args) -> dict:
+    from .document import save_document, system_to_document
+
     ex = BUILTINS[args.builtin](args.order)
     if args.formulation == "jacobi":
         doc = system_to_document(ex.skew_system)
@@ -277,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="write a builtin system as a JSON document")
     p.add_argument("builtin", choices=BUILTINS)
     p.add_argument("--formulation", choices=("jacobi", "operator"), default="operator")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p.add_argument("--order", type=int, default=builtin.DEFAULT_ORDER)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_export, text=_export_text)
 

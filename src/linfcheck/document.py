@@ -28,13 +28,15 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .brackets import SKEW, SYMMETRIC, BracketSystem
 from .errors import DocumentError
 from .grading import BasisVector, Element, GradedSpace
-from .series import Series
-from .superspace import DeltaSpec
+
+if TYPE_CHECKING:  # the operator modules load only for a "delta" section
+    from .series import Series
+    from .superspace import DeltaSpec
 
 SCHEMA_VERSION = "1"
 
@@ -61,6 +63,8 @@ def _series_to_json(series: Series) -> list[str]:
 
 
 def _series_from_json(data: Any) -> Series:
+    from .series import Series
+
     if not isinstance(data, list) or not data:
         raise DocumentError("a series is a non-empty array of rationals")
     return Series(tuple(_coeff_from_json(c) for c in data))
@@ -181,6 +185,8 @@ def document_to_system(doc: dict) -> tuple[BracketSystem, DeltaSpec | None]:
 
 
 def _delta_from_json(data: dict) -> DeltaSpec:
+    from .superspace import DeltaSpec
+
     n_bosons = _require(data, "bosons", int, "delta")
     f = _require(data, "f", list, "delta")
     g = _require(data, "g", list, "delta")

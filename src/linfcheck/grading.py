@@ -16,13 +16,15 @@ fixed here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Rational = Union[int, Fraction]
+
+# arity bound of a bracket table, and of the bundled examples, unless one is given
+DEFAULT_MAX_ARITY = 10
 
 
 def _exact(value: Rational) -> Rational:
@@ -124,28 +126,30 @@ def _unshuffles(i: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def desuspension_sign(w_degrees: Sequence[int]) -> int:
+    """Sign relating an n-ary skew bracket to its degree-shifted companion.
+
+    ``w_degrees`` are the degrees of the inputs on the shifted side.  The
+    factor is the global (-1)^(n(n-1)/2) times (-1)^d for each raising
+    operator moved past an element of degree d, right to left across the
+    tensor factors.  The same factor converts in either direction.
+    """
+    n = len(w_degrees)
+    exponent = n * (n - 1) // 2
+    exponent += sum((n - 1 - pos) * d for pos, d in enumerate(w_degrees))
+    return -1 if exponent % 2 else 1
+
+
 # ---------------------------------------------------------------------------
 # graded spaces and their elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BasisVector:
+class BasisVector(NamedTuple):
     """A named generator of a graded vector space."""
 
     space_id: str
     name: str
     degree: int
-
-    def __post_init__(self) -> None:
-        # vectors key every table and element; hash the fields once
-        object.__setattr__(self, "_hash", hash((self.space_id, self.name, self.degree)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuild from the fields: str hashes differ from process to process
-        return (BasisVector, (self.space_id, self.name, self.degree))
 
     @property
     def parity(self) -> int:

@@ -12,7 +12,6 @@ functional equations in integers, independently of the closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -21,14 +20,21 @@ from typing import Iterable
 from .grading import Rational, _as_fraction
 
 
-@dataclass(frozen=True)
 class Series:
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
+    def __init__(self, coeffs: Iterable[Rational]):
+        self.coeffs: tuple[Fraction, ...] = tuple(_as_fraction(c) for c in coeffs)
         if not self.coeffs:
             raise ValueError("a series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(_as_fraction(c) for c in self.coeffs))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Series):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     # -- constructors -------------------------------------------------------
 

@@ -43,12 +43,14 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 from operator import add, itemgetter, sub
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .brackets import SYMMETRIC, BracketSystem, canonical_tuples
 from .errors import ConsistencyError, TruncationError
 from .grading import BasisVector, Element, GradedSpace, Rational, int_if_integral
 from .series import Series
+
+if TYPE_CHECKING:
+    from .brackets import BracketSystem
 
 EPS_LOWER = {(1, 2): -1, (2, 1): 1}   # eps_{ab}
 EPS_UPPER = {(1, 2): 1, (2, 1): -1}   # eps^{ab}, inverse to eps_{ab}
@@ -102,6 +104,10 @@ def _merge_fermions(a: tuple[int, ...], b: tuple[int, ...]):
     return (-1 if crossings % 2 else 1), merged
 
 
+# _merge_fermions on every pair of theta blocks, for the multiplication loops
+_MERGED = {(a, b): _merge_fermions(a, b) for a in _THETA_BLOCKS for b in _THETA_BLOCKS}
+
+
 def _theta_derivative(fermions: tuple[int, ...], alpha: int):
     """Left derivative on the theta block: sign and remaining factors,
     or None when theta_alpha is absent."""
@@ -146,7 +152,7 @@ class SuperPoly(Element):
         out: dict[SuperMonomial, Rational] = {}
         for ma, ca in self._terms.items():
             for mb, cb in other._terms.items():
-                merged = _merge_fermions(ma.fermions, mb.fermions)
+                merged = _MERGED[ma.fermions, mb.fermions]
                 if merged is None:
                     continue
                 sign, fermions = merged
@@ -236,7 +242,7 @@ class DeltaSpec:
             return (int_if_integral(Fraction(total, 2)), (gamma,)) if total else None
 
         # D0 = theta_a h^a(d/dx)
-        pieces = [(action(lambda block: _merge_fermions((alpha,), block)),
+        pieces = [(action(lambda block: _MERGED[(alpha,), block]),
                    _taylor_table(series), None) for alpha, series in zip((1, 2), self.h)]
         for alpha, row in zip((1, 2), self.g):  # D1 = x_i g^i_a(d/dx) d/dtheta_a
             derive = action(lambda block: _theta_derivative(block, alpha))
@@ -363,8 +369,8 @@ def koszul_bracket(spec: DeltaSpec, inputs: Sequence[BasisVector]) -> Element:
     for j, alpha in enumerate(thetas):
         grown = []
         for sign, inside, outside in splits:
-            s_in, t_in = _merge_fermions(inside, (alpha,)) or (0, inside)
-            s_out, t_out = _merge_fermions((alpha,), outside) or (0, outside)
+            s_in, t_in = _MERGED[inside, (alpha,)] or (0, inside)
+            s_out, t_out = _MERGED[(alpha,), outside] or (0, outside)
             grown += [(sign * s_in, t_in, outside), ((-1) ** j * sign * s_out, inside, t_out)]
         splits = grown
     out, terms = {}, _derivative_terms(m)
@@ -373,7 +379,7 @@ def koszul_bracket(spec: DeltaSpec, inputs: Sequence[BasisVector]) -> Element:
             coeff = (-1) ** (sum(m) - total) * sign * weight
             image = spec.delta_monomial(spec._key(inside, tuple(map(sub, m, reduced))))
             for (fermions, bosons), value in image.items():
-                if merged := _merge_fermions(outside, fermions):
+                if merged := _MERGED[outside, fermions]:
                     key = spec._key(merged[1], tuple(map(add, reduced, bosons)))
                     out[key] = out.get(key, 0) + merged[0] * coeff * value
     return linear_element(spec, SuperPoly(spec.n_bosons, out))
@@ -399,6 +405,8 @@ def linear_element(spec: DeltaSpec, poly: SuperPoly) -> Element:
 def brackets_from_delta(spec: DeltaSpec, max_arity: int) -> BracketSystem:
     """Tabulate the operator's brackets over canonical tuples through
     ``max_arity`` into a symmetric system on the operator's space."""
+    from .brackets import SYMMETRIC, BracketSystem, canonical_tuples
+
     entries = []
     for n in range(0, max_arity + 1):
         for tup in canonical_tuples(spec.space, SYMMETRIC, n):

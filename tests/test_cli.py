@@ -1,12 +1,18 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linfcheck import cli
+import linfcheck
+from linfcheck import builtin, cli, series, superspace
 from linfcheck.builtin import b_closed, example1_system, example2_system
 from linfcheck.cli import main
 from linfcheck.document import load_document, save_document, system_to_document
@@ -395,3 +401,53 @@ def test_mutated_documents_keep_the_exit_code_contract(exported, data):
     assert "Traceback" not in err.getvalue()
     assert "internal error" not in err.getvalue(), err.getvalue()
     assert code != 1 or loaded
+
+
+# runs one command in a fresh interpreter and prints the modules it loaded
+_MODULES_SCRIPT = ("import sys; from linfcheck.cli import main; code = main(sys.argv[1:]); "
+                   "print(*sorted(sys.modules), file=sys.stderr); sys.exit(code)")
+
+
+@pytest.mark.parametrize("argv, needed, unused", [
+    (("coefficients", "b", "10", "--check"), {"linfcheck.series"},
+     {"linfcheck.brackets", "linfcheck.superspace", "linfcheck.document", "dataclasses"}),
+    (("verify", "{skew}"), {"linfcheck.brackets", "linfcheck.document"},
+     {"linfcheck.superspace", "linfcheck.series", "dataclasses"}),
+    (("verify", "example1"), {"linfcheck.brackets"},
+     {"linfcheck.superspace", "linfcheck.series", "dataclasses"}),
+], ids=["coefficients", "verify-document", "verify-builtin"])
+def test_a_command_imports_only_what_it_runs(tmp_path, argv, needed, unused):
+    skew = tmp_path / "skew.json"
+    save_document(system_to_document(example1_system().skew_system), skew)
+    src = Path(linfcheck.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _MODULES_SCRIPT, *(a.format(skew=skew) for a in argv)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stderr.split())
+    assert needed <= loaded
+    assert not unused & loaded
+
+
+def test_commands_resolve_engine_functions_when_called(capsys, monkeypatch):
+    calls = Counter()
+    for module, name in ((series, "g_series"), (builtin, "example2_system"),
+                         (superspace, "delta_squared_check")):
+        def counting(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    assert run(capsys, "coefficients", "b", "6", "--check")[0] == 0
+    assert run(capsys, "delta-check", "example2", "--degree", "2")[0] == 0
+    assert calls == {"g_series": 1, "example2_system": 1, "delta_squared_check": 1}
+
+
+def test_package_names_resolve_on_first_access():
+    namespace = {}
+    exec("from linfcheck import *", namespace)
+    assert set(linfcheck.__all__) <= set(namespace) & set(dir(linfcheck))
+    assert namespace["g_series"] is series.g_series
+    with pytest.raises(AttributeError):
+        linfcheck.no_such_name

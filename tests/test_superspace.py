@@ -292,20 +292,18 @@ def test_delta_squared_constant_g_identity_passes():
 def _delta_squared_oracle(spec, degree_bound):
     """The double loop over ``delta_monomial`` that composed the operator
     with itself before ``delta_squared_check`` went through ``apply_delta``;
-    each image comes from a fresh copy of the spec, so no cache is read."""
-
-    def image(mono):
-        return replace(spec).delta_monomial(mono)
-
+    each scanned monomial's images come from a fresh copy of the spec, so no
+    cache the scan fills is read."""
     checked = 0
     for fermions in _SECTORS:
         for bosons in product(range(degree_bound + 1), repeat=spec.n_bosons):
             if sum(bosons) > degree_bound:
                 continue
             mono = SuperMonomial(fermions, bosons)
+            fresh = replace(spec)
             acc = {}
-            for mid, c1 in image(mono).items():
-                for final, c2 in image(mid).items():
+            for mid, c1 in fresh.delta_monomial(mono).items():
+                for final, c2 in fresh.delta_monomial(mid).items():
                     acc[final] = acc.get(final, 0) + c1 * c2
             checked += 1
             residue = {m: c for m, c in acc.items() if c}

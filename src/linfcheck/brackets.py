@@ -222,11 +222,12 @@ def first_difference(
     """First discrepancy between two systems through the given arity.
 
     Returns ``None`` when they agree, otherwise a tuple
-    ``(arity, key, value_a, value_b)`` (``key`` is None for a space or
-    symmetry mismatch).
+    ``(arity, key, value_a, value_b)``.  Systems on different spaces or of
+    different symmetry have no table entries to compare: ``ValueError``.
     """
     if a.space != b.space or a.symmetry != b.symmetry:
-        return (0, None, a.space, b.space)
+        raise ValueError(f"cannot compare a {a.symmetry} system on {a.space!r} "
+                         f"with a {b.symmetry} system on {b.space!r}")
     for n in range(0, max_arity + 1):
         ta = a.tables.get(n, {})
         tb = b.tables.get(n, {})

@@ -153,6 +153,9 @@ def cmd_compare(args) -> dict:
         raise DocumentError(
             "compare needs both a symmetric system and a 'delta' section"
         )
+    if symmetric.space != delta.space:
+        raise DocumentError(f"the brackets are declared on {symmetric.space!r}, but the "
+                            f"operator acts on {delta.space!r}")
     n_max = min(args.max_arity, symmetric.max_arity)
     _require_bound("--max-arity", n_max, 0)
     try:
@@ -169,7 +172,7 @@ def cmd_compare(args) -> dict:
               "images": delta.images_computed}
     if diff is not None:
         arity, key, declared, recovered = diff
-        report.update(arity=arity, inputs=None if key is None else [v.name for v in key],
+        report.update(arity=arity, inputs=[v.name for v in key],
                       declared=str(declared), recovered=str(recovered))
     return report
 
@@ -179,9 +182,7 @@ def _compare_text(report: dict):
         yield ("PASS: operator brackets match the declared tables through "
                f"arity {report['max_arity']}")
         return
-    inputs = report["inputs"]
-    where = "space/symmetry" if inputs is None else "(" + ", ".join(inputs) + ")"
-    yield f"FAIL at arity {report['arity']}, inputs {where}:"
+    yield f"FAIL at arity {report['arity']}, inputs ({', '.join(report['inputs'])}):"
     yield f"  declared:  {report['declared']}"
     yield f"  recovered: {report['recovered']}"
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -197,12 +197,6 @@ class GradedSpace:
             return self._by_name[name]
         except KeyError:
             raise ValueError(f"no generator named {name!r} in {self.space_id!r}") from None
-
-    def __iter__(self) -> Iterator[BasisVector]:
-        return iter(self.generators)
-
-    def __contains__(self, vector: BasisVector) -> bool:
-        return vector in self._index
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedSpace):

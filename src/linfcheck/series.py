@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import add
 from typing import Iterable
 
 from .grading import Rational, _as_fraction
@@ -87,14 +88,9 @@ class Series:
 
     # -- ring operations (results live at the smallest input order) ----------
 
-    def _aligned(self, other: "Series") -> tuple[int, "Series", "Series"]:
-        n = min(self.order, other.order)
-        return n, self.truncate(n), other.truncate(n)
-
     def __add__(self, other):
         if isinstance(other, Series):
-            n, a, b = self._aligned(other)
-            return Series(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+            return Series(tuple(map(add, self.coeffs, other.coeffs)))
         value = _as_fraction(other)
         return Series((self.coeffs[0] + value,) + self.coeffs[1:])
 
@@ -111,13 +107,13 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, Series):
-            n, a, b = self._aligned(other)
+            n = min(self.order, other.order)
             out = [Fraction(0)] * (n + 1)
-            for i, ci in enumerate(a.coeffs):
+            for i, ci in enumerate(self.coeffs[: n + 1]):
                 if not ci:
                     continue
                 for j in range(n + 1 - i):
-                    cj = b.coeffs[j]
+                    cj = other.coeffs[j]
                     if cj:
                         out[i + j] += ci * cj
             return Series(tuple(out))

@@ -131,19 +131,6 @@ class SuperPoly(Element):
     def n_bosons(self) -> int:
         return self.space_id
 
-    @classmethod
-    def one(cls, n_bosons: int) -> "SuperPoly":
-        return cls.basis(SuperMonomial((), (0,) * n_bosons))
-
-    @classmethod
-    def theta(cls, alpha: int, n_bosons: int) -> "SuperPoly":
-        return cls.basis(SuperMonomial((alpha,), (0,) * n_bosons))
-
-    @classmethod
-    def boson(cls, i: int, n_bosons: int) -> "SuperPoly":
-        exps = tuple(1 if k == i - 1 else 0 for k in range(n_bosons))
-        return cls.basis(SuperMonomial((), exps))
-
     def __mul__(self, other):
         if not isinstance(other, SuperPoly):
             return self.__rmul__(other)
@@ -211,10 +198,19 @@ class DeltaSpec:
             raise ValueError("the degree selection rule forces h to vanish")
 
     @cached_property
+    def generators(self) -> dict[BasisVector, SuperMonomial]:
+        """Each generator of W with its monomial, in the order theta1, theta2,
+        x1 .. xN; the space and bracket extraction read their names from here."""
+        zero = (0,) * self.n_bosons
+        table = {BasisVector("W", f"theta{a}", -1): SuperMonomial((a,), zero) for a in (1, 2)}
+        for i in range(self.n_bosons):
+            x_i = SuperMonomial((), zero[:i] + (1,) + zero[i + 1 :])
+            table[BasisVector("W", f"x{i + 1}", 0)] = x_i
+        return table
+
+    @cached_property
     def space(self) -> GradedSpace:
-        gens = [BasisVector("W", f"theta{a}", -1) for a in (1, 2)]
-        gens += [BasisVector("W", f"x{i}", 0) for i in range(1, self.n_bosons + 1)]
-        return GradedSpace("W", gens)
+        return GradedSpace("W", self.generators)
 
     @cached_property
     def coefficient_order(self) -> int:
@@ -335,14 +331,6 @@ def apply_delta(spec: DeltaSpec, poly: SuperPoly) -> SuperPoly:
 # brackets extracted from the operator
 # ---------------------------------------------------------------------------
 
-def _generator_poly(spec: DeltaSpec, vector: BasisVector) -> SuperPoly:
-    if vector.space_id != spec.space.space_id or vector not in spec.space:
-        raise ValueError(f"{vector!r} is not a generator of the operator's space")
-    if vector.name.startswith("theta"):
-        return SuperPoly.theta(int(vector.name[5:]), spec.n_bosons)
-    return SuperPoly.boson(int(vector.name[1:]), spec.n_bosons)
-
-
 def koszul_bracket(spec: DeltaSpec, inputs: Sequence[BasisVector]) -> Element:
     """n-th bracket of the operator: the n-fold graded commutator with the
     left multiplications by the inputs, applied to 1.
@@ -357,9 +345,11 @@ def koszul_bracket(spec: DeltaSpec, inputs: Sequence[BasisVector]) -> Element:
     it.  Each image of D is one cached ``delta_monomial`` lookup.  The result
     must be linear in the generators; anything else signals malformed data.
     """
-    thetas, m = [], (0,) * spec.n_bosons
+    table, thetas, m = spec.generators, [], (0,) * spec.n_bosons
     for vector in inputs:
-        (((fermions, bosons), _),) = _generator_poly(spec, vector).items()
+        if vector not in table:
+            raise ValueError(f"{vector!r} is not a generator of the operator's space")
+        fermions, bosons = table[vector]
         thetas, m = thetas + list(fermions), tuple(map(add, m, bosons))
     # Each odd input goes inside D (appended to theta_T) or outside it
     # (prepended to theta_out, with eps_T's factor); a split keeps its sign
@@ -388,17 +378,13 @@ def koszul_bracket(spec: DeltaSpec, inputs: Sequence[BasisVector]) -> Element:
 def linear_element(spec: DeltaSpec, poly: SuperPoly) -> Element:
     """Read a polynomial that is linear in the generators back as an element
     of the operator's space; anything else raises :class:`ConsistencyError`."""
-    terms: dict[BasisVector, Rational] = {}
-    for mono, coeff in poly.items():
-        if len(mono.fermions) == 1 and mono.boson_degree == 0:
-            vector = spec.space.generator(f"theta{mono.fermions[0]}")
-        elif not mono.fermions and mono.boson_degree == 1:
-            vector = spec.space.generator(f"x{mono.bosons.index(1) + 1}")
-        else:
-            raise ConsistencyError(
-                f"bracket value is not linear in the generators: {poly}"
-            )
-        terms[vector] = terms.get(vector, 0) + coeff
+    vectors = {mono: vector for vector, mono in spec.generators.items()}
+    try:
+        terms = {vectors[mono]: coeff for mono, coeff in poly.items()}
+    except KeyError:
+        raise ConsistencyError(
+            f"bracket value is not linear in the generators: {poly}"
+        ) from None
     return Element(spec.space.space_id, terms)
 
 

@@ -434,3 +434,7 @@ def test_first_difference_reports_location(ex1):
     assert key == (t2, x, x)
     assert right.is_zero() and not left.is_zero()
     assert first_difference(W, W, 10) is None
+    # systems on different spaces or of different symmetry have nothing to compare
+    for other in (ex1.skew_system, BracketSystem.from_entries(W.space, SKEW, [])):
+        with pytest.raises(ValueError, match="cannot compare"):
+            first_difference(W, other, 8)

@@ -169,6 +169,34 @@ def test_compare_on_a_curved_operator_is_a_document_error(capsys, tmp_path):
     assert code == 0 and out.startswith("PASS")
 
 
+def test_compare_rejects_a_frame_mismatch_before_rebuilding(capsys, tmp_path, monkeypatch):
+    # example1's operator document with its space reversed or renamed: the
+    # declared brackets live on another space than the operator's
+    calls = Counter()
+
+    def counting(*args, _original=superspace.brackets_from_delta, **kwargs):
+        calls["brackets_from_delta"] += 1
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(superspace, "brackets_from_delta", counting)
+    ex = example1_system()
+    for frame in ("reversed", "renamed"):
+        doc = system_to_document(ex.symmetric_system, ex.delta_spec)
+        if frame == "reversed":
+            doc["space"]["generators"].reverse()
+        else:
+            doc["space"]["id"] = "U"
+        path = tmp_path / f"{frame}.json"
+        save_document(doc, path)
+        symmetric, delta = load_document(path)
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, "compare", str(path), "--max-arity", "8", *extra)
+            assert (code, out) == (2, ""), frame
+            assert err.startswith("error:") and len(err.splitlines()) == 1, frame
+            assert repr(symmetric.space) in err and repr(delta.space) in err, frame
+    assert calls == {}
+
+
 def test_delta_check_builtins(capsys):
     code, out, _ = run(capsys, "delta-check", "example1", "--degree", "12")
     assert code == 0

@@ -25,7 +25,6 @@ from linfcheck.superspace import (
     delta_squared_check,
     koszul_bracket,
     EPS_LOWER,
-    _generator_poly,
     _merge_fermions,
     _theta_derivative,
     linear_element,
@@ -86,9 +85,9 @@ def test_monomial_validation():
 
 
 def test_supercommutative_product():
-    t1 = SuperPoly.theta(1, 1)
-    t2 = SuperPoly.theta(2, 1)
-    x = SuperPoly.boson(1, 1)
+    t1 = SuperPoly.basis(SuperMonomial((1,), (0,)))
+    t2 = SuperPoly.basis(SuperMonomial((2,), (0,)))
+    x = SuperPoly.basis(SuperMonomial((), (1,)))
     assert t1 * t2 == -1 * (t2 * t1)
     assert (t1 * t1).is_zero()
     assert x * t1 == t1 * x
@@ -133,7 +132,7 @@ def test_superpoly_arithmetic_laws(data):
     assert p * (q + r) == p * q + p * r
     assert (q + r) * p == q * p + r * p
     assert (p - p).is_zero()
-    for other in (SuperPoly.one(1), SuperPoly(3), Element("W")):
+    for other in (SuperPoly.basis(SuperMonomial((), (0,))), SuperPoly(3), Element("W")):
         with pytest.raises(ValueError):
             p + other
         with pytest.raises(ValueError):
@@ -141,7 +140,8 @@ def test_superpoly_arithmetic_laws(data):
 
 
 def test_left_theta_derivative_signs():
-    ((mono, coeff),) = (SuperPoly.theta(1, 1) * SuperPoly.theta(2, 1)).items()
+    t1, t2 = (SuperPoly.basis(SuperMonomial((a,), (0,))) for a in (1, 2))
+    ((mono, coeff),) = (t1 * t2).items()
     assert (mono.fermions, coeff) == ((1, 2), 1)
     assert _theta_derivative(mono.fermions, 1) == (1, (2,))
     assert _theta_derivative(mono.fermions, 2) == (-1, (1,))
@@ -162,16 +162,18 @@ def test_three_theta_derivatives_annihilate_everything():
 
 def test_apply_delta_on_unit():
     no_h = _one_boson_spec(f1=-1, g1=1, g2=1)
-    assert apply_delta(no_h, SuperPoly.one(1)).is_zero()
+    assert apply_delta(no_h, SuperPoly.basis(SuperMonomial((), (0,)))).is_zero()
     with_h = _one_boson_spec(h1=Fraction(2), h2=-3)
-    image = apply_delta(with_h, SuperPoly.one(1))
-    expected = 2 * SuperPoly.theta(1, 1) + (-3) * SuperPoly.theta(2, 1)
+    image = apply_delta(with_h, SuperPoly.basis(SuperMonomial((), (0,))))
+    t1, t2 = (SuperPoly.basis(SuperMonomial((a,), (0,))) for a in (1, 2))
+    expected = 2 * t1 + (-3) * t2
     assert image == expected
 
 
 def test_apply_delta_example1_theta1(ex1):
     spec = ex1.delta_spec
-    assert apply_delta(spec, SuperPoly.theta(1, 1)) == SuperPoly.boson(1, 1)
+    theta1 = SuperPoly.basis(SuperMonomial((1,), (0,)))
+    assert apply_delta(spec, theta1) == SuperPoly.basis(SuperMonomial((), (1,)))
 
 
 def test_apply_delta_is_linear(ex1):
@@ -578,6 +580,26 @@ def test_bracket_values_are_always_generator_linear():
             koszul_bracket(spec, tup)  # must not raise
 
 
+@pytest.mark.parametrize("n_bosons", [1, 2, 3, 4])
+def test_generator_table_is_the_frame_of_the_operator(n_bosons):
+    zero = Series.zero(4)
+    spec = DeltaSpec(n_bosons, (zero, zero), ((zero,) * n_bosons,) * 2, (zero, zero))
+    units = [tuple(int(k == i) for k in range(n_bosons)) for i in range(n_bosons)]
+    expected = [(BasisVector("W", f"theta{a}", -1), SuperMonomial((a,), (0,) * n_bosons))
+                for a in (1, 2)]
+    expected += [(BasisVector("W", f"x{i + 1}", 0), SuperMonomial((), unit))
+                 for i, unit in enumerate(units)]
+    assert list(spec.generators.items()) == expected
+    assert tuple(spec.generators) == spec.space.generators
+    for vector, mono in spec.generators.items():
+        assert linear_element(spec, SuperPoly.basis(mono)) == Element.basis(vector)
+    # a valid name with the wrong space id or degree, or an index beyond N
+    for foreign in (BasisVector("V", "x1", 0), BasisVector("W", "theta1", 0),
+                    BasisVector("W", f"x{n_bosons + 1}", 0)):
+        with pytest.raises(ValueError, match="not a generator of the operator's space"):
+            koszul_bracket(spec, (foreign,))
+
+
 def test_linear_element_rejects_higher_terms(ex1):
     from linfcheck.superspace import linear_element
 
@@ -588,7 +610,7 @@ def test_linear_element_rejects_higher_terms(ex1):
     pair = SuperPoly.basis(SuperMonomial((1, 2), (0,)))
     with pytest.raises(ConsistencyError):
         linear_element(spec, pair)
-    assert linear_element(spec, SuperPoly.theta(2, 1)) == Element.basis(
+    assert linear_element(spec, SuperPoly.basis(SuperMonomial((2,), (0,)))) == Element.basis(
         spec.space.generator("theta2")
     )
 
@@ -611,8 +633,11 @@ def _koszul_bracket_oracle(spec, inputs):
 
     op, parity = (lambda w: apply_delta(spec, w)), 1
     for vector in inputs:
-        op, parity = commute(op, parity, _generator_poly(spec, vector), vector.parity)
-    return linear_element(spec, op(SuperPoly.one(spec.n_bosons)))
+        if vector not in spec.generators:
+            raise ValueError(f"{vector!r} is not a generator of the operator's space")
+        z = SuperPoly.basis(spec.generators[vector])
+        op, parity = commute(op, parity, z, vector.parity)
+    return linear_element(spec, op(SuperPoly.basis(SuperMonomial((), (0,) * spec.n_bosons))))
 
 
 def _outcome(bracket, spec, inputs):

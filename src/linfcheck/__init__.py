@@ -15,8 +15,8 @@ _HOME = {
     name: module
     for module, names in {
         "brackets": ("SKEW", "SYMMETRIC", "BracketSystem", "JacobiReport",
-                     "desuspend_system", "first_difference", "jacobi_defect",
-                     "jacobi_summands", "suspend_system", "verify_jacobi"),
+                     "desuspend_system", "first_difference", "jacobi_summands",
+                     "suspend_system", "verify_jacobi"),
         "builtin": ("ExampleSystems", "b_closed", "c1_closed", "c1_recursive",
                     "c2_daily", "example1_system", "example2_system",
                     "theta_sector_sign"),
@@ -25,10 +25,10 @@ _HOME = {
                     "koszul_sign", "perm_sign", "unshuffles"),
         "series": ("Series", "g_series", "lambert_w_series", "nilcheck_one_boson",
                    "solve_f1", "solve_g2", "wronskian"),
-        "superspace": ("DeltaSpec", "DeltaSquaredReport", "NilpotencyReport",
-                       "SuperMonomial", "SuperPoly", "apply_delta",
-                       "brackets_from_delta", "delta_squared_check",
-                       "koszul_bracket", "nilpotency_conditions"),
+        "superspace": ("DeltaSpec", "DeltaSquaredReport", "SuperMonomial",
+                       "SuperPoly", "apply_delta", "brackets_from_delta",
+                       "delta_squared_check", "koszul_bracket",
+                       "nilpotency_conditions"),
     }.items()
     for name in names
 }

@@ -288,11 +288,6 @@ def _split_defect(system: BracketSystem, inputs: Sequence[BasisVector]):
     return defect, {i: part for i, part in parts.items() if not part.is_zero()}
 
 
-def jacobi_defect(system: BracketSystem, inputs: Sequence[BasisVector]) -> Element:
-    """Left-hand side of the arity-n generalized Jacobi identity."""
-    return _split_defect(system, inputs)[0]
-
-
 class ArityCheck(NamedTuple):
     arity: int
     inputs_checked: int
@@ -312,12 +307,6 @@ class JacobiReport(NamedTuple):
     @property
     def passed(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def first_failure(self) -> ArityCheck | None:
-        for check in self.checks:
-            if not check.ok:
-                return check
-        return None
 
 
 def verify_jacobi(system: BracketSystem, n_max: int) -> JacobiReport:
@@ -350,85 +339,56 @@ def verify_jacobi(system: BracketSystem, n_max: int) -> JacobiReport:
 # the degree-shift functor between the two symmetries
 # ---------------------------------------------------------------------------
 
-def _shift_space(
-    space: GradedSpace, like: GradedSpace | None, down: bool
-) -> tuple[GradedSpace, dict[BasisVector, BasisVector]]:
-    """Build the shifted space and the generator map, preserving order."""
-    degrees = {g.degree for g in space.generators}
-    expected = {0, 1} if down else {-1, 0}
-    if not degrees <= expected:
+def _shift_system(system: BracketSystem) -> BracketSystem:
+    """The system on the shifted space, generators mapped in order.  The
+    symmetry sets the direction: skew goes down to "W", symmetric up to "V"."""
+    down = system.symmetry == SKEW
+    prefixes = {0: "theta", 1: "x"} if down else {-1: "v", 0: "w"}  # by degree
+    degrees = {g.degree for g in system.space.generators}
+    if not degrees <= prefixes.keys():
         raise ValueError(
             f"degree shift is implemented for spaces concentrated in degrees "
-            f"{sorted(expected)}, got {sorted(degrees)}"
+            f"{sorted(prefixes)}, got {sorted(degrees)}"
         )
-    if like is not None:
-        if len(like.generators) != len(space.generators):
-            raise ValueError("target space has the wrong number of generators")
-        mapping = {}
-        for old, new in zip(space.generators, like.generators):
-            if new.degree != old.degree + (-1 if down else 1):
-                raise ValueError(
-                    f"target generator {new.name} has degree {new.degree}, "
-                    f"incompatible with {old.name}"
-                )
-            mapping[old] = new
-        return like, mapping
-    shift = -1 if down else 1
-    target_id = "W" if down else "V"
-    odd_prefix, even_prefix = ("theta", "x") if down else ("v", "w")
+    target_id, shift = ("W", -1) if down else ("V", 1)
     mapping = {}
-    counters = {0: 0, 1: 0, -1: 0}
-    for g in space.generators:
-        counters[g.degree] += 1
-        prefix = odd_prefix if g.degree == (0 if down else -1) else even_prefix
-        mapping[g] = BasisVector(target_id, f"{prefix}{counters[g.degree]}", g.degree + shift)
-    new_space = GradedSpace(target_id, (mapping[g] for g in space.generators))
-    return new_space, mapping
-
-
-def _shift_system(
-    system: BracketSystem, like: GradedSpace | None, down: bool
-) -> BracketSystem:
-    space, mapping = _shift_space(system.space, like, down)
+    for g in system.space.generators:
+        number = 1 + sum(h.degree == g.degree for h in mapping)
+        mapping[g] = BasisVector(target_id, f"{prefixes[g.degree]}{number}", g.degree + shift)
     entries = []
-    for n, table in system.tables.items():
+    for table in system.tables.values():
         for key, output in table.items():
             new_key = tuple(mapping[v] for v in key)
-            w_degrees = [v.degree for v in (new_key if down else key)]
-            sign = desuspension_sign(w_degrees)
+            sign = desuspension_sign([v.degree for v in (new_key if down else key)])
             new_output = Element(
-                space.space_id,
+                target_id,
                 {mapping[v]: sign * c for v, c in output.items()},
             )
             entries.append((new_key, new_output))
     return BracketSystem.from_entries(
-        space,
+        GradedSpace(target_id, mapping.values()),
         SYMMETRIC if down else SKEW,
         entries,
         max_arity=system.max_arity,
     )
 
 
-def desuspend_system(
-    system: BracketSystem, like: GradedSpace | None = None
-) -> BracketSystem:
+def desuspend_system(system: BracketSystem) -> BracketSystem:
     """Convert a skew hierarchy on degrees {0, 1} into the symmetric
     degree-+1 hierarchy on the shifted space (degrees {-1, 0}).
 
     The shifted space has id "W".  Degree-0 generators map, in order, to
     odd generators named theta1, theta2, ...; degree-1 generators to even
-    ones named x1, x2, ...  Pass ``like`` to reuse an existing shifted space
-    instead.
+    ones named x1, x2, ...
     """
     if system.symmetry != SKEW:
         raise ValueError("can only desuspend a skew system")
-    return _shift_system(system, like, down=True)
+    return _shift_system(system)
 
 
-def suspend_system(
-    system: BracketSystem, like: GradedSpace | None = None
-) -> BracketSystem:
-    """Inverse of :func:`desuspend_system`, onto a space with id "V"."""
+def suspend_system(system: BracketSystem) -> BracketSystem:
+    """Inverse of :func:`desuspend_system` up to generator names, onto a space
+    with id "V": v1, v2, ... (degree -1) and w1, w2, ... (degree 0), in order."""
     if system.symmetry != SYMMETRIC:
         raise ValueError("can only suspend a symmetric system")
-    return _shift_system(system, like, down=False)
+    return _shift_system(system)

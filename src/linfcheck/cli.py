@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -108,15 +109,15 @@ def cmd_delta_check(args) -> dict:
         raise DocumentError("delta-check needs operator data (a 'delta' section)")
     _require_bound("--degree", args.degree, 0)
     report = delta_squared_check(delta, args.degree)
-    conditions = nilpotency_conditions(delta)
-    residuals, residual_orders = {}, {}
-    for label, group in conditions.groups():
+    residuals, residual_orders, all_zero = {}, {}, True
+    for label, group in nilpotency_conditions(delta).items():
         residuals[label] = {key: "0" if series.is_zero() else str(series)
                             for key, series in group.items()}
         residual_orders[label] = {key: series.order for key, series in group.items()}
+        all_zero = all_zero and all(series.is_zero() for series in group.values())
     return {
         "command": "delta-check",
-        "pass": report.passed and conditions.all_zero,
+        "pass": report.passed and all_zero,
         "degree": args.degree,
         "order": delta.coefficient_order,
         "monomials_checked": report.monomials_checked,
@@ -313,13 +314,18 @@ def main(argv=None) -> int:
             text = json.dumps(report.get("document", report), indent=2)
         else:
             text = "\n".join(args.text(report))
+        print(text)
+        sys.stdout.flush()
     except (DocumentError, TruncationError, ConsistencyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE
+    except BrokenPipeError:  # no verdict was read; the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the report was written", file=sys.stderr)
         return USAGE
     except Exception as exc:  # a bug must not read as exit 1, "checked and false"
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE
-    print(text)
     return PASS if report["pass"] else FAIL
 
 

@@ -143,6 +143,8 @@ def document_to_system(doc: dict) -> tuple[BracketSystem, DeltaSpec | None]:
         name = _require(gen, "name", str, "generator")
         degree = _require(gen, "degree", int, "generator")
         generators.append(BasisVector(space_id, name, degree))
+    if not generators:  # no tuple to check at any arity
+        raise DocumentError("space needs at least one generator")
     try:
         space = GradedSpace(space_id, generators)
     except ValueError as exc:

@@ -247,9 +247,6 @@ class Element:
     def items(self):
         return self._terms.items()
 
-    def coefficient(self, vector: BasisVector) -> Rational:
-        return self._terms.get(vector, 0)
-
     def is_zero(self) -> bool:
         return not self._terms
 

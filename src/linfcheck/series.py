@@ -82,8 +82,10 @@ class Series:
         return Series(self.coeffs[: order + 1])
 
     def __repr__(self) -> str:
-        shown = ", ".join(str(c) for c in self.coeffs[:8])
-        tail = ", ..." if self.order >= 8 else ""
+        # at least eight coefficients, and always through the first nonzero one
+        count = max(8, 1 + next((k for k, c in enumerate(self.coeffs) if c), 0))
+        shown = ", ".join(str(c) for c in self.coeffs[:count])
+        tail = ", ..." if self.order >= count else ""
         return f"Series([{shown}{tail}], order={self.order})"
 
     # -- ring operations (results live at the smallest input order) ----------

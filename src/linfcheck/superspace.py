@@ -80,10 +80,6 @@ class SuperMonomial(tuple):
     fermions = property(itemgetter(0))
     bosons = property(itemgetter(1))
 
-    @property
-    def boson_degree(self) -> int:
-        return sum(self.bosons)
-
     def __repr__(self) -> str:
         parts = [f"theta{a}" for a in self.fermions]
         parts += [
@@ -270,7 +266,7 @@ class DeltaSpec:
         cached = self._images.get(mono)
         if cached is not None:
             return cached
-        degree = mono.boson_degree
+        degree = sum(mono.bosons)
         if degree > self.coefficient_order:
             raise TruncationError(
                 f"monomial of even degree {degree} needs series coefficients "
@@ -469,45 +465,18 @@ def delta_squared_check(spec: DeltaSpec, degree_bound: int) -> DeltaSquaredRepor
     return DeltaSquaredReport(True, checked, None, None)
 
 
-@dataclass(frozen=True)
-class NilpotencyReport:
-    """The three series-level conditions equivalent to the operator squaring
-    to zero, as labelled residual series.
+def nilpotency_conditions(spec: DeltaSpec) -> dict[str, dict[str, Series]]:
+    """Evaluate the three series-level conditions equivalent to the operator
+    squaring to zero, as residual series by condition and label:
 
     ``closure``      g^i_c f^c + d_j(g^i_a) eps^{ab} g^j_b, per even index i;
     ``h_transport``  f^a h^c eps_{cb} + d_i(h^a) g^i_b, per pair (a, b);
     ``h_pairing``    g^i_a h^a, per even index i.
 
-    With the momentum shift enabled, the parts of the first and third
-    conditions proportional to a single momentum appear under the label
-    ``p-term``.
-    """
-
-    closure: dict[str, Series]
-    h_transport: dict[str, Series]
-    h_pairing: dict[str, Series]
-
-    @property
-    def all_zero(self) -> bool:
-        return all(
-            series.is_zero()
-            for group in (self.closure, self.h_transport, self.h_pairing)
-            for series in group.values()
-        )
-
-    def groups(self):
-        yield "closure", self.closure
-        yield "h_transport", self.h_transport
-        yield "h_pairing", self.h_pairing
-
-
-def nilpotency_conditions(spec: DeltaSpec) -> NilpotencyReport:
-    """Evaluate the three nilpotency conditions at series level.
-
     With every generating function a series in the total momentum P (plus the
     optional shift p_i inside g), all condition components reduce to series
     in P, except for a piece of the first and third conditions proportional
-    to p_i whose coefficient is reported separately.
+    to p_i, whose coefficient appears under the label ``p-term``.
     """
     order = spec.coefficient_order
     if order < 1:
@@ -517,13 +486,7 @@ def nilpotency_conditions(spec: DeltaSpec) -> NilpotencyReport:
     f, h = spec.f, spec.h
     gamma = spec.g  # series parts of g
 
-    def column_sum(beta: int) -> Series:
-        total = Series.zero(order)
-        for i in range(spec.n_bosons):
-            total = total + gamma[beta - 1][i]
-        return total
-
-    col = {beta: column_sum(beta) for beta in (1, 2)}
+    col = {beta: sum(gamma[beta - 1], Series.zero(order)) for beta in (1, 2)}
 
     closure: dict[str, Series] = {}
     for i in range(1, spec.n_bosons + 1):
@@ -559,4 +522,4 @@ def nilpotency_conditions(spec: DeltaSpec) -> NilpotencyReport:
     if shift:
         h_pairing["p-term"] = h[0] + h[1]
 
-    return NilpotencyReport(closure, h_transport, h_pairing)
+    return {"closure": closure, "h_transport": h_transport, "h_pairing": h_pairing}

@@ -18,7 +18,6 @@ from linfcheck.brackets import (
     desuspend_system,
     desuspension_sign,
     first_difference,
-    jacobi_defect,
     jacobi_summands,
     suspend_system,
     verify_jacobi,
@@ -121,8 +120,8 @@ def test_defect_arity_one_is_l1_squared(ex1):
     V = ex1.skew_system
     v1, w = _gens(V, "v1", "w")
     assert V.evaluate([v1]) == Element.basis(w)
-    assert jacobi_defect(V, (v1,)) == V.evaluate([w])
-    assert jacobi_defect(V, (v1,)).is_zero()
+    assert _split_defect(V, (v1,))[0] == V.evaluate([w])
+    assert _split_defect(V, (v1,))[0].is_zero()
 
 
 def test_jacobi_example1_passes(ex1):
@@ -135,19 +134,19 @@ def test_jacobi_example1_defect_zero_on_larger_tuples(ex1):
     V = ex1.skew_system
     v1, v2, w = _gens(V, "v1", "v2", "w")
     for n in range(3, 9):
-        assert jacobi_defect(V, (v1, v2) + (w,) * (n - 2)).is_zero()
+        assert _split_defect(V, (v1, v2) + (w,) * (n - 2))[0].is_zero()
     # tuples skipped by the canonical enumeration are still identically zero
-    assert jacobi_defect(V, (v1, v1, w)).is_zero()
+    assert _split_defect(V, (v1, v1, w))[0].is_zero()
 
 
 def test_jacobi_mutated_c4_fails_at_the_documented_tuple():
     mutated = example1_system(c_values={4: 1})
     V = mutated.skew_system
     v1, v2, w = _gens(V, "v1", "v2", "w")
-    defect = jacobi_defect(V, (v1, v2, w, w))
+    defect = _split_defect(V, (v1, v2, w, w))[0]
     assert not defect.is_zero()
     report = verify_jacobi(V, 4)
-    failure = report.first_failure()
+    failure = next(check for check in report.checks if not check.ok)
     assert failure.arity == 4
     assert failure.counterexample == (v1, v2, w, w)
 
@@ -276,14 +275,15 @@ def _assert_matches_oracle(system, n_max):
 
 
 def _assert_pair_defects_exact(system, n_max):
-    """The pair-summed defect equals ``jacobi_defect`` on every canonical tuple."""
+    """The pair-summed defect equals the unshuffle-sum defect on every
+    canonical tuple."""
     defects = _pair_defects(system, n_max)
     space = system.space
     for n in range(1, n_max + 1):
         for tup in canonical_tuples(space, SKEW, n):
             summed = defects[n].get(tuple(space.index(v) for v in tup), {})
             value = Element(space.space_id, {space.generators[k]: c for k, c in summed.items()})
-            assert value == jacobi_defect(system, tup), tup
+            assert value == _split_defect(system, tup)[0], tup
 
 
 def _assert_evaluate_follows_canonical_key(system, n_max):
@@ -303,11 +303,11 @@ _COEFFS = st.one_of(st.integers(-2, 2),
 
 
 @st.composite
-def _random_skew_systems(draw, max_arity=5):
-    """Random tables on two to four generators of degrees -1 .. 2: odd
-    generators repeat in the keys, and a degree-2 generator admits arity-0
-    entries."""
-    degrees = draw(st.lists(st.sampled_from((0, 1, 0, 1, 2, -1)), min_size=2, max_size=4))
+def _random_skew_systems(draw, max_arity=5, grading=(0, 1, 0, 1, 2, -1), min_size=2):
+    """Random tables on ``min_size`` to four generators with degrees drawn
+    from ``grading``, by default -1 .. 2: odd generators repeat in the keys,
+    and a degree-2 generator admits arity-0 entries."""
+    degrees = draw(st.lists(st.sampled_from(grading), min_size=min_size, max_size=4))
     space = GradedSpace("V", (BasisVector("V", f"e{k}", d) for k, d in enumerate(degrees)))
     entries = []
     for n in range(max_arity + 1):
@@ -398,15 +398,40 @@ def test_desuspended_tables_match_published_values(ex1, ex2):
         assert W2.evaluate([th] + tail) == expected
 
 
+def _by_position(system):
+    """A system with its generators replaced by their positions: the degrees,
+    and each table entry keyed by index tuple with coefficients by index."""
+    index = system.space.index
+    tables = {
+        n: {tuple(map(index, key)): {index(v): c for v, c in output.items()}
+            for key, output in table.items()}
+        for n, table in system.tables.items() if table
+    }
+    return [g.degree for g in system.space.generators], system.symmetry, tables
+
+
+def _assert_round_trip(system):
+    """Raising the lowered system gives the system back up to generator
+    names, and lowering it again gives exactly the first lowered system."""
+    lowered = desuspend_system(system)
+    raised = suspend_system(lowered)
+    assert _by_position(raised) == _by_position(system)
+    assert desuspend_system(raised) == lowered
+
+
 def test_round_trip_through_the_shift(ex1, ex2):
     for system in (ex1.skew_system, ex2.skew_system):
-        lowered = desuspend_system(system)
-        raised = suspend_system(lowered, like=system.space)
-        assert raised == system
+        _assert_round_trip(system)
     # and the symmetric side round-trips too
     lowered = ex1.symmetric_system
     raised = suspend_system(lowered)
-    assert desuspend_system(raised, like=lowered.space) == lowered
+    assert desuspend_system(raised) == lowered
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_skew_systems(grading=(0, 1), min_size=1))
+def test_round_trip_through_the_shift_on_random_systems(system):
+    _assert_round_trip(system)
 
 
 def test_shift_requires_the_two_band_grading():
@@ -415,6 +440,18 @@ def test_shift_requires_the_two_band_grading():
     system = BracketSystem.from_entries(space, SKEW, [])
     with pytest.raises(ValueError):
         desuspend_system(system)
+    # a symmetric space must sit in degrees -1 and 0 to be raised
+    b = BasisVector("W", "b", 1)
+    system = BracketSystem.from_entries(GradedSpace("W", (b,)), SYMMETRIC, [])
+    with pytest.raises(ValueError, match=r"concentrated in degrees \[-1, 0\], got \[1\]"):
+        suspend_system(system)
+
+
+def test_shift_direction_follows_the_symmetry(ex1):
+    with pytest.raises(ValueError, match="can only desuspend a skew system"):
+        desuspend_system(ex1.symmetric_system)
+    with pytest.raises(ValueError, match="can only suspend a symmetric system"):
+        suspend_system(ex1.skew_system)
 
 
 def test_first_difference_reports_location(ex1):

@@ -61,6 +61,17 @@ def test_verify_zero_system_passes(capsys, tmp_path):
     assert code == 0
 
 
+def test_verify_on_a_space_without_generators_is_a_usage_error(capsys, tmp_path):
+    doc = {"version": "1", "space": {"id": "V", "generators": []},
+           "symmetry": "skew", "max_arity": 4, "brackets": []}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    for flags in ((), ("--json",)):
+        code, out, err = run(capsys, "verify", str(path), *flags)
+        assert (code, out) == (2, ""), flags
+        assert err.startswith("error:") and "at least one generator" in err
+
+
 def test_verify_ignores_arity_zero_entries(capsys, tmp_path):
     # l0 = c (c of degree 2) could pair with l2(a, c) = c into an arity-1
     # term on (a); the Jacobi sum starts at inner arity 1, so the only
@@ -225,6 +236,18 @@ def test_delta_check_mutated_fails_with_witness(capsys, tmp_path):
                          f"{payload['witness']}: {payload['residue']}")
     pairing = next(line for line in lines if line.startswith("residual h_pairing[i=1]"))
     assert f"(order {payload['residual_orders']['h_pairing']['i=1']})" in pairing
+
+
+def test_delta_check_shows_a_late_nonzero_residual_coefficient(capsys, tmp_path):
+    # C_15 = 5 leaves the closure residual zero below index 13
+    mutated = example1_system(c_values={15: 5})
+    path = tmp_path / "late.json"
+    save_document(system_to_document(mutated.symmetric_system, mutated.delta_spec), path)
+    code, out, _ = run(capsys, "delta-check", str(path), "--degree", "8", "--json")
+    residual = json.loads(out)["residuals"]["closure"]["i=1"]
+    assert code == 1
+    assert residual.startswith("Series([" + "0, " * 13) and residual.endswith(", ...], order=32)")
+    assert residual.split(", ")[13] != "0"
 
 
 def test_delta_check_requires_operator_data(capsys, tmp_path):
@@ -429,6 +452,22 @@ def test_mutated_documents_keep_the_exit_code_contract(exported, data):
     assert "Traceback" not in err.getvalue()
     assert "internal error" not in err.getvalue(), err.getvalue()
     assert code != 1 or loaded
+
+
+@pytest.mark.parametrize("argv", [("coefficients", "b", "1000"), ("export", "example2")],
+                         ids=["coefficients", "export"])
+def test_a_closed_stdout_is_a_usage_error(argv):
+    # the reader takes 10 bytes of a report far larger than a pipe buffer
+    src = Path(linfcheck.__file__).resolve().parents[1]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "linfcheck.cli", *argv], env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.read(10)
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 2, err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 # runs one command in a fresh interpreter and prints the modules it loaded

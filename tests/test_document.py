@@ -76,6 +76,12 @@ def test_bad_documents_are_rejected(tmp_path, ex1):
     with pytest.raises(DocumentError):
         document_to_system(bad_symmetry)
 
+    # a space without generators has no tuple to check at any arity
+    empty_space = {"version": "1", "space": {"id": "V", "generators": []},
+                   "symmetry": "skew", "max_arity": 4, "brackets": []}
+    with pytest.raises(DocumentError, match="at least one generator"):
+        document_to_system(empty_space)
+
     # a number where an object belongs, and a bool where an int belongs
     for mangle in (
         lambda d: d["space"]["generators"].__setitem__(0, 5),

@@ -131,7 +131,8 @@ def _first_unkilled_count(spec):
 
 
 def _first_jacobi_failure(skew):
-    failure = verify_jacobi(skew, MAX_ARITY).first_failure()
+    checks = verify_jacobi(skew, MAX_ARITY).checks
+    failure = next((check for check in checks if not check.ok), None)
     return None if failure is None else failure.arity
 
 
@@ -173,7 +174,7 @@ def _first_residual_degree(spec):
     degree scan reaches it."""
     degrees = [
         k + (key == "p-term")
-        for _, group in nilpotency_conditions(spec).groups()
+        for group in nilpotency_conditions(spec).values()
         for key, series in group.items()
         for k, coeff in enumerate(series.coeffs)
         if coeff

@@ -159,9 +159,9 @@ def test_element_arithmetic_and_pruning():
     b = BasisVector("V", "b", 1)
     e = Element("V", {a: Fraction(1, 2), b: 2})
     f = Element("V", {a: Fraction(-1, 2)})
-    assert (e + f).coefficient(a) == 0
+    assert a not in dict((e + f).items())
     assert (e + f) == Element("V", {b: 2})
-    assert (2 * f).coefficient(a) == -1
+    assert dict((2 * f).items())[a] == -1
     assert (e - e).is_zero()
     assert Element("V", {a: 0}).is_zero()
     with pytest.raises(ValueError):

@@ -77,6 +77,16 @@ def test_argument_errors():
         p[9]
 
 
+def test_repr_shows_the_first_nonzero_coefficient():
+    assert repr(Series.x(3)) == "Series([0, 1, 0, 0], order=3)"
+    assert repr(Series.x(9)) == "Series([0, 1, 0, 0, 0, 0, 0, 0, ...], order=9)"
+    assert repr(Series.zero(9)) == "Series([0, 0, 0, 0, 0, 0, 0, 0, ...], order=9)"
+    late = Series([0] * 13 + [Fraction(-3, 7)] + [0] * 19)
+    assert repr(late) == f"Series([{'0, ' * 13}-3/7, ...], order=32)"
+    last = Series([0] * 9 + [5])
+    assert repr(last) == f"Series([{'0, ' * 9}5], order=9)"
+
+
 @given(series_strategy(), series_strategy(), series_strategy())
 @settings(max_examples=50, deadline=None)
 def test_ring_axioms(a, b, c):

@@ -9,7 +9,7 @@ Two symmetry types are supported:
 
 Tables are keyed by canonically ordered input tuples; evaluation on any
 input order multiplies by the sign the declared symmetry dictates.  Swapping
-two adjacent inputs a, b contributes
+two adjacent inputs a, b contributes (``grading.sort_sign``)
 
     skew:       -(-1)^(parity(a) * parity(b))
     symmetric:   (-1)^(parity(a) * parity(b))
@@ -42,6 +42,7 @@ from .grading import (
     int_if_integral,
     koszul_sign,
     perm_sign,
+    sort_sign,
     unshuffles,
 )
 
@@ -49,18 +50,11 @@ SKEW = "skew"
 SYMMETRIC = "symmetric"
 
 
-def _swap_factor(symmetry: str, a: BasisVector, b: BasisVector) -> int:
-    both_odd = a.parity and b.parity
-    if symmetry == SKEW:
-        return 1 if both_odd else -1
-    return -1 if both_odd else 1
-
-
-def _forces_zero(symmetry: str, key: Sequence[BasisVector]) -> bool:
-    for a, b in zip(key, key[1:]):
-        if a == b and (a.parity == 0 if symmetry == SKEW else a.parity == 1):
-            return True
-    return False
+def _vanishes(position: Sequence[int], odd: Sequence[int], skew: bool) -> bool:
+    """Whether the symmetry forces a bracket to vanish on sorted indices: an
+    input repeats and swapping it with itself would flip the sign (see
+    ``sort_sign``)."""
+    return any(a == b and odd[a] != skew for a, b in zip(position, position[1:]))
 
 
 def canonical_key(
@@ -71,27 +65,22 @@ def canonical_key(
     Returns ``(key, sign)``; ``key`` is None (with sign 0) when the declared
     symmetry forces the bracket to vanish on these inputs.
     """
-    items = [(space.index(v), v) for v in inputs]
-    sign = 1
-    for k in range(1, len(items)):
-        j = k
-        while j > 0 and items[j - 1][0] > items[j][0]:
-            sign *= _swap_factor(symmetry, items[j - 1][1], items[j][1])
-            items[j - 1], items[j] = items[j], items[j - 1]
-            j -= 1
-    key = tuple(v for _, v in items)
-    if _forces_zero(symmetry, key):
+    position = list(space.indices(inputs))
+    skew = symmetry == SKEW
+    sign = sort_sign(position, space.parities, skew)
+    if _vanishes(position, space.parities, skew):
         return None, 0
-    return key, sign
+    return tuple(map(space.generators.__getitem__, position)), sign
 
 
 def canonical_tuples(
     space: GradedSpace, symmetry: str, arity: int
 ) -> Iterator[tuple[BasisVector, ...]]:
     """Canonically ordered basis tuples on which the bracket can be nonzero."""
-    for tup in combinations_with_replacement(space.generators, arity):
-        if not _forces_zero(symmetry, tup):
-            yield tup
+    generators, skew = space.generators, symmetry == SKEW
+    for position in combinations_with_replacement(range(len(generators)), arity):
+        if not _vanishes(position, space.parities, skew):
+            yield tuple(map(generators.__getitem__, position))
 
 
 class BracketSystem:
@@ -167,10 +156,6 @@ class BracketSystem:
         return by_index
 
     @cached_property
-    def _odd(self) -> tuple[bool, ...]:
-        return tuple(g.parity == 1 for g in self.space.generators)
-
-    @cached_property
     def _zero(self) -> Element:
         return Element(self.space.space_id)
 
@@ -188,18 +173,7 @@ class BracketSystem:
         entry = self._by_index.get(tuple(sorted(position)))
         if entry is None:
             return self._zero
-        # the sign of canonical_key (see _swap_factor), sorting on indices
-        odd, skew = self._odd, self.symmetry == SKEW
-        position = list(position)
-        sign = 1
-        for k in range(1, n):
-            j = k
-            while j and position[j - 1] > position[j]:
-                a, b = position[j - 1], position[j]
-                if (odd[a] and odd[b]) != skew:
-                    sign = -sign
-                position[j - 1], position[j] = b, a
-                j -= 1
+        sign = sort_sign(list(position), self.space.parities, self.symmetry == SKEW)
         return entry[0] if sign == 1 else entry[1]
 
     def entry_count(self) -> int:
@@ -231,10 +205,7 @@ def first_difference(
     for n in range(0, max_arity + 1):
         ta = a.tables.get(n, {})
         tb = b.tables.get(n, {})
-        for key in sorted(
-            set(ta) | set(tb),
-            key=lambda k: tuple(a.space.index(v) for v in k),
-        ):
+        for key in sorted(set(ta) | set(tb), key=a.space.indices):
             va = ta.get(key, Element(a.space.space_id))
             vb = tb.get(key, Element(b.space.space_id))
             if va != vb:

@@ -1,7 +1,8 @@
 """JSON interchange for bracket systems and operator data.
 
-Schema (version "1"); rationals travel as strings like "3" or "-5/7",
-series as coefficient arrays indexed by power::
+Schema (version "1"); rationals travel as JSON integers or as strings of
+the form -?[0-9]+(/[0-9]+)? such as "3" or "-5/7", series as coefficient
+arrays indexed by power::
 
     {
       "version": "1",
@@ -26,6 +27,7 @@ series as coefficient arrays indexed by power::
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -39,6 +41,7 @@ if TYPE_CHECKING:  # the operator modules load only for a "delta" section
     from .superspace import DeltaSpec
 
 SCHEMA_VERSION = "1"
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _coeff_to_json(value: Fraction) -> str:
@@ -50,7 +53,9 @@ def _coeff_from_json(value: Any) -> Fraction:
         raise DocumentError(f"coefficients must be exact strings, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
+    # Fraction alone also reads " 3 ", "3_000", "1.5" and "1e5000000", the
+    # last one taking seconds; on these forms int's digit limit applies
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -87,7 +92,7 @@ def system_to_document(
     }
     for n in sorted(system.tables):
         table = system.tables[n]
-        for key in sorted(table, key=lambda k: tuple(system.space.index(v) for v in k)):
+        for key in sorted(table, key=system.space.indices):
             output = table[key]
             doc["brackets"].append(
                 {

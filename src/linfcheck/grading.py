@@ -81,6 +81,26 @@ def unshuffles(i: int, n: int) -> list[tuple[int, ...]]:
     return list(_unshuffles(i, n))
 
 
+def sort_sign(position: list[int], odd: Sequence[int], skew: bool) -> int:
+    """Sort ``position`` in place by adjacent swaps; return the reordering sign.
+
+    ``odd[k]`` is the parity of index k.  Swapping adjacent inputs a, b flips
+    the sign unless both are odd for skew inputs, and exactly when both are
+    odd for symmetric ones: the sign sgn * Koszul of the skew brackets and the
+    Koszul sign of the symmetric ones.
+    """
+    sign = 1
+    for k in range(1, len(position)):
+        j = k
+        while j and position[j - 1] > position[j]:
+            a, b = position[j - 1], position[j]
+            if (odd[a] and odd[b]) != skew:
+                sign = -sign
+            position[j - 1], position[j] = b, a
+            j -= 1
+    return sign
+
+
 # The Jacobi scan asks for the same few permutations over and over (2^n
 # unshuffles at arity n, on a handful of degree patterns), so the three
 # functions above answer from bounded caches keyed on tuples.
@@ -88,11 +108,7 @@ def unshuffles(i: int, n: int) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=4096)
 def _perm_sign(sigma: tuple[int, ...]) -> int:
     sigma = check_permutation(sigma)
-    n = len(sigma)
-    inversions = sum(
-        1 for k in range(n) for l in range(k + 1, n) if sigma[k] > sigma[l]
-    )
-    return -1 if inversions % 2 else 1
+    return sort_sign([s - 1 for s in sigma], (0,) * len(sigma), skew=True)
 
 
 @lru_cache(maxsize=4096)
@@ -102,15 +118,7 @@ def _koszul_sign(sigma: tuple[int, ...], degrees: tuple[int, ...]) -> int:
         raise ValueError(
             f"permutation length {len(sigma)} != number of degrees {len(degrees)}"
         )
-    odd = [degrees[s - 1] % 2 for s in sigma]  # parities in permuted order
-    n = len(sigma)
-    crossings = sum(
-        1
-        for k in range(n)
-        for l in range(k + 1, n)
-        if sigma[k] > sigma[l] and odd[k] and odd[l]
-    )
-    return -1 if crossings % 2 else 1
+    return sort_sign([s - 1 for s in sigma], [d % 2 for d in degrees], skew=False)
 
 
 @lru_cache(maxsize=256)
@@ -172,19 +180,12 @@ class GradedSpace:
             raise ValueError("duplicate generator names")
         self.space_id = space_id
         self.generators = generators
+        self.parities = tuple(g.parity for g in generators)
         self._index = {g: k for k, g in enumerate(generators)}
         self._by_name = {g.name: g for g in generators}
 
-    def index(self, vector: BasisVector) -> int:
-        try:
-            return self._index[vector]
-        except KeyError:
-            raise ValueError(
-                f"{vector!r} is not a generator of space {self.space_id!r}"
-            ) from None
-
     def indices(self, vectors: Iterable[BasisVector]) -> tuple[int, ...]:
-        """``index`` of each vector, in order."""
+        """The position of each vector in ``generators``, in order."""
         try:
             return tuple(map(self._index.__getitem__, vectors))
         except KeyError as missing:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -24,7 +24,14 @@ from linfcheck.brackets import (
 )
 from linfcheck.builtin import c1_closed, example1_system, example2_system
 from linfcheck.errors import TruncationError
-from linfcheck.grading import BasisVector, Element, GradedSpace, koszul_sign, perm_sign
+from linfcheck.grading import (
+    BasisVector,
+    Element,
+    GradedSpace,
+    koszul_sign,
+    perm_sign,
+    sort_sign,
+)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +120,81 @@ def test_entries_canonicalized_with_sign():
     assert system.evaluate([a, b]) == -1 * Element.basis(b)
 
 
+# -- the reordering sign against pair counting -----------------------------------
+#
+# Every bracket-side reordering sign comes from ``grading.sort_sign``, which
+# sorts by adjacent swaps.  The oracle below counts pairs instead.
+
+def _pair_sign(position, odd, skew):
+    """The sign of sorting the index list ``position``, ``odd[k]`` the parity
+    of index k: -1 for each inverted pair whose swap flips the sign, and 0
+    when an input repeats and its swap with itself would flip it.  A swap of
+    a, b flips the sign unless both are odd (skew), or exactly when both are
+    odd (symmetric)."""
+    sign = 1
+    for k, a in enumerate(position):
+        for b in position[k + 1:]:
+            flips = bool(odd[a] and odd[b]) != skew
+            if flips and a == b:
+                return 0
+            if flips and a > b:
+                sign = -sign
+    return sign
+
+
+def _space(degrees):
+    return GradedSpace("V", (BasisVector("V", f"e{k}", d) for k, d in enumerate(degrees)))
+
+
+_DEGREES = st.lists(st.integers(-1, 2), min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DEGREES.flatmap(lambda degrees: st.tuples(
+    st.just(degrees), st.lists(st.integers(0, len(degrees) - 1), max_size=7))),
+    st.booleans())
+def test_sort_sign_and_canonical_key_count_pairs(drawn, skew):
+    degrees, position = drawn
+    odd = [d % 2 for d in degrees]
+    expected = _pair_sign(position, odd, skew)
+    ordered = list(position)
+    sign = sort_sign(ordered, odd, skew)
+    assert ordered == sorted(position)
+    if expected:  # sort_sign leaves the vanishing to its callers
+        assert sign == expected
+    space = _space(degrees)
+    key, sign = canonical_key(space, SKEW if skew else SYMMETRIC,
+                              [space.generators[k] for k in position])
+    assert sign == expected
+    assert key == (None if expected == 0 else tuple(space.generators[k] for k in ordered))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-1, 2), min_size=1, max_size=3), st.integers(0, 7), st.booleans())
+def test_canonical_tuples_are_the_sorted_tuples_with_a_sign(degrees, arity, skew):
+    odd = [d % 2 for d in degrees]
+    space = _space(degrees)
+    expected = [
+        tuple(space.generators[k] for k in p)
+        for p in product(range(len(degrees)), repeat=arity)
+        if list(p) == sorted(p) and _pair_sign(p, odd, skew)
+    ]
+    assert list(canonical_tuples(space, SKEW if skew else SYMMETRIC, arity)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(
+    st.permutations(range(1, n + 1)), st.lists(st.integers(-2, 2), min_size=n, max_size=n))))
+def test_perm_and_koszul_signs_count_pairs(drawn):
+    sigma, degrees = drawn
+    position = [s - 1 for s in sigma]
+    odd = [d % 2 for d in degrees]
+    assert perm_sign(sigma) == _pair_sign(position, [0] * len(sigma), skew=True)
+    assert koszul_sign(sigma, degrees) == _pair_sign(position, odd, skew=False)
+    # their product is the skew sign on inputs of these degrees
+    assert perm_sign(sigma) * koszul_sign(sigma, degrees) == _pair_sign(position, odd, skew=True)
+
+
 # -- Jacobi identities ---------------------------------------------------------
 
 def test_defect_arity_one_is_l1_squared(ex1):
@@ -197,7 +279,7 @@ def _pair_defects(system, n_max):
     1 .. n_max on the canonical tuples T = sorted(a + t) that some triple
     (A, g, B) reaches, all as generator indices.  Arity-0 entries take no
     part: the unshuffle sum starts at inner arity i = 1."""
-    index = system.space.index
+    index = system.space.generators.index
     odd = [g.parity for g in system.space.generators]
     entries = [
         (tuple(index(v) for v in key), [(index(v), c) for v, c in output.items()])
@@ -281,20 +363,24 @@ def _assert_pair_defects_exact(system, n_max):
     space = system.space
     for n in range(1, n_max + 1):
         for tup in canonical_tuples(space, SKEW, n):
-            summed = defects[n].get(tuple(space.index(v) for v in tup), {})
+            summed = defects[n].get(space.indices(tup), {})
             value = Element(space.space_id, {space.generators[k]: c for k, c in summed.items()})
             assert value == _split_defect(system, tup)[0], tup
 
 
 def _assert_evaluate_follows_canonical_key(system, n_max):
-    """``evaluate`` on every ordering of every canonical tuple is the stored
-    entry at ``canonical_key``, times its sign."""
+    """On every ordering of every canonical tuple, ``canonical_key`` gives
+    the tuple and the pair-counted sign, and ``evaluate`` the stored entry on
+    the tuple times that sign."""
+    space, skew = system.space, system.symmetry == SKEW
+    odd = [g.degree % 2 for g in space.generators]
     for n in range(n_max + 1):
-        for tup in canonical_tuples(system.space, system.symmetry, n):
+        for tup in canonical_tuples(space, system.symmetry, n):
+            entry = system.tables.get(n, {}).get(tup)
             for order in set(permutations(tup)):
-                key, sign = canonical_key(system.space, system.symmetry, order)
-                entry = system.tables.get(n, {}).get(key)
-                expected = Element(system.space.space_id) if entry is None else sign * entry
+                sign = _pair_sign(space.indices(order), odd, skew)
+                assert canonical_key(space, system.symmetry, order) == (tup, sign)
+                expected = Element(space.space_id) if entry is None else sign * entry
                 assert system.evaluate(order) == expected, order
 
 
@@ -308,7 +394,7 @@ def _random_skew_systems(draw, max_arity=5, grading=(0, 1, 0, 1, 2, -1), min_siz
     from ``grading``, by default -1 .. 2: odd generators repeat in the keys,
     and a degree-2 generator admits arity-0 entries."""
     degrees = draw(st.lists(st.sampled_from(grading), min_size=min_size, max_size=4))
-    space = GradedSpace("V", (BasisVector("V", f"e{k}", d) for k, d in enumerate(degrees)))
+    space = _space(degrees)
     entries = []
     for n in range(max_arity + 1):
         keys = list(canonical_tuples(space, SKEW, n))
@@ -401,7 +487,7 @@ def test_desuspended_tables_match_published_values(ex1, ex2):
 def _by_position(system):
     """A system with its generators replaced by their positions: the degrees,
     and each table entry keyed by index tuple with coefficients by index."""
-    index = system.space.index
+    index = system.space.generators.index
     tables = {
         n: {tuple(map(index, key)): {index(v): c for v, c in output.items()}
             for key, output in table.items()}

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -45,6 +46,45 @@ def test_verify_mutated_document_fails_with_counterexample(capsys, tmp_path):
     assert (code, failure["counterexample"]) == (1, ["v1", "v2", "w", "w"])
     assert failure["summands"] == {"1": "w", "2": "2*w", "3": "-w"}
     assert failure["defect"] == "2*w"
+
+
+def _arity_results(capsys, path):
+    code, out, _ = run(capsys, "verify", str(path), "--max-arity", "6", "--json")
+    arities = json.loads(out)["arities"]
+    return code, [check["ok"] for check in arities], \
+        {check["arity"]: check["tuples"] for check in arities if check["ok"]}
+
+
+@pytest.mark.parametrize("example, index, value", [
+    ("example1", None, None), ("example2", None, None),
+    # the seed-1 mutants of the benchmark's mutants workload
+    ("example1", 4, -22), ("example1", 5, 7), ("example1", 6, 25),
+    ("example2", 2, 22), ("example2", 3, 19), ("example2", 4, -25),
+])
+def test_verify_does_not_depend_on_the_generator_order(capsys, tmp_path, example, index, value):
+    """Listing the generators of a skew document in another order is a change
+    of basis, and changes no verdict.  The entries stay as written, so most
+    keys are out of order in the new basis and are sorted, with their signs,
+    on loading.  A passing arity checks the same number of canonical tuples,
+    which depends only on the degrees; a failing one may stop at another."""
+    changes = {} if index is None else {index: value}
+    if example == "example1":
+        system = example1_system(c_values=changes).skew_system
+    else:
+        system = example2_system(b_values=changes).skew_system
+    doc = system_to_document(system)
+    path = tmp_path / "doc.json"
+    save_document(doc, path)
+    expected = _arity_results(capsys, path)
+    assert expected[0] == (0 if index is None else 1)
+    generators = doc["space"]["generators"]
+    rng = random.Random(f"{example}{index}")
+    for _ in range(3):
+        shuffled = generators[:]
+        while shuffled == generators:
+            rng.shuffle(shuffled)
+        save_document(dict(doc, space=dict(doc["space"], generators=shuffled)), path)
+        assert _arity_results(capsys, path) == expected, shuffled
 
 
 def test_verify_zero_system_passes(capsys, tmp_path):

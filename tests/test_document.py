@@ -67,6 +67,14 @@ def test_bad_documents_are_rejected(tmp_path, ex1):
     with pytest.raises(DocumentError):
         document_to_system(float_coeff)
 
+    # strings Fraction reads but the schema's -?[0-9]+(/[0-9]+)? does not; the
+    # last would take seconds to parse
+    for text in (" 3 ", "3_000", "1.5", "1e5000000"):
+        odd_coeff = json.loads(json.dumps(base))
+        odd_coeff["brackets"][0]["output"][0]["coeff"] = text
+        with pytest.raises(DocumentError, match="bad rational"):
+            document_to_system(odd_coeff)
+
     unknown_gen = json.loads(json.dumps(base))
     unknown_gen["brackets"][0]["inputs"] = ["bogus"]
     with pytest.raises(DocumentError):
@@ -103,6 +111,11 @@ def test_bad_documents_are_rejected(tmp_path, ex1):
         mangled["delta"][key] = value
         with pytest.raises(DocumentError):
             document_to_system(mangled)
+    # series coefficients read through the same rule
+    series_coeff = json.loads(json.dumps(with_delta))
+    series_coeff["delta"]["f"][0][0] = "1.5"
+    with pytest.raises(DocumentError, match="bad rational"):
+        document_to_system(series_coeff)
 
     missing = tmp_path / "missing.json"
     with pytest.raises(DocumentError):

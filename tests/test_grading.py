@@ -146,10 +146,10 @@ def test_space_lookup_and_foreign_vector():
     a = BasisVector("V", "a", 0)
     b = BasisVector("V", "b", 1)
     space = GradedSpace("V", (a, b))
-    assert space.index(b) == 1
+    assert space.indices([b, a]) == (1, 0)
     assert space.generator("a") == a
     with pytest.raises(ValueError):
-        space.index(BasisVector("V", "c", 0))
+        space.indices([BasisVector("V", "c", 0)])
     with pytest.raises(ValueError):
         GradedSpace("V", (a, BasisVector("U", "u", 0)))
 

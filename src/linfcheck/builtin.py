@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 from .grading import (
     DEFAULT_MAX_ARITY,
+    DEFAULT_ORDER,
     BasisVector,
     Element,
     GradedSpace,
@@ -30,8 +31,6 @@ from .grading import (
 if TYPE_CHECKING:
     from .brackets import BracketSystem
     from .superspace import DeltaSpec
-
-DEFAULT_ORDER = 32
 
 
 class ExampleSystems:

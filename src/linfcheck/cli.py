@@ -20,14 +20,21 @@ import json
 import os
 import sys
 from fractions import Fraction
+from importlib import import_module
 from types import SimpleNamespace
 
-from . import builtin
 from .errors import ConsistencyError, DocumentError, TruncationError
+from .grading import DEFAULT_ORDER
+
+
+def _module(name: str):
+    """The package's module ``name``, imported by the first route that needs it."""
+    return import_module(f"{__package__}.{name}")
+
 
 BUILTINS = {
-    "example1": lambda order: builtin.example1_system(order=order),
-    "example2": lambda order: builtin.example2_system(order=order),
+    "example1": lambda order: _module("builtin").example1_system(order=order),
+    "example2": lambda order: _module("builtin").example2_system(order=order),
 }
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -39,7 +46,7 @@ def _load_input(name: str, order: int | None = None):
     document has no such part. ``order`` is the series order of a builtin
     (default DEFAULT_ORDER); a builtin builds each part on first access."""
     if name in BUILTINS:
-        return BUILTINS[name](builtin.DEFAULT_ORDER if order is None else order)
+        return BUILTINS[name](DEFAULT_ORDER if order is None else order)
     if order is not None:
         raise DocumentError("--order applies to builtin inputs only; "
                             "a document carries its own series orders")
@@ -188,25 +195,20 @@ def _compare_text(report: dict):
     yield f"  recovered: {report['recovered']}"
 
 
-def _series():
-    """The series module, imported by the first route that needs it."""
-    from . import series
-
-    return series
-
-
 # which -> (first index, printed value, independent route given the bound);
 # --check cross-validates each printed value against the route, and each
 # series is generated once, to the bound
 COEFFICIENTS = {
-    "c1": (3, lambda n: builtin.c1_closed(n), lambda n_max: builtin.c1_recursive),
-    "c2": (3, lambda n: builtin.c2_daily(n),
-           lambda n_max: lambda n: builtin.theta_sector_sign(n) * builtin.b_closed(n - 1)),
-    "b": (0, lambda n: builtin.b_closed(n),
-          lambda n_max: _series().g_series(max(n_max, 1)).taylor),
+    "c1": (3, lambda n: _module("builtin").c1_closed(n),
+           lambda n_max: _module("builtin").c1_recursive),
+    "c2": (3, lambda n: _module("builtin").c2_daily(n),
+           lambda n_max: lambda n: (_module("builtin").theta_sector_sign(n)
+                                    * _module("builtin").b_closed(n - 1))),
+    "b": (0, lambda n: _module("builtin").b_closed(n),
+          lambda n_max: _module("series").g_series(max(n_max, 1)).taylor),
     # the integer values n! * [p^n] of the inverse-of-we^w series
     "lambert": (1, lambda n: Fraction(-n) ** (n - 1),
-                lambda n_max: _series().lambert_w_series(max(n_max, 1)).taylor),
+                lambda n_max: _module("series").lambert_w_series(max(n_max, 1)).taylor),
 }
 
 
@@ -292,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="write a builtin system as a JSON document")
     p.add_argument("builtin", choices=BUILTINS)
     p.add_argument("--formulation", choices=("jacobi", "operator"), default="operator")
-    p.add_argument("--order", type=int, default=builtin.DEFAULT_ORDER)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_export, text=_export_text)
 

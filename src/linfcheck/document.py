@@ -226,6 +226,8 @@ def load_document(path: str | Path) -> tuple[BracketSystem, DeltaSpec | None]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError:  # int's limit on the digits of a JSON integer
+        raise DocumentError(f"{path} holds a number with too many digits") from None
     return document_to_system(doc)
 
 

@@ -25,6 +25,8 @@ Rational = Union[int, Fraction]
 
 # arity bound of a bracket table, and of the bundled examples, unless one is given
 DEFAULT_MAX_ARITY = 10
+# series order of the bundled examples unless one is given
+DEFAULT_ORDER = 32
 
 
 def _exact(value: Rational) -> Rational:
@@ -236,6 +238,15 @@ class Element:
             if _exact(coeff):
                 clean[key] = coeff
         self._terms = clean
+
+    @classmethod
+    def _from_exact(cls, space_id, terms: Mapping) -> "Element":
+        """An element of terms already known to be exact and of ``space_id``,
+        kept without re-checking; only the zero coefficients are dropped."""
+        element = object.__new__(cls)
+        element.space_id = space_id
+        element._terms = {key: coeff for key, coeff in terms.items() if coeff}
+        return element
 
     @staticmethod
     def _space_of(vector: BasisVector) -> str:

@@ -4,7 +4,9 @@ A ``Series`` knows its coefficients through a fixed order and nothing
 beyond; operations return a result whose order is the largest one the
 inputs can certify.  In particular the derivative of an order-N series has
 order N - 1 and an integral has order N + 1, so exactness is tracked rather
-than silently padded.  All coefficients are ``fractions.Fraction``.
+than silently padded.  All coefficients are ``fractions.Fraction``; a
+product convolves integer numerators over a common denominator and divides
+once per coefficient.
 ``from_taylor`` and ``taylor`` convert from and to the Taylor coefficients
 n! * c_n, on which ``g_series`` and ``lambert_w_series`` solve their
 functional equations in integers, independently of the closed forms.
@@ -14,8 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
-from operator import add
+from math import comb, factorial, lcm
+from operator import add, mul
 from typing import Iterable
 
 from .grading import Rational, _as_fraction
@@ -110,15 +112,11 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, Series):
             n = min(self.order, other.order)
-            out = [Fraction(0)] * (n + 1)
-            for i, ci in enumerate(self.coeffs[: n + 1]):
-                if not ci:
-                    continue
-                for j in range(n + 1 - i):
-                    cj = other.coeffs[j]
-                    if cj:
-                        out[i + j] += ci * cj
-            return Series(tuple(out))
+            a, a_den = _numerators(self.coeffs[: n + 1])
+            b, b_den = _numerators(other.coeffs[: n + 1])
+            den = a_den * b_den
+            return Series(tuple(Fraction(sum(map(mul, a[: k + 1], b[k::-1])), den)
+                                for k in range(n + 1)))
         value = _as_fraction(other)
         return Series(tuple(value * c for c in self.coeffs))
 
@@ -152,6 +150,13 @@ class Series:
                     acc += cj * out[k - j]
             out.append(-inv0 * acc)
         return Series(tuple(out))
+
+
+def _numerators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integer numerators of ``coeffs`` over the lcm of their denominators,
+    and that lcm."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 # ---------------------------------------------------------------------------

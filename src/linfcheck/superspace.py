@@ -22,7 +22,9 @@ Theta derivatives act from the left: d/dtheta_a picks up (-1)^k when
 theta_a sits behind k other thetas.  A spec builds its operator once, as a
 table of pieces that each act on the theta block and apply one series.  It
 also keeps one table of validated monomials: its images share these key
-objects, so each distinct monomial is validated once per spec.  The check
+objects, so each distinct monomial is validated once per spec.  The tables
+hold exact values of validated series, so an image is built from them
+without re-checking its coefficients.  The check
 that D squares to zero numbers the monomials it meets with dense ints, holds
 each image as a row of ids and coefficients, and sums D(D(m)) over the ids;
 only a nonzero residue is turned back into a polynomial.
@@ -38,12 +40,11 @@ outside gives a sign: -1 if even, (-1)^j if odd with j odd inputs before it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb
 from operator import add, itemgetter, sub
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import ConsistencyError, TruncationError
 from .grading import BasisVector, Element, GradedSpace, Rational, int_if_integral
@@ -155,43 +156,73 @@ class SuperPoly(Element):
 # the operator specification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+_SPEC_FIELDS = ("n_bosons", "f", "g", "h", "momentum_shift", "selection_rule")
+
+
 class DeltaSpec:
     """Generating data for the odd operator D2 + D1 + D0.
 
     ``f`` and ``h`` hold two series each, ``g[a-1][i-1]`` the series part of
     g^i_a; all are series in the total momentum.  With ``momentum_shift``
     every g^i_a additionally contains the term + p_i.  ``selection_rule``
-    asserts the degree bookkeeping that forces h to vanish.  The operator is
-    held as a table of pieces built once per spec; each monomial's image is
-    computed once and cached.  The monomials of the images come from the
-    spec's key table, which maps ``(fermions, bosons)`` to one validated
-    :class:`SuperMonomial`, so equal monomials are the same object within a
-    spec and each is validated once; a copy starts with empty tables.
+    asserts the degree bookkeeping that forces h to vanish.  A spec is
+    immutable: equality, hash and repr read these six fields only, and
+    assigning one raises.  The operator is held as a table of pieces built
+    once per spec; each monomial's image is computed once and cached.  The
+    monomials of the images come from the spec's key table, which maps
+    ``(fermions, bosons)`` to one validated :class:`SuperMonomial`, so equal
+    monomials are the same object within a spec and each is validated once;
+    a copy starts with empty tables.
     """
 
-    n_bosons: int
-    f: tuple[Series, Series]
-    g: tuple[tuple[Series, ...], tuple[Series, ...]]
-    h: tuple[Series, Series]
-    momentum_shift: bool = False
-    selection_rule: bool = False
-    _images: dict[SuperMonomial, SuperPoly] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _keys: dict[SuperMonomial, SuperMonomial] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        if self.n_bosons < 1:
+    def __init__(
+        self,
+        n_bosons: int,
+        f: tuple[Series, Series],
+        g: tuple[tuple[Series, ...], tuple[Series, ...]],
+        h: tuple[Series, Series],
+        momentum_shift: bool = False,
+        selection_rule: bool = False,
+    ):
+        if n_bosons < 1:
             raise ValueError("need at least one even generator")
-        if len(self.f) != 2 or len(self.h) != 2:
+        if len(f) != 2 or len(h) != 2:
             raise ValueError("f and h each need exactly two components")
-        if len(self.g) != 2 or any(len(row) != self.n_bosons for row in self.g):
+        if len(g) != 2 or any(len(row) != n_bosons for row in g):
             raise ValueError("g must be a 2 x n_bosons array of series")
-        if self.selection_rule and not all(s.is_zero() for s in self.h):
+        if selection_rule and not all(s.is_zero() for s in h):
             raise ValueError("the degree selection rule forces h to vanish")
+        vars(self).update(
+            n_bosons=n_bosons, f=f, g=g, h=h, momentum_shift=momentum_shift,
+            selection_rule=selection_rule,
+            _images={},  # SuperMonomial -> its image
+            _keys={},    # (fermions, bosons) -> the one validated SuperMonomial
+        )
+
+    def _fields(self) -> tuple:
+        """The six data fields, in signature order."""
+        return tuple(map(vars(self).__getitem__, _SPEC_FIELDS))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r}: a DeltaSpec is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        """copy and pickle rebuild a spec through ``__init__``, with empty tables."""
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(_SPEC_FIELDS, self._fields()))
+        return f"DeltaSpec({fields})"
 
     @cached_property
     def generators(self) -> dict[BasisVector, SuperMonomial]:
@@ -290,7 +321,7 @@ class DeltaSpec:
                     key = keys.get((block, reduced)) or self._key(block, reduced)
                     out[key] = out.get(key, 0) + sign * (weight * coeff)
 
-        image = SuperPoly(self.n_bosons, out)
+        image = SuperPoly._from_exact(self.n_bosons, out)
         self._images[mono] = image
         return image
 
@@ -366,9 +397,11 @@ def koszul_bracket(spec: DeltaSpec, inputs: Sequence[BasisVector]) -> Element:
             image = spec.delta_monomial(spec._key(inside, tuple(map(sub, m, reduced))))
             for (fermions, bosons), value in image.items():
                 if merged := _MERGED[outside, fermions]:
-                    key = spec._key(merged[1], tuple(map(add, reduced, bosons)))
+                    key = merged[1], tuple(map(add, reduced, bosons))
                     out[key] = out.get(key, 0) + merged[0] * coeff * value
-    return linear_element(spec, SuperPoly(spec.n_bosons, out))
+    # most terms cancel, so only the survivors are interned as monomials
+    terms = {spec._key(*key): value for key, value in out.items() if value}
+    return linear_element(spec, SuperPoly(spec.n_bosons, terms))
 
 
 def linear_element(spec: DeltaSpec, poly: SuperPoly) -> Element:
@@ -411,8 +444,7 @@ def _multi_indices(n_vars: int, max_total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
-class DeltaSquaredReport:
+class DeltaSquaredReport(NamedTuple):
     passed: bool
     monomials_checked: int
     witness: SuperMonomial | None = None
@@ -451,10 +483,10 @@ def delta_squared_check(spec: DeltaSpec, degree_bound: int) -> DeltaSquaredRepor
             mono = spec._key(fermions, bosons)
             i = ident(mono)
             mids, firsts = rows[i] or row(i)
-            touched = []
+            touched = set()
             for mid, c1 in zip(mids, firsts):
                 finals, seconds = rows[mid] or row(mid)
-                touched += finals
+                touched.update(finals)
                 for final, c2 in zip(finals, seconds):
                     acc[final] += c1 * c2
             checked += 1

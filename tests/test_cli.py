@@ -187,14 +187,20 @@ def test_usage_error_exits_2(capsys, tmp_path):
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"version": "1", "space": "\xe9"}')
     unwritable = tmp_path / "no-such-dir" / "x.json"
+    # a JSON integer past int's digit limit
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(system_to_document(example1_system().skew_system))
+                    .replace('"max_arity": 10', '"max_arity": ' + "9" * 5000))
     for argv, path, fragment in (
         (("export", "example1", "-o", str(unwritable)), unwritable, "cannot write"),
         (("verify", str(latin1)), latin1, "is not UTF-8 text"),
+        (("verify", str(huge)), huge, "too many digits"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), argv
         assert str(path) in err and fragment in err, argv
-        assert "internal error" not in err, argv
+        assert "internal error" not in err and "set_int_max_str_digits" not in err, argv
 
 
 def test_compare_on_a_curved_operator_is_a_document_error(capsys, tmp_path):
@@ -519,16 +525,24 @@ _MODULES_SCRIPT = ("import sys; from linfcheck.cli import main; code = main(sys.
     (("coefficients", "b", "10", "--check"), {"linfcheck.series"},
      {"linfcheck.brackets", "linfcheck.superspace", "linfcheck.document", "dataclasses"}),
     (("verify", "{skew}"), {"linfcheck.brackets", "linfcheck.document"},
-     {"linfcheck.superspace", "linfcheck.series", "dataclasses"}),
+     {"linfcheck.superspace", "linfcheck.series", "linfcheck.builtin", "dataclasses"}),
     (("verify", "example1"), {"linfcheck.brackets"},
      {"linfcheck.superspace", "linfcheck.series", "dataclasses"}),
-], ids=["coefficients", "verify-document", "verify-builtin"])
+    (("delta-check", "example2", "--degree", "2"), {"linfcheck.superspace"},
+     {"dataclasses", "inspect"}),
+    (("compare", "{operator}"), {"linfcheck.superspace", "linfcheck.document"},
+     {"linfcheck.builtin", "dataclasses", "inspect"}),
+], ids=["coefficients", "verify-document", "verify-builtin", "delta-check-builtin",
+        "compare-document"])
 def test_a_command_imports_only_what_it_runs(tmp_path, argv, needed, unused):
-    skew = tmp_path / "skew.json"
-    save_document(system_to_document(example1_system().skew_system), skew)
+    ex = example1_system()
+    skew, operator = tmp_path / "skew.json", tmp_path / "operator.json"
+    save_document(system_to_document(ex.skew_system), skew)
+    save_document(system_to_document(ex.symmetric_system, ex.delta_spec), operator)
     src = Path(linfcheck.__file__).resolve().parents[1]
     done = subprocess.run(
-        [sys.executable, "-c", _MODULES_SCRIPT, *(a.format(skew=skew) for a in argv)],
+        [sys.executable, "-c", _MODULES_SCRIPT,
+         *(a.format(skew=skew, operator=operator) for a in argv)],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
         timeout=60)
     assert done.returncode == 0, done.stderr

@@ -95,6 +95,43 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+def _mul_oracle(a, b):
+    """The Fraction double loop that multiplied series before the product
+    convolved integer numerators."""
+    n = min(a.order, b.order)
+    out = [Fraction(0)] * (n + 1)
+    for i, ci in enumerate(a.coeffs[: n + 1]):
+        if not ci:
+            continue
+        for j in range(n + 1 - i):
+            cj = b.coeffs[j]
+            if cj:
+                out[i + j] += ci * cj
+    return Series(tuple(out))
+
+
+@st.composite
+def _factors(draw):
+    """A series of order 0-12 from mixed int and Fraction values, maybe with
+    a run of zeros, read as coefficients or as Taylor coefficients."""
+    order = draw(st.integers(0, 12))
+    value = st.one_of(st.integers(-40, 40), rationals(40, 30))
+    values = draw(st.lists(value, min_size=order + 1, max_size=order + 1))
+    start = draw(st.integers(0, order + 1))
+    stop = draw(st.integers(start, order + 1))
+    values[start:stop] = [0] * (stop - start)
+    return Series.from_taylor(values) if draw(st.booleans()) else Series(values)
+
+
+@given(_factors(), _factors())
+@settings(max_examples=200, deadline=None)
+def test_product_matches_the_fraction_double_loop(a, b):
+    product, expected = a * b, _mul_oracle(a, b)
+    assert product == expected
+    assert product.order == expected.order == min(a.order, b.order)
+    assert all(type(c) is Fraction for c in product.coeffs)
+
+
 @given(series_strategy(constant=0), series_strategy(constant=0))
 @settings(max_examples=40, deadline=None)
 def test_exp_is_a_homomorphism(a, b):

@@ -1,7 +1,7 @@
 import copy
 import pickle
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
@@ -31,6 +31,7 @@ from linfcheck.superspace import (
     nilpotency_conditions,
 )
 from series_ops import from_coeffs, one
+from spec_ops import respec
 
 
 @pytest.fixture(scope="module")
@@ -302,7 +303,7 @@ def _delta_squared_oracle(spec, degree_bound):
             if sum(bosons) > degree_bound:
                 continue
             mono = SuperMonomial(fermions, bosons)
-            fresh = replace(spec)
+            fresh = respec(spec)
             acc = {}
             for mid, c1 in fresh.delta_monomial(mono).items():
                 for final, c2 in fresh.delta_monomial(mid).items():
@@ -466,7 +467,7 @@ def test_operator_image_cache_is_per_spec():
             assert intact.delta_monomial(mono) is intact.delta_monomial(mono)
             assert intact.delta_monomial(mono) == fresh.delta_monomial(mono)
     # one table of validated monomials per spec, shared by all its images
-    copied = replace(intact)
+    copied = respec(intact)
     assert copied._keys == {} and copied._images == {}
     first_seen, repeats = {}, 0
     for image in intact._images.values():
@@ -483,6 +484,73 @@ def test_operator_image_cache_is_per_spec():
     for other in (fresh, mutant, copied):
         shared = {id(k) for k in other._keys.values()} & {id(k) for k in intact._keys.values()}
         assert other._keys.keys() & intact._keys.keys() and not shared
+
+
+def _assert_images_are_exact(spec):
+    """What ``delta_monomial`` builds its images on without checking them:
+    every coefficient a nonzero int or Fraction, every key the spec's own
+    interned monomial on ``n_bosons`` exponents."""
+    assert spec._images
+    for image in spec._images.values():
+        assert type(image) is SuperPoly and image.n_bosons == spec.n_bosons
+        assert image == SuperPoly(spec.n_bosons, dict(image.items()))
+        for key, coeff in image.items():
+            assert type(coeff) in (int, Fraction) and coeff != 0
+            assert type(key) is SuperMonomial and len(key.bosons) == spec.n_bosons
+            assert spec._key(*key) is key
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_specs(), st.integers(0, 3))
+def test_images_hold_exact_nonzero_terms_on_interned_keys(spec, degree_bound):
+    delta_squared_check(spec, degree_bound)
+    _assert_images_are_exact(spec)
+
+
+def test_example2_images_hold_exact_nonzero_terms_on_interned_keys():
+    spec = example2_system().delta_spec
+    assert delta_squared_check(spec, 4).passed
+    _assert_images_are_exact(spec)
+
+
+def test_delta_spec_is_an_immutable_value():
+    zero = Series.zero(6)
+    spec = _one_boson_spec(f1=-1, g1=1, g2=1, order=6)
+    twin = respec(spec)
+    spec.delta_monomial(SuperMonomial((1, 2), (2,)))
+    assert spec._images and spec._keys and "space" not in vars(spec)
+    spec.space  # fill a cached property too
+    # the caches take no part in ==, hash and repr
+    assert spec == twin and hash(spec) == hash(twin) and repr(spec) == repr(twin)
+    assert repr(spec).startswith("DeltaSpec(n_bosons=1, f=(Series(")
+    assert "_images" not in repr(spec) and "_keys" not in repr(spec)
+    # each field takes part on its own (n_bosons cannot change without g)
+    for name, value in (("f", (zero, zero)), ("g", ((zero,), (zero,))),
+                        ("h", (Series.constant(1, 6), zero)),
+                        ("momentum_shift", True), ("selection_rule", True)):
+        assert respec(spec, **{name: value}) != spec, name
+    assert spec != _one_boson_spec(f1=-1, g1=1, g2=1, order=7)
+    # assigning or deleting a field raises, so no cache can go stale
+    for name in ("n_bosons", "f", "g", "h", "momentum_shift", "selection_rule", "_images"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, getattr(spec, name))
+        with pytest.raises(AttributeError):
+            delattr(spec, name)
+    # a copy is equal and starts with empty caches
+    for copied in (respec(spec), copy.copy(spec), copy.deepcopy(spec),
+                   pickle.loads(pickle.dumps(spec))):
+        assert copied == spec and copied._images == {} and copied._keys == {}
+        assert "space" not in vars(copied)
+    # the four checks of the constructor
+    for kwargs, message in (
+        (dict(n_bosons=0, g=((), ())), "need at least one even generator"),
+        (dict(f=(zero,)), "f and h each need exactly two components"),
+        (dict(g=((zero, zero), (zero,))), "g must be a 2 x n_bosons array"),
+        (dict(h=(Series.constant(1, 6), zero), selection_rule=True),
+         "the degree selection rule forces h to vanish"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            respec(spec, **kwargs)
 
 
 def test_delta_squared_truncation_guard(ex1):
@@ -661,7 +729,7 @@ def test_koszul_bracket_matches_the_commutator_recursion(spec, data):
     pool = spec.space.generators + (BasisVector("W", "x3", 0),)
     vectors = st.sampled_from(pool[:-1]) | st.sampled_from(pool)
     for inputs in data.draw(st.lists(st.lists(vectors, max_size=5), min_size=1, max_size=6)):
-        expected = _outcome(_koszul_bracket_oracle, replace(spec), inputs)
+        expected = _outcome(_koszul_bracket_oracle, respec(spec), inputs)
         assert _outcome(koszul_bracket, spec, inputs) == expected, inputs
 
 
@@ -695,7 +763,7 @@ def _oracle_tables(spec, max_arity):
 
 def test_brackets_from_delta_match_oracle_tables(ex1, ex2):
     for ex, max_arity in ((ex1, 8), (ex2, 6)):
-        spec = replace(ex.delta_spec)
+        spec = respec(ex.delta_spec)
         rebuilt = brackets_from_delta(spec, max_arity)
-        assert rebuilt == _oracle_tables(replace(spec), max_arity)
+        assert rebuilt == _oracle_tables(respec(spec), max_arity)
         assert rebuilt.entry_count() > 0

@@ -78,11 +78,6 @@ class Series:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def truncate(self, order: int) -> "Series":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} series to {order}")
-        return Series(self.coeffs[: order + 1])
-
     def __repr__(self) -> str:
         # at least eight coefficients, and always through the first nonzero one
         count = max(8, 1 + next((k for k, c in enumerate(self.coeffs) if c), 0))

@@ -54,7 +54,6 @@ if TYPE_CHECKING:
     from .brackets import BracketSystem
 
 EPS_LOWER = {(1, 2): -1, (2, 1): 1}   # eps_{ab}
-EPS_UPPER = {(1, 2): 1, (2, 1): -1}   # eps^{ab}, inverse to eps_{ab}
 _THETA_BLOCKS = frozenset({(), (1,), (2,), (1, 2)})
 
 
@@ -70,6 +69,8 @@ class SuperMonomial(tuple):
             if any(a not in (1, 2) for a in fermions):
                 raise ValueError("odd generators are indexed by 1 and 2")
             raise ValueError("theta factors must be strictly increasing")
+        if any(type(m) is not int for m in bosons):  # bool is no exponent either
+            raise ValueError("exponents must be ints")
         if bosons and min(bosons) < 0:
             raise ValueError("exponents must be non-negative")
         return tuple.__new__(cls, (fermions, bosons))
@@ -156,73 +157,61 @@ class SuperPoly(Element):
 # the operator specification
 # ---------------------------------------------------------------------------
 
-_SPEC_FIELDS = ("n_bosons", "f", "g", "h", "momentum_shift", "selection_rule")
+class _SpecFields(NamedTuple):
+    n_bosons: int
+    f: tuple[Series, Series]
+    g: tuple[tuple[Series, ...], tuple[Series, ...]]
+    h: tuple[Series, Series]
+    momentum_shift: bool = False
+    selection_rule: bool = False
 
 
-class DeltaSpec:
+class DeltaSpec(_SpecFields):
     """Generating data for the odd operator D2 + D1 + D0.
 
     ``f`` and ``h`` hold two series each, ``g[a-1][i-1]`` the series part of
     g^i_a; all are series in the total momentum.  With ``momentum_shift``
     every g^i_a additionally contains the term + p_i.  ``selection_rule``
-    asserts the degree bookkeeping that forces h to vanish.  A spec is
-    immutable: equality, hash and repr read these six fields only, and
-    assigning one raises.  The operator is held as a table of pieces built
-    once per spec; each monomial's image is computed once and cached.  The
-    monomials of the images come from the spec's key table, which maps
-    ``(fermions, bosons)`` to one validated :class:`SuperMonomial`, so equal
-    monomials are the same object within a spec and each is validated once;
-    a copy starts with empty tables.
+    asserts the degree bookkeeping that forces h to vanish.  A spec is an
+    immutable tuple of these six fields: equality, hash and repr are the
+    tuple's, so a spec also equals the plain tuple of its fields, and
+    assigning an attribute raises.  The operator is held as a table of
+    pieces built once per spec; each monomial's image is computed once and
+    cached.  The monomials of the images come from the spec's key table,
+    which maps ``(fermions, bosons)`` to one validated
+    :class:`SuperMonomial`, so equal monomials are the same object within a
+    spec and each is validated once.  ``_replace``, copy and pickle build
+    through the constructor, so the result is checked again and starts with
+    empty tables.
     """
 
-    def __init__(
-        self,
-        n_bosons: int,
-        f: tuple[Series, Series],
-        g: tuple[tuple[Series, ...], tuple[Series, ...]],
-        h: tuple[Series, Series],
-        momentum_shift: bool = False,
-        selection_rule: bool = False,
-    ):
-        if n_bosons < 1:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.n_bosons < 1:
             raise ValueError("need at least one even generator")
-        if len(f) != 2 or len(h) != 2:
+        if len(self.f) != 2 or len(self.h) != 2:
             raise ValueError("f and h each need exactly two components")
-        if len(g) != 2 or any(len(row) != n_bosons for row in g):
+        if len(self.g) != 2 or any(len(row) != self.n_bosons for row in self.g):
             raise ValueError("g must be a 2 x n_bosons array of series")
-        if selection_rule and not all(s.is_zero() for s in h):
+        if self.selection_rule and not all(s.is_zero() for s in self.h):
             raise ValueError("the degree selection rule forces h to vanish")
         vars(self).update(
-            n_bosons=n_bosons, f=f, g=g, h=h, momentum_shift=momentum_shift,
-            selection_rule=selection_rule,
             _images={},  # SuperMonomial -> its image
             _keys={},    # (fermions, bosons) -> the one validated SuperMonomial
         )
+        return self
 
-    def _fields(self) -> tuple:
-        """The six data fields, in signature order."""
-        return tuple(map(vars(self).__getitem__, _SPEC_FIELDS))
+    @classmethod
+    def _make(cls, fields) -> DeltaSpec:
+        return cls(*fields)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot set or delete {name!r}: a DeltaSpec is immutable")
 
     __delattr__ = __setattr__
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __reduce__(self):
-        """copy and pickle rebuild a spec through ``__init__``, with empty tables."""
-        return type(self), self._fields()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(_SPEC_FIELDS, self._fields()))
-        return f"DeltaSpec({fields})"
 
     @cached_property
     def generators(self) -> dict[BasisVector, SuperMonomial]:
@@ -297,6 +286,9 @@ class DeltaSpec:
         cached = self._images.get(mono)
         if cached is not None:
             return cached
+        if len(mono.bosons) != self.n_bosons:
+            raise ValueError(f"monomial {mono!r} has {len(mono.bosons)} exponents, but "
+                             f"the operator has {self.n_bosons} even generators")
         degree = sum(mono.bosons)
         if degree > self.coefficient_order:
             raise TruncationError(
@@ -514,44 +506,21 @@ def nilpotency_conditions(spec: DeltaSpec) -> dict[str, dict[str, Series]]:
     if order < 1:
         raise TruncationError("nilpotency residuals need series of order >= 1")
     shift = 1 if spec.momentum_shift else 0
-    p = Series.x(order)
-    f, h = spec.f, spec.h
-    gamma = spec.g  # series parts of g
-
-    col = {beta: sum(gamma[beta - 1], Series.zero(order)) for beta in (1, 2)}
-
-    closure: dict[str, Series] = {}
-    for i in range(1, spec.n_bosons + 1):
-        acc = Series.zero(order - 1)
-        for c in (1, 2):
-            acc = acc + gamma[c - 1][i - 1] * f[c - 1]
-        for (a, b), eps in EPS_UPPER.items():
-            acc = acc + eps * (
-                gamma[a - 1][i - 1].derivative() * (col[b] + shift * p)
-            )
-            if shift:
-                acc = acc + eps * shift * gamma[b - 1][i - 1]
-        closure[f"i={i}"] = acc
+    (f1, f2), (h1, h2) = spec.f, spec.h
+    # col[b-1] = sum_j g^j_b, shift included: every d_j of a series in P is its
+    # derivative, so d_j(F) g^j_b is F' col[b-1]
+    col = [sum(row, Series.zero(order)) + shift * Series.x(order) for row in spec.g]
+    # eps^{12} = 1 = -eps^{21}; d_j of the shift p_i in g^i_a leaves shift eps^{ab} g^i_b
+    closure = {f"i={i}": Series.zero(order - 1) + g1 * f1 + g2 * f2
+               + g1.derivative() * col[1] - g2.derivative() * col[0] + shift * (g2 - g1)
+               for i, (g1, g2) in enumerate(zip(*spec.g), 1)}
+    # eps_{21} = 1 = -eps_{12}: f^a h^c eps_{cb} is f^a h^2 for b = 1 and -f^a h^1 for b = 2
+    h_transport = {f"a={a},b={b}": Series.zero(order - 1) + fa * hc + ha.derivative() * col[b - 1]
+                   for a, fa, ha in ((1, f1, h1), (2, f2, h2))
+                   for b, hc in ((1, h2), (2, -h1))}
+    h_pairing = {f"i={i}": Series.zero(order) + g1 * h1 + g2 * h2
+                 for i, (g1, g2) in enumerate(zip(*spec.g), 1)}
     if shift:
-        closure["p-term"] = f[0] + f[1]
-
-    h_transport: dict[str, Series] = {}
-    for a in (1, 2):
-        for b in (1, 2):
-            acc = Series.zero(order - 1)
-            for (c, bb), eps in EPS_LOWER.items():
-                if bb == b:
-                    acc = acc + eps * (f[a - 1] * h[c - 1])
-            acc = acc + h[a - 1].derivative() * (col[b] + shift * p)
-            h_transport[f"a={a},b={b}"] = acc
-
-    h_pairing: dict[str, Series] = {}
-    for i in range(1, spec.n_bosons + 1):
-        acc = Series.zero(order)
-        for a in (1, 2):
-            acc = acc + gamma[a - 1][i - 1] * h[a - 1]
-        h_pairing[f"i={i}"] = acc
-    if shift:
-        h_pairing["p-term"] = h[0] + h[1]
-
+        closure["p-term"] = f1 + f2
+        h_pairing["p-term"] = h1 + h2
     return {"closure": closure, "h_transport": h_transport, "h_pairing": h_pairing}

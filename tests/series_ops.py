@@ -1,5 +1,5 @@
-"""Series operations that only the tests use: exp, log, log1p and two
-constructors.
+"""Series operations that only the tests use: exp, log, log1p, truncate
+and two constructors.
 
 ``g_series`` and ``lambert_w_series`` solve their equations on integer
 Taylor coefficients and need none of these; the tests use them to state
@@ -17,6 +17,12 @@ def from_coeffs(coeffs) -> Series:
 
 def one(order: int) -> Series:
     return Series.constant(1, order)
+
+
+def truncate(series: Series, order: int) -> Series:
+    if order > series.order:
+        raise ValueError(f"cannot extend order {series.order} series to {order}")
+    return Series(series.coeffs[: order + 1])
 
 
 def exp(f: Series) -> Series:

@@ -27,7 +27,7 @@ from linfcheck.series import (
     solve_g2,
 )
 from linfcheck.superspace import brackets_from_delta, delta_squared_check
-from series_ops import exp, log1p
+from series_ops import exp, log1p, truncate
 
 
 @contextmanager
@@ -152,7 +152,7 @@ def test_criterion_08_special_case_solvers():
         g1 = 1 + p
         f1 = Series.constant(-1, 33)
         expected = (1 + p) * (1 - log1p(p))
-        assert solve_g2(g1, f1, 1).truncate(32) == expected.truncate(32)
+        assert truncate(solve_g2(g1, f1, 1), 32) == truncate(expected, 32)
         assert solve_f1(g1, expected) == Series.constant(-1, 32)
 
 

@@ -1,0 +1,170 @@
+"""Changes of basis of the operator's algebra do not change `delta-check`'s verdict.
+
+An automorphism phi of the algebra carries the operator D to
+D' = phi D phi^-1, whose data are again a spec; D' squares to zero iff D
+does.  Each rule below states phi and the spec of D', derived by
+conjugating the three pieces
+
+    D2 = 1/2 theta_c f^c(d/dx) eps_{ab} d/dtheta_b d/dtheta_a
+    D1 = x_i g^i_a(d/dx) d/dtheta_a    (+ x_i p_i d/dtheta_a with the shift)
+    D0 = theta_a h^a(d/dx)
+
+where every series is a series in the total momentum P = p_1 + ... + p_N,
+p_i = d/dx_i.  The tests check the rule itself, D'(phi m) = phi(D m) on
+monomials, then that the verdict of ``delta_squared_check`` and which
+residuals of ``nilpotency_conditions`` vanish are the same for D and D'.
+The seeded mutants keep failing.  Nothing here detects symmetries of a
+spec: these tests are the independent check of any code that does.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from linfcheck.builtin import example1_system, example2_system
+from linfcheck.series import Series
+from linfcheck.superspace import (
+    DeltaSpec,
+    SuperMonomial,
+    SuperPoly,
+    apply_delta,
+    delta_squared_check,
+    nilpotency_conditions,
+)
+from series_ops import from_coeffs
+
+_SECTORS = ((), (1,), (2,), (1, 2))
+
+# theta1 <-> theta2 on each theta block: phi(theta1 theta2) = theta2 theta1 = -theta1 theta2
+_SWAPPED = {(): (1, ()), (1,): (1, (2,)), (2,): (1, (1,)), (1, 2): (-1, (1, 2))}
+
+
+def swap_thetas(spec):
+    """phi swaps theta1 and theta2.  Conjugation sends theta_a to theta_s(a)
+    and d/dtheta_a to d/dtheta_s(a), s the swap, so h -> (h2, h1) and g's
+    rows swap.  In D2, eps_{s(a) s(b)} = -eps_{ab}, so f -> (-f2, -f1).  The
+    shift flag stays as it is."""
+    (f1, f2), (g1, g2), (h1, h2) = spec.f, spec.g, spec.h
+
+    def phi(mono):
+        sign, fermions = _SWAPPED[mono.fermions]
+        return sign, SuperMonomial(fermions, mono.bosons)
+
+    return spec._replace(f=(-f2, -f1), g=(g2, g1), h=(h2, h1)), phi
+
+
+def permute_bosons(pi):
+    """phi sends x_i to x_pi(i).  P and so every series is unchanged, and
+    x_i g^i_a becomes x_pi(i) g^i_a: g's columns are permuted, the column of
+    x_i moving to place pi(i).  The shift x_i p_i goes to x_pi(i) p_pi(i),
+    so its flag stays as it is."""
+    def rule(spec):
+        inverse = [pi.index(j) for j in range(len(pi))]
+        g = tuple(tuple(row[i] for i in inverse) for row in spec.g)
+
+        def phi(mono):
+            return 1, SuperMonomial(mono.fermions, tuple(mono.bosons[i] for i in inverse))
+
+        return spec._replace(g=g), phi
+
+    return rule
+
+
+def rescale(lam):
+    """phi sends every x_i to lam x_i, lam a nonzero rational, so p_i goes to
+    p_i / lam and P^k to lam^-k P^k.  So f_k -> lam^-k f_k and h_k -> lam^-k h_k
+    in D2 and D0, and D1's own factor x_i makes g_k -> lam^(1-k) g_k.  The
+    shift x_i p_i is unchanged, so its flag stays as it is."""
+    def scaled(series, power):
+        return Series(tuple(c * lam ** (power - k) for k, c in enumerate(series.coeffs)))
+
+    def rule(spec):
+        def phi(mono):
+            return lam ** sum(mono.bosons), mono
+
+        return spec._replace(f=tuple(scaled(s, 0) for s in spec.f),
+                             g=tuple(tuple(scaled(s, 1) for s in row) for row in spec.g),
+                             h=tuple(scaled(s, 0) for s in spec.h)), phi
+
+    return rule
+
+
+def _rules(n_bosons):
+    cycle = tuple(range(1, n_bosons)) + (0,)
+    return {"swap": swap_thetas, "permute": permute_bosons(cycle),
+            "rescale": rescale(Fraction(-2, 3))}
+
+
+def _apply_phi(phi, poly):
+    out = {}
+    for mono, coeff in poly.items():
+        factor, image = phi(mono)
+        out[image] = out.get(image, 0) + factor * coeff
+    return SuperPoly(poly.n_bosons, out)
+
+
+def _zero_residuals(spec):
+    """Per condition group, how many residuals vanish and how many do not;
+    a change of basis may permute the labels or flip signs."""
+    return {group: sorted(series.is_zero() for series in residuals.values())
+            for group, residuals in nilpotency_conditions(spec).items()}
+
+
+def _assert_same_verdicts(spec, transformed, degree):
+    report = delta_squared_check(spec, degree)
+    assert delta_squared_check(transformed, degree).passed == report.passed
+    assert _zero_residuals(transformed) == _zero_residuals(spec)
+    return report.passed
+
+
+@st.composite
+def _specs(draw, order=4):
+    n_bosons = draw(st.integers(1, 3))
+
+    def series():
+        return from_coeffs(draw(st.lists(st.integers(-2, 2), min_size=order + 1,
+                                         max_size=order + 1)))
+
+    zero = Series.zero(order)
+    return DeltaSpec(
+        n_bosons=n_bosons,
+        f=(series(), series()),
+        g=tuple(tuple(series() for _ in range(n_bosons)) for _ in (1, 2)),
+        h=(series(), series()) if draw(st.booleans()) else (zero, zero),
+        momentum_shift=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_specs(), st.sampled_from(("swap", "permute", "rescale")))
+def test_each_rule_conjugates_the_operator(spec, name):
+    transformed, phi = _rules(spec.n_bosons)[name](spec)
+    for fermions in _SECTORS:
+        for bosons in product(range(3), repeat=spec.n_bosons):
+            if sum(bosons) > 2:
+                continue
+            mono = SuperMonomial(fermions, bosons)
+            image = _apply_phi(phi, SuperPoly.basis(mono))
+            assert apply_delta(transformed, image) == _apply_phi(phi, spec.delta_monomial(mono))
+    _assert_same_verdicts(spec, transformed, spec.coefficient_order - 1)
+
+
+@pytest.mark.parametrize("name", ["swap", "permute", "rescale"])
+@pytest.mark.parametrize("example, index, value", [
+    ("example1", None, None), ("example2", None, None),
+    # the seed-1 mutants of the benchmark's mutants workload
+    ("example1", 4, -22), ("example1", 5, 7), ("example1", 6, 25),
+    ("example2", 2, 22), ("example2", 3, 19), ("example2", 4, -25),
+])
+def test_bundled_verdicts_survive_each_rule(example, index, value, name):
+    changes = {} if index is None else {index: value}
+    if example == "example1":
+        spec = example1_system(c_values=changes).delta_spec
+    else:
+        spec = example2_system(b_values=changes).delta_spec
+    transformed, _ = _rules(spec.n_bosons)[name](spec)
+    assert transformed != spec or (name == "permute" and spec.n_bosons == 1)
+    assert _assert_same_verdicts(spec, transformed, 6) == (index is None)

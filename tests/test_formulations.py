@@ -42,7 +42,6 @@ from linfcheck.superspace import (
     nilpotency_conditions,
 )
 from series_ops import from_coeffs
-from spec_ops import respec
 
 MAX_ARITY = 5
 ORDER = MAX_ARITY + 1  # D^2 on degree n needs coefficients through n + 1
@@ -111,9 +110,9 @@ def _mutant(draw):
 
     if draw(st.booleans()):
         f = tuple(bump(s) if b == a else s for b, s in enumerate(spec.f))
-        return respec(spec, f=f), None, None
+        return spec._replace(f=f), None, None
     g = tuple((bump(row[0]),) if b == a else row for b, row in enumerate(spec.g))
-    return respec(spec, g=g), None, None
+    return spec._replace(g=g), None, None
 
 
 def _first_unkilled_count(spec):

@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from linfcheck.brackets import SYMMETRIC, BracketSystem, canonical_tuples, first_difference
 from linfcheck.builtin import example1_system, example2_system
+from linfcheck.document import document_to_system, system_to_document
 from linfcheck.errors import ConsistencyError, TruncationError
 from linfcheck.grading import BasisVector, Element
 from linfcheck.series import Series
@@ -30,8 +32,7 @@ from linfcheck.superspace import (
     linear_element,
     nilpotency_conditions,
 )
-from series_ops import from_coeffs, one
-from spec_ops import respec
+from series_ops import from_coeffs, one, truncate
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,11 @@ def test_monomial_validation():
             SuperMonomial(fermions, (0,))
     for bosons in ((-1,), (-1, 0, 0), (0, -2, 0), (0, 0, -1)):
         with pytest.raises(ValueError, match="exponents must be non-negative"):
+            SuperMonomial((1,), bosons)
+    # exponents are ints, as a document's integer fields are: not bools, not
+    # floats, not Fractions, even when they are integral
+    for bosons in ((1.5, 0, 0), (1.0,), (True, 0), (0, False), (Fraction(1),), ("1",)):
+        with pytest.raises(ValueError, match="exponents must be ints"):
             SuperMonomial((1,), bosons)
     mono = SuperMonomial([1, 2], [0, 0, 1])
     assert (mono.fermions, mono.bosons) == ((1, 2), (0, 0, 1))
@@ -201,6 +207,18 @@ def test_apply_delta_truncation_guard():
         apply_delta(spec, too_deep)
 
 
+def test_delta_monomial_rejects_a_monomial_of_another_width(ex1, ex2):
+    for spec, mono in ((ex1.delta_spec, SuperMonomial((2,), (1, 1))),
+                       (ex2.delta_spec, SuperMonomial((1,), (1, 0))),
+                       (ex2.delta_spec, SuperMonomial((), (0, 0, 0, 1)))):
+        with pytest.raises(ValueError, match="exponents, but the operator has"):
+            spec.delta_monomial(mono)
+        assert mono not in spec._images  # nothing of the wrong width is cached
+    # the check runs on a cache miss only; a hit returns the cached image
+    mono = SuperMonomial((1,), (1,))
+    assert ex1.delta_spec.delta_monomial(mono) is ex1.delta_spec.delta_monomial(mono)
+
+
 def test_selection_rule_forces_h_to_vanish():
     with pytest.raises(ValueError):
         _one_boson_spec(h1=1, selection_rule=True)
@@ -303,7 +321,7 @@ def _delta_squared_oracle(spec, degree_bound):
             if sum(bosons) > degree_bound:
                 continue
             mono = SuperMonomial(fermions, bosons)
-            fresh = respec(spec)
+            fresh = spec._replace()
             acc = {}
             for mid, c1 in fresh.delta_monomial(mono).items():
                 for final, c2 in fresh.delta_monomial(mid).items():
@@ -344,16 +362,23 @@ def test_delta_squared_check_matches_the_double_loop(spec, degree_bound):
     assert delta_squared_check(spec, degree_bound) == expected  # warm cache
 
 
-@pytest.mark.parametrize("example, index, value", [
-    # the seed-1 mutants of the benchmark's mutants workload
+# the seed-1 mutants of the benchmark's mutants workload
+_SEED1_MUTANTS = [
     ("example1", 4, -22), ("example1", 5, 7), ("example1", 6, 25),
     ("example2", 2, 22), ("example2", 3, 19), ("example2", 4, -25),
-])
-def test_delta_squared_check_matches_the_double_loop_on_mutants(example, index, value):
+]
+
+
+def _example(example, index=None, value=None):
+    changes = {} if index is None else {index: value}
     if example == "example1":
-        spec = example1_system(c_values={index: value}).delta_spec
-    else:
-        spec = example2_system(b_values={index: value}).delta_spec
+        return example1_system(c_values=changes)
+    return example2_system(b_values=changes)
+
+
+@pytest.mark.parametrize("example, index, value", _SEED1_MUTANTS)
+def test_delta_squared_check_matches_the_double_loop_on_mutants(example, index, value):
+    spec = _example(example, index, value).delta_spec
     expected = _delta_squared_oracle(spec, 6)
     assert not expected.passed
     assert delta_squared_check(spec, 6) == expected
@@ -467,7 +492,7 @@ def test_operator_image_cache_is_per_spec():
             assert intact.delta_monomial(mono) is intact.delta_monomial(mono)
             assert intact.delta_monomial(mono) == fresh.delta_monomial(mono)
     # one table of validated monomials per spec, shared by all its images
-    copied = respec(intact)
+    copied = intact._replace()
     assert copied._keys == {} and copied._images == {}
     first_seen, repeats = {}, 0
     for image in intact._images.values():
@@ -516,7 +541,7 @@ def test_example2_images_hold_exact_nonzero_terms_on_interned_keys():
 def test_delta_spec_is_an_immutable_value():
     zero = Series.zero(6)
     spec = _one_boson_spec(f1=-1, g1=1, g2=1, order=6)
-    twin = respec(spec)
+    twin = spec._replace()
     spec.delta_monomial(SuperMonomial((1, 2), (2,)))
     assert spec._images and spec._keys and "space" not in vars(spec)
     spec.space  # fill a cached property too
@@ -524,24 +549,29 @@ def test_delta_spec_is_an_immutable_value():
     assert spec == twin and hash(spec) == hash(twin) and repr(spec) == repr(twin)
     assert repr(spec).startswith("DeltaSpec(n_bosons=1, f=(Series(")
     assert "_images" not in repr(spec) and "_keys" not in repr(spec)
+    # they are the tuple's: a spec equals the plain tuple of its six fields
+    fields = (1, spec.f, spec.g, spec.h, False, False)
+    assert tuple(spec) == fields and spec == fields and hash(spec) == hash(fields)
     # each field takes part on its own (n_bosons cannot change without g)
     for name, value in (("f", (zero, zero)), ("g", ((zero,), (zero,))),
                         ("h", (Series.constant(1, 6), zero)),
                         ("momentum_shift", True), ("selection_rule", True)):
-        assert respec(spec, **{name: value}) != spec, name
+        assert spec._replace(**{name: value}) != spec, name
     assert spec != _one_boson_spec(f1=-1, g1=1, g2=1, order=7)
     # assigning or deleting a field raises, so no cache can go stale
-    for name in ("n_bosons", "f", "g", "h", "momentum_shift", "selection_rule", "_images"):
+    for name in ("n_bosons", "f", "g", "h", "momentum_shift", "selection_rule",
+                 "_images", "_keys", "other"):
         with pytest.raises(AttributeError):
             setattr(spec, name, getattr(spec, name))
         with pytest.raises(AttributeError):
             delattr(spec, name)
     # a copy is equal and starts with empty caches
-    for copied in (respec(spec), copy.copy(spec), copy.deepcopy(spec),
-                   pickle.loads(pickle.dumps(spec))):
-        assert copied == spec and copied._images == {} and copied._keys == {}
+    for copied in (spec._replace(), DeltaSpec._make(fields), copy.copy(spec),
+                   copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert type(copied) is DeltaSpec and copied == spec
+        assert copied._images == {} and copied._keys == {}
         assert "space" not in vars(copied)
-    # the four checks of the constructor
+    # the four checks of the constructor, which _replace runs again
     for kwargs, message in (
         (dict(n_bosons=0, g=((), ())), "need at least one even generator"),
         (dict(f=(zero,)), "f and h each need exactly two components"),
@@ -550,7 +580,7 @@ def test_delta_spec_is_an_immutable_value():
          "the degree selection rule forces h to vanish"),
     ):
         with pytest.raises(ValueError, match=message):
-            respec(spec, **kwargs)
+            spec._replace(**kwargs)
 
 
 def test_delta_squared_truncation_guard(ex1):
@@ -600,6 +630,98 @@ def test_nilpotency_conditions_example2_reduce_to_the_ode(ex2):
     assert not _all_zero(report)
 
 
+def _nilpotency_oracle(spec):
+    """``nilpotency_conditions`` as it summed each condition over the eps
+    tables, term by term, before it was written as its three formulas."""
+    eps_upper = {(1, 2): 1, (2, 1): -1}  # eps^{ab}, inverse to eps_{ab}
+    order = spec.coefficient_order
+    shift = 1 if spec.momentum_shift else 0
+    p = Series.x(order)
+    f, h, gamma = spec.f, spec.h, spec.g
+    col = {beta: sum(gamma[beta - 1], Series.zero(order)) for beta in (1, 2)}
+    closure = {}
+    for i in range(1, spec.n_bosons + 1):
+        acc = Series.zero(order - 1)
+        for c in (1, 2):
+            acc = acc + gamma[c - 1][i - 1] * f[c - 1]
+        for (a, b), eps in eps_upper.items():
+            acc = acc + eps * (gamma[a - 1][i - 1].derivative() * (col[b] + shift * p))
+            if shift:
+                acc = acc + eps * shift * gamma[b - 1][i - 1]
+        closure[f"i={i}"] = acc
+    if shift:
+        closure["p-term"] = f[0] + f[1]
+    h_transport = {}
+    for a in (1, 2):
+        for b in (1, 2):
+            acc = Series.zero(order - 1)
+            for (c, bb), eps in EPS_LOWER.items():
+                if bb == b:
+                    acc = acc + eps * (f[a - 1] * h[c - 1])
+            acc = acc + h[a - 1].derivative() * (col[b] + shift * p)
+            h_transport[f"a={a},b={b}"] = acc
+    h_pairing = {}
+    for i in range(1, spec.n_bosons + 1):
+        acc = Series.zero(order)
+        for a in (1, 2):
+            acc = acc + gamma[a - 1][i - 1] * h[a - 1]
+        h_pairing[f"i={i}"] = acc
+    if shift:
+        h_pairing["p-term"] = h[0] + h[1]
+    return {"closure": closure, "h_transport": h_transport, "h_pairing": h_pairing}
+
+
+def _flat_residuals(conditions):
+    """Every residual as (group, label, order, coefficients), in order."""
+    return [(group, label, series.order, series.coeffs)
+            for group, residuals in conditions.items()
+            for label, series in residuals.items()]
+
+
+@st.composite
+def _uneven_specs(draw):
+    """1 to 3 even generators, each series of its own order 1 .. 6, with or
+    without the shift, and h zero or not."""
+    n_bosons = draw(st.integers(1, 3))
+
+    def series(zero=False):
+        order = draw(st.integers(1, 6))
+        if zero:
+            return Series.zero(order)
+        return from_coeffs(draw(st.lists(st.integers(-3, 3), min_size=order + 1,
+                                         max_size=order + 1)))
+
+    h_zero = draw(st.booleans())
+    return DeltaSpec(
+        n_bosons=n_bosons,
+        f=(series(), series()),
+        g=tuple(tuple(series() for _ in range(n_bosons)) for _ in (1, 2)),
+        h=(series(h_zero), series(h_zero)),
+        momentum_shift=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_uneven_specs())
+def test_nilpotency_conditions_match_the_term_by_term_oracle(spec):
+    assert _flat_residuals(nilpotency_conditions(spec)) == _flat_residuals(
+        _nilpotency_oracle(spec))
+
+
+@pytest.mark.parametrize("example, index, value",
+                         [("example1", None, None), ("example2", None, None), *_SEED1_MUTANTS])
+def test_nilpotency_conditions_match_the_oracle_on_the_seed1_documents(example, index, value):
+    """The operator documents of the benchmark's seed-1 mutants workload,
+    through a save and a load."""
+    ex = _example(example, index, value)
+    _, spec = document_to_system(json.loads(json.dumps(
+        system_to_document(ex.symmetric_system, ex.delta_spec))))
+    assert spec == ex.delta_spec
+    residuals = nilpotency_conditions(spec)
+    assert _flat_residuals(residuals) == _flat_residuals(_nilpotency_oracle(spec))
+    assert _all_zero(residuals) == (index is None)
+
+
 def test_equivalence_of_monomial_scan_and_series_residuals():
     # the scan and the residuals agree on specs that pass and specs that fail
     good = example1_system().delta_spec
@@ -618,7 +740,7 @@ def test_equivalence_of_monomial_scan_and_series_residuals():
         scan = delta_squared_check(spec, 6)
         residuals = nilpotency_conditions(spec)
         truncated_zero = all(
-            series.truncate(min(7, series.order)).is_zero()
+            truncate(series, min(7, series.order)).is_zero()
             for group in residuals.values()
             for series in group.values()
         )
@@ -729,7 +851,7 @@ def test_koszul_bracket_matches_the_commutator_recursion(spec, data):
     pool = spec.space.generators + (BasisVector("W", "x3", 0),)
     vectors = st.sampled_from(pool[:-1]) | st.sampled_from(pool)
     for inputs in data.draw(st.lists(st.lists(vectors, max_size=5), min_size=1, max_size=6)):
-        expected = _outcome(_koszul_bracket_oracle, respec(spec), inputs)
+        expected = _outcome(_koszul_bracket_oracle, spec._replace(), inputs)
         assert _outcome(koszul_bracket, spec, inputs) == expected, inputs
 
 
@@ -763,7 +885,7 @@ def _oracle_tables(spec, max_arity):
 
 def test_brackets_from_delta_match_oracle_tables(ex1, ex2):
     for ex, max_arity in ((ex1, 8), (ex2, 6)):
-        spec = respec(ex.delta_spec)
+        spec = ex.delta_spec._replace()
         rebuilt = brackets_from_delta(spec, max_arity)
-        assert rebuilt == _oracle_tables(respec(spec), max_arity)
+        assert rebuilt == _oracle_tables(spec._replace(), max_arity)
         assert rebuilt.entry_count() > 0

@@ -27,7 +27,11 @@ hold exact values of validated series, so an image is built from them
 without re-checking its coefficients.  The check
 that D squares to zero numbers the monomials it meets with dense ints, holds
 each image as a row of ids and coefficients, and sums D(D(m)) over the ids;
-only a nonzero residue is turned back into a polynomial.
+only a nonzero residue is turned back into a polynomial.  It does that work
+only on the first monomial of each orbit of the spec's symmetry group (the
+permutations of bosons with equal g columns, and theta1 <-> theta2 with a
+boson map when the data allow it), whose members all pass or all fail; the
+other monomials are counted but get no image.
 
 The brackets of the operator are its nested graded commutators with the
 multiplications by their inputs (Koszul's higher derived brackets), summed in
@@ -443,9 +447,88 @@ class DeltaSquaredReport(NamedTuple):
     residue: SuperPoly | None = None
 
 
+def _symmetry(spec: DeltaSpec) -> tuple[list, list | None]:
+    """The operator's symmetry group, read off the spec by exact series
+    equality: the classes of bosons with equal ``g`` columns, each permuted
+    freely, and, if theta1 <-> theta2 is a symmetry, the boson map of its
+    coset (``swapped[j] = bosons[partner[j]]``), else None.
+
+    A change of basis phi carries D to D' = phi D phi^-1, again a spec.
+    Every series is one in the total momentum and the shift x_i p_i, if
+    present, is present for every i, so permuting the bosons only permutes
+    g's columns.  The swap sends f to (-f2, -f1) (eps_{21} = -eps_{12}), h to
+    (h2, h1) and g's rows to each other, so with a boson map pi it is a
+    symmetry iff f == (-f2, -f1), h == (h2, h1) and g^i_2 = g^pi(i)_1,
+    g^i_1 = g^pi(i)_2 for every i: the classes pair up by swapped columns."""
+    columns, classes = list(zip(*spec.g)), []
+
+    def class_of(column):  # compared, not hashed: a Fraction's hash is slow
+        return next((members for members in classes if columns[members[0]] == column), [])
+
+    for i, column in enumerate(columns):
+        members = class_of(column)
+        if not members:
+            classes.append(members)
+        members.append(i)
+    (f1, f2), (h1, h2) = spec.f, spec.h
+    if f1 != -f2 or h1 != h2:
+        return classes, None
+    partner = [0] * spec.n_bosons
+    for members in classes:
+        mirror = class_of(columns[members[0]][::-1])
+        if len(mirror) != len(members):
+            return classes, None
+        for j, i in zip(mirror, members):
+            partner[j] = i
+    return classes, partner
+
+
+def _orbit_leader(spec: DeltaSpec):
+    """The test ``leads(sector rank, bosons)``: is the monomial first in its
+    symmetry orbit in scan order?  None when the group is trivial.  The
+    orbit minimum is the smaller of two cosets' minima, each the exponents
+    sorted ascending within every class."""
+    classes, partner = _symmetry(spec)
+    blocks = [members for members in classes if len(members) > 1]
+    if not blocks and partner is None:
+        return None
+
+    def least(bosons):  # the minimum over the permutations within classes
+        out = list(bosons)
+        for members in blocks:
+            for i, m in zip(members, sorted([bosons[i] for i in members])):
+                out[i] = m
+        return tuple(out)
+
+    def leads(rank, bosons):
+        if blocks and least(bosons) != bosons:
+            return False
+        # the swap exchanges the sectors (1,) and (2,), ranks 1 and 2
+        return partner is None or (rank, bosons) <= (
+            (0, 2, 1, 3)[rank], least(tuple(map(bosons.__getitem__, partner))))
+
+    return leads
+
+
 def delta_squared_check(spec: DeltaSpec, degree_bound: int) -> DeltaSquaredReport:
     """Apply the operator twice to every monomial of even degree up to the
-    bound (all four theta sectors); pass iff every image is exactly zero."""
+    bound (all four theta sectors); pass iff every image is exactly zero.
+
+    The scan runs over the sectors (), (1,), (2,), (1, 2), then the exponent
+    tuples in lexicographic order, and ``monomials_checked`` counts every
+    monomial up to and including the first failure.  The D^2 work is done
+    only on a lex-leader (Crawford-Ginsberg-Luks-Roy), a monomial that comes
+    first in its orbit under the spec's symmetry group (``_symmetry``).  A
+    symmetry phi has D = phi D phi^-1, so D^2(phi m) = phi D^2(m) with phi
+    signed on monomials: a monomial fails iff its whole orbit does, the
+    first failing monomial leads its orbit, and the verdict, witness and
+    residue are those of the full scan.  Only the leaders and the monomials
+    of their images have their image computed, so the spec's
+    ``images_computed`` is below the full scan's when the group is not
+    trivial."""
+    if type(degree_bound) is not int or degree_bound < 0:
+        raise ValueError(f"degree bound must be an int >= 0 (a bound below 0 checks "
+                         f"nothing), got {degree_bound!r}")
     if degree_bound + 1 > spec.coefficient_order:
         raise TruncationError(
             f"degree bound {degree_bound} needs coefficients through order "
@@ -469,9 +552,13 @@ def delta_squared_check(spec: DeltaSpec, degree_bound: int) -> DeltaSquaredRepor
         rows[i] = [ids[m] if m in ids else ident(m) for m, _ in terms], [c for _, c in terms]
         return rows[i]
 
+    leads = _orbit_leader(spec)
     checked = 0
-    for fermions in ((), (1,), (2,), (1, 2)):
+    for rank, fermions in enumerate(((), (1,), (2,), (1, 2))):
         for bosons in _multi_indices(spec.n_bosons, degree_bound):
+            checked += 1
+            if leads and not leads(rank, bosons):
+                continue
             mono = spec._key(fermions, bosons)
             i = ident(mono)
             mids, firsts = rows[i] or row(i)
@@ -481,7 +568,6 @@ def delta_squared_check(spec: DeltaSpec, degree_bound: int) -> DeltaSquaredRepor
                 touched.update(finals)
                 for final, c2 in zip(finals, seconds):
                     acc[final] += c1 * c2
-            checked += 1
             if any(map(acc.__getitem__, touched)):
                 residue = {monos[f]: acc[f] for f in touched if acc[f]}
                 return DeltaSquaredReport(False, checked, mono,

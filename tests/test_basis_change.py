@@ -13,24 +13,30 @@ where every series is a series in the total momentum P = p_1 + ... + p_N,
 p_i = d/dx_i.  The tests check the rule itself, D'(phi m) = phi(D m) on
 monomials, then that the verdict of ``delta_squared_check`` and which
 residuals of ``nilpotency_conditions`` vanish are the same for D and D'.
-The seeded mutants keep failing.  Nothing here detects symmetries of a
-spec: these tests are the independent check of any code that does.
+The seeded mutants keep failing.  The brackets ``compare`` rebuilds from D
+transform by the same rules (see ``_assert_brackets_are_natural``).  Nothing
+here detects symmetries of a spec: these tests are the independent check of
+any code that does.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linfcheck.brackets import SYMMETRIC, canonical_tuples
 from linfcheck.builtin import example1_system, example2_system
+from linfcheck.grading import Element
 from linfcheck.series import Series
 from linfcheck.superspace import (
     DeltaSpec,
     SuperMonomial,
     SuperPoly,
     apply_delta,
+    brackets_from_delta,
     delta_squared_check,
     nilpotency_conditions,
 )
@@ -121,7 +127,7 @@ def _assert_same_verdicts(spec, transformed, degree):
 
 
 @st.composite
-def _specs(draw, order=4):
+def _specs(draw, order=4, curved=True):
     n_bosons = draw(st.integers(1, 3))
 
     def series():
@@ -133,7 +139,7 @@ def _specs(draw, order=4):
         n_bosons=n_bosons,
         f=(series(), series()),
         g=tuple(tuple(series() for _ in range(n_bosons)) for _ in (1, 2)),
-        h=(series(), series()) if draw(st.booleans()) else (zero, zero),
+        h=(series(), series()) if curved and draw(st.booleans()) else (zero, zero),
         momentum_shift=draw(st.booleans()),
     )
 
@@ -152,19 +158,70 @@ def test_each_rule_conjugates_the_operator(spec, name):
     _assert_same_verdicts(spec, transformed, spec.coefficient_order - 1)
 
 
-@pytest.mark.parametrize("name", ["swap", "permute", "rescale"])
-@pytest.mark.parametrize("example, index, value", [
+_BUNDLED = [
     ("example1", None, None), ("example2", None, None),
     # the seed-1 mutants of the benchmark's mutants workload
     ("example1", 4, -22), ("example1", 5, 7), ("example1", 6, 25),
     ("example2", 2, 22), ("example2", 3, 19), ("example2", 4, -25),
-])
-def test_bundled_verdicts_survive_each_rule(example, index, value, name):
+]
+
+
+def _bundled_spec(example, index, value):
     changes = {} if index is None else {index: value}
     if example == "example1":
-        spec = example1_system(c_values=changes).delta_spec
-    else:
-        spec = example2_system(b_values=changes).delta_spec
+        return example1_system(c_values=changes).delta_spec
+    return example2_system(b_values=changes).delta_spec
+
+
+@pytest.mark.parametrize("name", ["swap", "permute", "rescale"])
+@pytest.mark.parametrize("example, index, value", _BUNDLED)
+def test_bundled_verdicts_survive_each_rule(example, index, value, name):
+    spec = _bundled_spec(example, index, value)
     transformed, _ = _rules(spec.n_bosons)[name](spec)
     assert transformed != spec or (name == "permute" and spec.n_bosons == 1)
     assert _assert_same_verdicts(spec, transformed, 6) == (index is None)
+
+
+def _assert_brackets_are_natural(spec, rule, max_arity=4):
+    """phi(l_n(z_1, .., z_n)) = l'_n(phi z_1, .., phi z_n), l the brackets of D
+    and l' those of D' = phi D phi^-1, on the canonical tuples through
+    ``max_arity``.
+
+    phi is an algebra automorphism that keeps parity, so it carries the left
+    multiplication L_z to phi L_z phi^-1 = L_(phi z), fixes 1, and carries
+    [A, L_z] = A L_z - (-1)^(par A * par z) L_z A to [phi A phi^-1, L_(phi z)]
+    with the same sign.  By induction on n the nested commutators of D applied
+    to 1 go to those of D' on the images of the inputs.  Each rule sends a
+    generator to a multiple of a generator: theta_a to theta_s(a) with factor
+    1 under the swap, so a theta input brings no sign of its own, and x_i to
+    lam x_i under the rescaling.  A sign on theta inputs comes only from the
+    order: the image of a canonical tuple holding theta1 and theta2 lists
+    theta2 first, and putting two odd inputs back in order costs -1 under the
+    symmetric rule, which ``evaluate`` applies."""
+    transformed, phi = rule(spec)
+    vectors = {mono: vector for vector, mono in spec.generators.items()}
+    images = {}  # generator -> (factor, generator)
+    for vector, mono in spec.generators.items():
+        factor, image = phi(mono)
+        images[vector] = factor, vectors[image]
+    system = brackets_from_delta(spec, max_arity)
+    rebuilt = brackets_from_delta(transformed, max_arity)
+    for n in range(max_arity + 1):
+        for inputs in canonical_tuples(spec.space, SYMMETRIC, n):
+            factor = prod(images[vector][0] for vector in inputs)
+            moved = rebuilt.evaluate([images[vector][1] for vector in inputs])
+            expected = {images[v][1]: images[v][0] * c for v, c in system.evaluate(inputs).items()}
+            assert factor * moved == Element(spec.space.space_id, expected), inputs
+
+
+@settings(max_examples=30, deadline=None)
+@given(_specs(curved=False), st.sampled_from(("swap", "permute", "rescale")))
+def test_rebuilt_brackets_transform_with_each_rule(spec, name):
+    _assert_brackets_are_natural(spec, _rules(spec.n_bosons)[name])
+
+
+@pytest.mark.parametrize("name", ["swap", "permute", "rescale"])
+@pytest.mark.parametrize("example, index, value", _BUNDLED)
+def test_bundled_brackets_transform_with_each_rule(example, index, value, name):
+    spec = _bundled_spec(example, index, value)
+    _assert_brackets_are_natural(spec, _rules(spec.n_bosons)[name])

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import product
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from linfcheck.builtin import b_closed, example1_system, example2_system
 from linfcheck.cli import main
 from linfcheck.document import load_document, save_document, system_to_document
 from linfcheck.errors import DocumentError
-from linfcheck.superspace import DeltaSpec
+from linfcheck.superspace import DeltaSpec, SuperMonomial
 
 
 def run(capsys, *argv):
@@ -390,13 +391,25 @@ def test_json_reports_count_operator_images(capsys, monkeypatch):
 
 
 def test_json_pins_the_operator_work_counts(capsys):
-    # 4 theta sectors x C(6 + 3, 3) exponent vectors of degree <= 6, and the
-    # distinct images D^2 needs for them: a change to how D is composed with
-    # itself must not move either count
+    # 4 theta sectors x C(6 + 3, 3) exponent vectors of degree <= 6 are
+    # scanned.  D^2 is composed only on the monomials that come first in
+    # their orbit under (theta1, x1) <-> (theta2, x2), example2's symmetry, so
+    # the images are those of these leaders and of the monomials of their
+    # images: a change to how D is composed with itself must not move either
+    # count
     code, out, _ = run(capsys, "delta-check", "example2", "--degree", "6", "--json")
     payload = json.loads(out)
     assert code == 0 and payload["pass"] is True
-    assert (payload["monomials_checked"], payload["images"]) == (336, 427)
+    spec, needed = example2_system().delta_spec, set()
+    rank = {(): 0, (1,): 1, (2,): 2, (1, 2): 3}
+    swapped = {(): (), (1,): (2,), (2,): (1,), (1, 2): (1, 2)}
+    for fermions in rank:
+        for bosons in product(range(7), repeat=3):
+            mirror = (rank[swapped[fermions]], (bosons[1], bosons[0], bosons[2]))
+            if sum(bosons) <= 6 and (rank[fermions], bosons) <= mirror:
+                mono = SuperMonomial(fermions, bosons)
+                needed.update([mono, *(m for m, _ in spec.delta_monomial(mono).items())])
+    assert (payload["monomials_checked"], payload["images"]) == (336, len(needed))
 
 
 def test_coefficients_check_reports_a_mismatch(capsys, monkeypatch):

@@ -4,7 +4,7 @@ import pickle
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import comb, factorial
 
 import pytest
@@ -28,11 +28,14 @@ from linfcheck.superspace import (
     koszul_bracket,
     EPS_LOWER,
     _merge_fermions,
+    _orbit_leader,
+    _symmetry,
     _theta_derivative,
     linear_element,
     nilpotency_conditions,
 )
 from series_ops import from_coeffs, one, truncate
+from test_basis_change import permute_bosons, swap_thetas
 
 
 @pytest.fixture(scope="module")
@@ -382,6 +385,133 @@ def test_delta_squared_check_matches_the_double_loop_on_mutants(example, index, 
     expected = _delta_squared_oracle(spec, 6)
     assert not expected.passed
     assert delta_squared_check(spec, 6) == expected
+
+
+@pytest.mark.parametrize("bound", [-1, True, False, 2.0, "3", None])
+def test_delta_squared_check_rejects_a_bound_that_checks_nothing(ex1, bound):
+    # a negative bound checks nothing, and a bool or a float is no degree
+    with pytest.raises(ValueError, match="degree bound"):
+        delta_squared_check(ex1.delta_spec, bound)
+
+
+@st.composite
+def _symmetric_specs(draw, order=4):
+    """Specs whose operator commutes with (theta1, x1) <-> (theta2, x2) and
+    with the permutations of x3 .. xN: g's first two columns mirror each
+    other, f1 = -f2, h1 = h2 and the trailing columns are equal.  A trailing
+    column whose two rows differ keeps only the permutations.  Now and then
+    one coefficient is changed, which breaks or keeps each symmetry."""
+    n_bosons = draw(st.integers(1, 4))
+
+    def coeffs():
+        if draw(st.booleans()):  # a constant series: more specs pass
+            return [draw(st.integers(-2, 2))] + [0] * order
+        return draw(st.lists(st.integers(-2, 2), min_size=order + 1, max_size=order + 1))
+
+    a, b, c = coeffs(), coeffs(), coeffs()
+    d = c if draw(st.booleans()) else coeffs()
+    f = coeffs() if draw(st.booleans()) else [0] * (order + 1)
+    h = coeffs() if draw(st.booleans()) else [0] * (order + 1)
+    columns = [(a, a)] if n_bosons == 1 else [(a, b), (b, a)] + [(c, d)] * (n_bosons - 2)
+    slots = [f, [-x for x in f], h, h] + [column[r] for r in (0, 1) for column in columns]
+    slots = [list(coefficients) for coefficients in slots]
+    if draw(st.integers(0, 3)) == 0:
+        slots[draw(st.integers(0, len(slots) - 1))][draw(st.integers(0, order))] += 1
+    series = [from_coeffs(coefficients) for coefficients in slots]
+    return DeltaSpec(n_bosons=n_bosons, f=tuple(series[:2]), h=tuple(series[2:4]),
+                     g=(tuple(series[4:4 + n_bosons]), tuple(series[4 + n_bosons:])),
+                     momentum_shift=draw(st.booleans()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_symmetric_specs(), st.integers(0, 3))
+def test_delta_squared_check_matches_the_double_loop_on_symmetric_specs(spec, degree_bound):
+    expected = _delta_squared_oracle(spec, degree_bound)
+    assert delta_squared_check(spec, degree_bound) == expected
+    assert delta_squared_check(spec, degree_bound) == expected  # warm cache
+
+
+@pytest.mark.parametrize("n_bosons, degree", [(2, 6), (3, 6), (4, 6), (5, 5)])
+@pytest.mark.parametrize("changes", [{}, {3: 19}, {5: 1}])
+def test_delta_squared_check_matches_the_double_loop_on_example2(n_bosons, degree, changes):
+    spec = example2_system(n_bosons=n_bosons, order=degree, b_values=changes).delta_spec
+    expected = _delta_squared_oracle(spec, degree)
+    assert expected.passed == (not changes)
+    assert delta_squared_check(spec, degree) == expected
+
+
+_RANK = {block: rank for rank, block in enumerate(_SECTORS)}  # the scan order of the sectors
+
+
+def _brute_force_group(spec):
+    """Every (pi, swap) whose change of basis, by the rules of
+    ``test_basis_change``, gives back the spec itself."""
+    group = []
+    for pi in permutations(range(spec.n_bosons)):
+        for swap in (False, True):
+            transformed = swap_thetas(spec)[0] if swap else spec
+            if permute_bosons(pi)(transformed)[0] == spec:
+                group.append((pi, swap))
+    return group
+
+
+def _is_orbit_minimum(group, fermions, bosons):
+    """Is the monomial the scan-order minimum of its orbit under the group?"""
+    images = []
+    for pi, swap in group:
+        moved = [0] * len(bosons)
+        for i, m in enumerate(bosons):
+            moved[pi[i]] = m  # x_i goes to x_pi(i)
+        block = {(1,): (2,), (2,): (1,)}.get(fermions, fermions) if swap else fermions
+        images.append((_RANK[block], tuple(moved)))
+    return (_RANK[fermions], bosons) == min(images)
+
+
+def _assert_detector_matches_brute_force(spec):
+    """The group ``_symmetry`` describes, spelled out as every (pi, swap) it
+    allows, is the brute-force group, and the leader test picks exactly the
+    brute-force orbit minima through degree 3."""
+    group, (classes, partner) = _brute_force_group(spec), _symmetry(spec)
+    class_of = {i: k for k, members in enumerate(classes) for i in members}
+    assert sorted(i for members in classes for i in members) == list(range(spec.n_bosons))
+    detected = set()
+    for pi in permutations(range(spec.n_bosons)):
+        if all(class_of[pi[i]] == class_of[i] for i in range(spec.n_bosons)):
+            detected.add((pi, False))
+        if partner is not None and all(class_of[pi[partner[j]]] == class_of[j]
+                                       for j in range(spec.n_bosons)):
+            detected.add((pi, True))
+    assert detected == set(group)
+    leads = _orbit_leader(spec)
+    assert (leads is None) == (len(group) == 1)
+    for rank, fermions in enumerate(_SECTORS):
+        for bosons in product(range(4), repeat=spec.n_bosons):
+            if sum(bosons) <= 3:
+                expected = _is_orbit_minimum(group, fermions, bosons)
+                assert (leads is None or leads(rank, bosons)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_symmetric_specs())
+def test_symmetry_detection_matches_brute_force(spec):
+    _assert_detector_matches_brute_force(spec)
+
+
+@pytest.mark.parametrize("n_bosons", [2, 3, 4])
+def test_symmetry_detection_matches_brute_force_on_example2(n_bosons):
+    _assert_detector_matches_brute_force(example2_system(n_bosons=n_bosons, order=4).delta_spec)
+
+
+def test_symmetry_of_the_bundled_operators(ex1):
+    assert _symmetry(ex1.delta_spec) == ([[0]], None)
+    assert _orbit_leader(ex1.delta_spec) is None
+    spec = example2_system(n_bosons=5).delta_spec
+    # the swap with x1 <-> x2, and the class {x3 .. x5}
+    assert _symmetry(spec) == ([[0], [1], [2, 3, 4]], [1, 0, 2, 3, 4])
+    g1 = spec.g[0][0]
+    changed = from_coeffs(g1.coeffs[:2] + (g1.coeffs[2] + 1,) + g1.coeffs[3:])
+    spec = spec._replace(g=((changed,) + spec.g[0][1:], spec.g[1]))
+    assert _symmetry(spec) == ([[0], [1], [2, 3, 4]], None)
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,9 @@ class BracketSystem:
         entries: Iterable[tuple[Sequence[BasisVector], Element]],
         max_arity: int = DEFAULT_MAX_ARITY,
     ) -> "BracketSystem":
+        """The one place an entry is checked: arity, space, key, degree and
+        duplicates.  Each is stored with integral coefficients as ints, or the
+        Jacobi sums would spend most of their time in Fraction arithmetic."""
         if symmetry not in (SKEW, SYMMETRIC):
             raise ValueError(f"unknown symmetry {symmetry!r}")
         tables: dict[int, dict[tuple[BasisVector, ...], Element]] = {}
@@ -135,7 +138,8 @@ class BracketSystem:
             table = tables.setdefault(n, {})
             if key in table:
                 raise ValueError(f"duplicate table entry for {key}")
-            table[key] = sign * output
+            table[key] = Element._from_exact(
+                space.space_id, {v: int_if_integral(sign * c) for v, c in output.items()})
         return cls(space, symmetry, max_arity, tables)
 
     # Lookups for evaluate, built on its first call: many systems are never
@@ -143,17 +147,11 @@ class BracketSystem:
 
     @cached_property
     def _by_index(self) -> dict:
-        """Each stored entry and its negative, keyed by generator indices.
-        Integral coefficients are ints: the Jacobi sums would spend most of
-        their time in Fraction arithmetic otherwise."""
-        indices = self.space.indices
-        by_index = {}
-        for table in self.tables.values():
-            for key, entry in table.items():
-                entry = Element(entry.space_id,
-                                {v: int_if_integral(c) for v, c in entry.items()})
-                by_index[indices(key)] = (entry, -1 * entry)
-        return by_index
+        """Each stored entry, as ``from_entries`` stored it, and its negative,
+        keyed by generator indices."""
+        return {self.space.indices(key): (entry, Element._from_exact(
+                    entry.space_id, {v: -c for v, c in entry.items()}))
+                for table in self.tables.values() for key, entry in table.items()}
 
     @cached_property
     def _zero(self) -> Element:
@@ -326,22 +324,19 @@ def _shift_system(system: BracketSystem) -> BracketSystem:
     for g in system.space.generators:
         number = 1 + sum(h.degree == g.degree for h in mapping)
         mapping[g] = BasisVector(target_id, f"{prefixes[g.degree]}{number}", g.degree + shift)
-    entries = []
-    for table in system.tables.values():
+    # Valid by construction, so from_entries is skipped: generators map in
+    # order (a canonical key stays canonical, sign +1), a key repeats only the
+    # parity the other symmetry allows, and every degree rule shifts alike.
+    tables = {}
+    for n, table in system.tables.items():
+        shifted = tables[n] = {}
         for key, output in table.items():
             new_key = tuple(mapping[v] for v in key)
             sign = desuspension_sign([v.degree for v in (new_key if down else key)])
-            new_output = Element(
-                target_id,
-                {mapping[v]: sign * c for v, c in output.items()},
-            )
-            entries.append((new_key, new_output))
-    return BracketSystem.from_entries(
-        GradedSpace(target_id, mapping.values()),
-        SYMMETRIC if down else SKEW,
-        entries,
-        max_arity=system.max_arity,
-    )
+            shifted[new_key] = Element._from_exact(
+                target_id, {mapping[v]: sign * c for v, c in output.items()})
+    return BracketSystem(GradedSpace(target_id, mapping.values()),
+                         SYMMETRIC if down else SKEW, system.max_arity, tables)
 
 
 def desuspend_system(system: BracketSystem) -> BracketSystem:

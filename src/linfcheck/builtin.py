@@ -12,7 +12,6 @@ the modules that part needs, on its first access.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial
@@ -25,7 +24,9 @@ from .grading import (
     Element,
     GradedSpace,
     Rational,
+    _exact,
     desuspension_sign,
+    int_if_integral,
 )
 
 if TYPE_CHECKING:
@@ -62,27 +63,27 @@ class ExampleSystems:
 # coefficient sequences
 # ---------------------------------------------------------------------------
 
-def c1_closed(n: int) -> Fraction:
+def c1_closed(n: int) -> int:
     """(-1)^((n-2)(n-3)/2) * (n-3)! for n >= 3."""
     if n < 3:
         raise ValueError("defined for n >= 3")
     sign = -1 if ((n - 2) * (n - 3) // 2) % 2 else 1
-    return Fraction(sign * factorial(n - 3))
+    return sign * factorial(n - 3)
 
 
 @lru_cache(maxsize=None)
-def c1_recursive(n: int) -> Fraction:
+def c1_recursive(n: int) -> int:
     """Same sequence via C_n = (-1)^(n-1) (n-3) C_(n-1), seeded at n = 3."""
     if n < 3:
         raise ValueError("defined for n >= 3")
     if n == 3:
         return c1_closed(3)
     sign = 1 if (n - 1) % 2 == 0 else -1
-    return Fraction(sign * (n - 3) * c1_recursive(n - 1))
+    return sign * (n - 3) * c1_recursive(n - 1)
 
 
 @lru_cache(maxsize=None)
-def c2_daily(n: int) -> Fraction:
+def c2_daily(n: int) -> int:
     """Coefficients of the second example's arity-n bracket sector:
 
     C_n = (-1)^n [ -2(n-2) C_(n-1)
@@ -93,19 +94,19 @@ def c2_daily(n: int) -> Fraction:
     if n < 3:
         raise ValueError("defined for n >= 3")
     if n == 3:
-        return Fraction(1)
+        return 1
     total = -2 * (n - 2) * c2_daily(n - 1)
     for p in range(3, n - 1):
         sign = -1 if (p * n + 1) % 2 else 1
         total += sign * comb(n - 2, p - 1) * c2_daily(n - p + 1) * c2_daily(p)
-    return Fraction(total if n % 2 == 0 else -total)
+    return total if n % 2 == 0 else -total
 
 
-def b_closed(m: int) -> Fraction:
+def b_closed(m: int) -> int:
     """(1 - M)^(M - 1) for M >= 0, with the convention 0^0 = 1."""
     if m < 0:
         raise ValueError("defined for M >= 0")
-    return Fraction(1 - m) ** (m - 1)
+    return (1 - m) ** (m - 1) if m else 1
 
 
 def theta_sector_sign(n: int) -> int:
@@ -139,7 +140,7 @@ def example1_system(
         for n, value in c_values.items():
             if n < 3:
                 raise ValueError("coefficients are indexed from 3")
-            cs[n] = Fraction(value)
+            cs[n] = int_if_integral(_exact(value))
     if series_order < 1:  # g1 = 1 + x
         raise ValueError("the coordinate series needs order >= 1")
 
@@ -167,11 +168,11 @@ def example1_system(
 
     # theta-sector series: b_2(0) = 1, b_2(1) = 0, and for m >= 2 the
     # degree-shift image of C_(m+1)
-    def b2(m: int) -> Fraction:
+    def b2(m: int) -> Rational:
         if m == 0:
-            return Fraction(1)
+            return 1
         if m == 1:
-            return Fraction(0)
+            return 0
         return theta_sector_sign(m + 1) * cs[m + 1]
 
     def delta() -> DeltaSpec:
@@ -201,8 +202,8 @@ def example1_system(
 def _second_family_skew(
     n_v: int,
     n_w: int,
-    b1: Fraction,
-    c_of: Callable[[int], Fraction],
+    b1: Rational,
+    c_of: Callable[[int], Rational],
     max_arity: int,
 ) -> BracketSystem:
     from .brackets import SKEW, BracketSystem
@@ -215,8 +216,8 @@ def _second_family_skew(
         entries.append(((v,), Element.basis(ws[i])))
     for i, v in enumerate(vs):
         for j, wv in enumerate(ws):
-            terms: dict[BasisVector, Fraction] = {ws[i]: b1}
-            terms[wv] = terms.get(wv, Fraction(0)) + 1
+            terms: dict[BasisVector, Rational] = {ws[i]: b1}
+            terms[wv] = terms.get(wv, 0) + 1
             entries.append(((v, wv), Element("V", terms)))
     for n in range(3, max_arity + 1):
         cn = c_of(n)
@@ -264,13 +265,13 @@ def example2_system(
         for m, value in b_values.items():
             if m < 0:
                 raise ValueError("coefficients are indexed from 0")
-            bs[m] = Fraction(value)
+            bs[m] = int_if_integral(_exact(value))
     if bs[0] != 1:
         raise ValueError("the sequence must be normalized to B_0 = 1")
     if series_order < 0:  # G needs its constant coefficient
         raise ValueError("a series needs at least the constant coefficient")
 
-    def c_of(n: int) -> Fraction:
+    def c_of(n: int) -> Rational:
         return theta_sector_sign(n) * bs[n - 1]
 
     def skew() -> BracketSystem:

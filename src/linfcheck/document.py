@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from .brackets import SKEW, SYMMETRIC, BracketSystem
 from .errors import DocumentError
-from .grading import BasisVector, Element, GradedSpace
+from .grading import BasisVector, Element, GradedSpace, Rational, int_if_integral
 
 if TYPE_CHECKING:  # the operator modules load only for a "delta" section
     from .series import Series
@@ -44,23 +45,31 @@ SCHEMA_VERSION = "1"
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _coeff_to_json(value: Fraction) -> str:
-    return str(Fraction(value))
+def _coeff_to_json(value: Rational) -> str:
+    return str(value)
 
 
-def _coeff_from_json(value: Any) -> Fraction:
+def _coeff_from_json(value: Any) -> Rational:
+    """An int, or a normalised Fraction when the value is not integral."""
     if isinstance(value, bool) or isinstance(value, float):
         raise DocumentError(f"coefficients must be exact strings, got {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
-    # Fraction alone also reads " 3 ", "3_000", "1.5" and "1e5000000", the
-    # last one taking seconds; on these forms int's digit limit applies
-    if isinstance(value, str) and _RATIONAL.fullmatch(value):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(f"bad rational {value!r}: {exc}") from None
-    raise DocumentError(f"bad rational {value!r}")
+        return value
+    # the pattern keeps out " 3 ", "3_000", "1.5" and "1e5000000" (seconds for
+    # Fraction); on the schema's forms int's digit limit applies
+    if not (isinstance(value, str) and _RATIONAL.fullmatch(value)):
+        raise DocumentError(f"bad rational {value!r}")
+    numerator, _, denominator = value.partition("/")
+    try:
+        if not denominator:
+            return int(numerator)
+        return int_if_integral(Fraction(int(numerator), int(denominator)))
+    except ZeroDivisionError as exc:
+        raise DocumentError(f"bad rational {value!r}: {exc}") from None
+    except ValueError:  # int's digit limit: show only the start of the value
+        raise DocumentError(f"bad rational '{value[:20]}...' ({len(value):,} characters): more "
+                            f"than {sys.get_int_max_str_digits():,} digits on a side of the '/'"
+                            ) from None
 
 
 def _series_to_json(series: Series) -> list[str]:
@@ -174,12 +183,13 @@ def document_to_system(doc: dict) -> tuple[BracketSystem, DeltaSpec | None]:
             lookup(name)
             for name in _require(item, "inputs", list, "bracket entry")
         ]
-        terms: dict[BasisVector, Fraction] = {}
+        terms: dict[BasisVector, Rational] = {}
         for part in _require(item, "output", list, "bracket entry"):
             vector = lookup(_require(part, "gen", str, "output term"))
             coeff = _coeff_from_json(_require(part, "coeff", (str, int), "output term"))
-            terms[vector] = terms.get(vector, Fraction(0)) + coeff
-        entries.append((tuple(inputs), Element(space_id, terms)))
+            terms[vector] = terms.get(vector, 0) + coeff
+        # names and coefficients are checked above, the rest by from_entries
+        entries.append((tuple(inputs), Element._from_exact(space_id, terms)))
     try:
         system = BracketSystem.from_entries(space, symmetry, entries, max_arity)
     except ValueError as exc:

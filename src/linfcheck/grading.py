@@ -217,11 +217,11 @@ class GradedSpace:
 class Element:
     """A finite linear combination of basis vectors with exact coefficients.
 
-    Stored sparsely with int or Fraction coefficients kept as given; zero
-    coefficients are pruned on construction.  ``space_id`` names the space
-    every term belongs to, as read off a key by ``_space_of``; a subclass
-    with other keys overrides that rule and inherits the arithmetic, and
-    combinations of different spaces never add or compare equal.
+    Stored sparsely with int or Fraction coefficients kept as given (bracket
+    tables hold integral ones as ints); zero ones are pruned on construction.
+    ``space_id`` names the space of every term, as read off a key by
+    ``_space_of``; a subclass with other keys overrides that rule and
+    inherits the arithmetic, and different spaces never add or compare equal.
     """
 
     __slots__ = ("space_id", "_terms")

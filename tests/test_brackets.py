@@ -520,6 +520,85 @@ def test_round_trip_through_the_shift_on_random_systems(system):
     _assert_round_trip(system)
 
 
+def _shift_oracle(system):
+    """The degree shift as it was written before the tables were mapped
+    directly: shifted entries, checked again by ``from_entries``."""
+    down = system.symmetry == SKEW
+    prefixes = {0: "theta", 1: "x"} if down else {-1: "v", 0: "w"}
+    target_id, shift = ("W", -1) if down else ("V", 1)
+    mapping = {}
+    for g in system.space.generators:
+        number = 1 + sum(h.degree == g.degree for h in mapping)
+        mapping[g] = BasisVector(target_id, f"{prefixes[g.degree]}{number}", g.degree + shift)
+    entries = []
+    for table in system.tables.values():
+        for key, output in table.items():
+            new_key = tuple(mapping[v] for v in key)
+            sign = desuspension_sign([v.degree for v in (new_key if down else key)])
+            entries.append((new_key, Element(
+                target_id, {mapping[v]: sign * c for v, c in output.items()})))
+    return BracketSystem.from_entries(GradedSpace(target_id, mapping.values()),
+                                      SYMMETRIC if down else SKEW, entries,
+                                      max_arity=system.max_arity)
+
+
+def _typed_tables(system):
+    """Each table entry's coefficients with their types, by arity and key."""
+    return {n: {key: {v: (c, type(c)) for v, c in output.items()}
+                for key, output in table.items()}
+            for n, table in system.tables.items()}
+
+
+def _assert_shift_matches_oracle(system):
+    lowered = desuspend_system(system)
+    for shifted, source in ((lowered, system), (suspend_system(lowered), lowered)):
+        expected = _shift_oracle(source)
+        assert (shifted.space, shifted.symmetry, shifted.max_arity) == \
+            (expected.space, expected.symmetry, expected.max_arity)
+        assert _typed_tables(shifted) == _typed_tables(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_random_skew_systems(grading=(0, 1), min_size=1), _perturbed_examples()))
+def test_shift_matches_the_checked_oracle(system):
+    _assert_shift_matches_oracle(system)
+
+
+def test_shift_matches_the_checked_oracle_on_the_builtins(ex1, ex2):
+    for example in (ex1, ex2):
+        _assert_shift_matches_oracle(example.skew_system)
+
+
+# -- coefficient representation ---------------------------------------------------
+
+def _assert_ints_where_integral(system):
+    """Integral coefficients are stored as ints, the others as Fractions, and
+    evaluate hands out the stored entries themselves."""
+    for table in system.tables.values():
+        for key, output in table.items():
+            for _, c in output.items():
+                assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), (key, c)
+            assert system._by_index[system.space.indices(key)][0] is output
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_random_skew_systems(), _perturbed_examples()))
+def test_tables_hold_ints_where_integral(system):
+    _assert_ints_where_integral(system)
+    if {g.degree for g in system.space.generators} <= {0, 1}:
+        lowered = desuspend_system(system)
+        _assert_ints_where_integral(lowered)
+        _assert_ints_where_integral(suspend_system(lowered))
+
+
+def test_builtin_tables_hold_ints(ex1, ex2):
+    for example in (ex1, ex2):
+        for system in (example.skew_system, example.symmetric_system):
+            _assert_ints_where_integral(system)
+            assert all(type(c) is int for table in system.tables.values()
+                       for output in table.values() for _, c in output.items())
+
+
 def test_shift_requires_the_two_band_grading():
     a = BasisVector("V", "a", 2)
     space = GradedSpace("V", (a,))

@@ -173,6 +173,18 @@ def test_example2_dimension_checks():
     assert wide.delta_spec.n_bosons == 4
 
 
+def test_float_overrides_are_rejected():
+    # a float is inexact: 0.1 would be stored as 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        example1_system(c_values={4: 0.1})
+    with pytest.raises(TypeError):
+        example2_system(b_values={2: 0.1})
+    # integral overrides are stored as ints, like the sequences themselves
+    ex = example2_system(b_values={2: Fraction(6, 3)})
+    assert all(type(c) is int for table in ex.skew_system.tables.values()
+               for output in table.values() for _, c in output.items())
+
+
 def test_example2_override_flows_everywhere():
     ex = example2_system(b_values={3: 0})
     V = ex.skew_system

@@ -1,9 +1,13 @@
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from linfcheck.builtin import example1_system, example2_system
+from linfcheck.cli import main
 from linfcheck.document import (
+    _coeff_from_json,
     document_to_system,
     load_document,
     save_document,
@@ -144,3 +148,68 @@ def test_selection_rule_violations_rejected_at_load(ex1):
     mangled["delta"]["h"][0][0] = "1"  # nonzero h under the selection rule
     with pytest.raises(DocumentError):
         document_to_system(mangled)
+
+
+# -- coefficient representation ----------------------------------------------------
+
+def test_rationals_load_as_ints_where_integral():
+    for text, value in (("-0", 0), ("007", 7), ("4/2", 2), ("-6/3", -2), ("0/5", 0), (12, 12)):
+        assert type(_coeff_from_json(text)) is int and _coeff_from_json(text) == value, text
+    third = _coeff_from_json("1/3")
+    assert type(third) is Fraction and third == Fraction(1, 3)
+    assert _coeff_from_json("-4/6") == Fraction(-2, 3)
+
+
+def test_loaded_tables_hold_ints_where_integral(tmp_path, ex1):
+    doc = system_to_document(ex1.skew_system)
+    doc["brackets"][0]["output"][0]["coeff"] = "4/2"
+    doc["brackets"][1]["output"][0]["coeff"] = "5/3"
+    path = tmp_path / "mixed.json"
+    save_document(doc, path)
+    system, _ = load_document(path)
+    coeffs = [c for table in system.tables.values()
+              for output in table.values() for _, c in output.items()]
+    assert Fraction(5, 3) in coeffs and 2 in coeffs
+    for c in coeffs:
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), c
+    for table in system.tables.values():
+        for key, output in table.items():
+            assert system._by_index[system.space.indices(key)][0] is output
+
+
+def test_coefficients_keep_to_the_digit_limit(capsys, tmp_path, ex1):
+    """Up to 4,300 digits a side load; more give one short error line that
+    names the limit, not the whole value."""
+    base = system_to_document(ex1.skew_system)
+    for value, code in (("9" * 4300, 1), ("1/" + "7" * 4300, 1),
+                        ("9" * 4301, 2), ("9" * 5000, 2), ("1/" + "9" * 5000, 2)):
+        doc = json.loads(json.dumps(base))
+        doc["brackets"][0]["output"][0]["coeff"] = value
+        path = tmp_path / "coeff.json"
+        save_document(doc, path)
+        assert main(["verify", str(path), "--max-arity", "2"]) == code, len(value)
+        err = capsys.readouterr().err
+        if code == 2:
+            assert len(err.splitlines()) == 1 and err.startswith("error: bad rational")
+            assert "4,300 digits" in err and len(err) < 200, err
+            assert "set_int_max_str_digits" not in err
+        else:
+            assert err == ""
+
+
+# sha256 of the documents written by ``export <builtin> --formulation <f> -o``;
+# a change to how tables are built or stored must not move a byte
+EXPORTED = {
+    ("example1", "jacobi"): "b9e137e512be2d14257d0a3eb7e7e2d28c26cb62ef0ddde687680f67e44a4c49",
+    ("example1", "operator"): "9fbdebf6adee62999f4cfa6a77d323ea0e297eccc3ff1508e020c700a3006aa2",
+    ("example2", "jacobi"): "de9e7cacd6b0f7225afbe4c3a5351146fcfc5803573b2c1f9a1bd9b7c1c129e9",
+    ("example2", "operator"): "9f0634d85ffb7c6bc9db7bc41d5ae5fae9e0365a2edc118d370d1da0186a0f2a",
+}
+
+
+@pytest.mark.parametrize("builtin, formulation", sorted(EXPORTED))
+def test_exported_documents_are_pinned(capsys, tmp_path, builtin, formulation):
+    path = tmp_path / "out.json"
+    assert main(["export", builtin, "--formulation", formulation, "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORTED[builtin, formulation]

@@ -21,14 +21,13 @@ The generalized Jacobi identities are checked tuple by tuple: for each
 canonically ordered input tuple, the sum over unshuffles of the nested terms
 l_j(l_i(head), tail).  The paper settles them "by degree arguments and
 combinatorics": almost every nested term vanishes because its head is not a
-stored key.  Each such term costs one table lookup on generator indices, and
-the unshuffles and their signs repeat from tuple to tuple, so they come from
-caches (see :mod:`linfcheck.grading`).
+stored key.  The few bracket values the scan needs repeat from tuple to tuple,
+so each system answers each input tuple once and keeps the value; the
+unshuffles and their signs come from caches too (see :mod:`linfcheck.grading`).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -97,6 +96,8 @@ class BracketSystem:
         self.symmetry = symmetry
         self.max_arity = max_arity
         self.tables = tables
+        self._zero = Element(space.space_id)
+        self._values: dict[tuple, Element] = {}  # evaluate's answers, by input tuple
 
     @classmethod
     def from_entries(
@@ -135,6 +136,7 @@ class BracketSystem:
                         f"bracket of {inputs} must have degree {target}, "
                         f"got a {vector.name} term of degree {vector.degree}"
                     )
+            space.indices(v for v, _ in output.items())  # ValueError on a non-generator
             table = tables.setdefault(n, {})
             if key in table:
                 raise ValueError(f"duplicate table entry for {key}")
@@ -142,37 +144,25 @@ class BracketSystem:
                 space.space_id, {v: int_if_integral(sign * c) for v, c in output.items()})
         return cls(space, symmetry, max_arity, tables)
 
-    # Lookups for evaluate, built on its first call: many systems are never
-    # evaluated.
-
-    @cached_property
-    def _by_index(self) -> dict:
-        """Each stored entry, as ``from_entries`` stored it, and its negative,
-        keyed by generator indices."""
-        return {self.space.indices(key): (entry, Element._from_exact(
-                    entry.space_id, {v: -c for v, c in entry.items()}))
-                for table in self.tables.values() for key, entry in table.items()}
-
-    @cached_property
-    def _zero(self) -> Element:
-        return Element(self.space.space_id)
-
     def evaluate(self, inputs: Sequence[BasisVector]) -> Element:
-        """Bracket value on the given inputs, following the sign rules."""
+        """Bracket value on the given inputs, following the sign rules.  Each
+        input tuple is worked out once and then read from ``_values``: the
+        Jacobi scan asks for the same few values over and over."""
         inputs = tuple(inputs)
-        n = len(inputs)
-        if n > self.max_arity:
-            raise TruncationError(
-                f"arity {n} exceeds the system's bound {self.max_arity}"
-            )
-        # Keys the symmetry forces to vanish are never stored, so they miss,
-        # and a miss needs no sign.
-        position = self.space.indices(inputs)
-        entry = self._by_index.get(tuple(sorted(position)))
-        if entry is None:
-            return self._zero
-        sign = sort_sign(list(position), self.space.parities, self.symmetry == SKEW)
-        return entry[0] if sign == 1 else entry[1]
+        value = self._values.get(inputs)
+        if value is None:
+            if len(inputs) > self.max_arity:
+                raise TruncationError(
+                    f"arity {len(inputs)} exceeds the system's bound {self.max_arity}")
+            # a key the symmetry kills is None, and no table holds it
+            key, sign = canonical_key(self.space, self.symmetry, inputs)
+            value = self.tables.get(len(inputs), {}).get(key)
+            if value is None:
+                value = self._zero
+            elif sign == -1:
+                value = Element._from_exact(value.space_id, {v: -c for v, c in value.items()})
+            self._values[inputs] = value
+        return value
 
     def entry_count(self) -> int:
         return sum(len(t) for t in self.tables.values())
@@ -229,32 +219,34 @@ def jacobi_summands(
     inputs = tuple(inputs)
     n = len(inputs)
     degrees = tuple(v.degree for v in inputs)
+    at = (None, *inputs).__getitem__  # sigma's images are 1-based
     evaluate = system.evaluate
     out: dict[int, Element] = {}
     for i in range(1, n + 1):
         acc: dict = {}  # coefficient of each output generator
         for sigma in unshuffles(i, n):
             sign = perm_sign(sigma) * koszul_sign(sigma, degrees)
-            inner = evaluate([inputs[k - 1] for k in sigma[:i]])
+            inner = evaluate(tuple(map(at, sigma[:i])))
             if inner.is_zero():
                 continue
-            tail = [inputs[k - 1] for k in sigma[i:]]
+            tail = tuple(map(at, sigma[i:]))
             for vector, coeff in inner.items():
                 coeff *= sign
-                for w, d in evaluate([vector, *tail]).items():
+                for w, d in evaluate((vector, *tail)).items():
                     acc[w] = acc.get(w, 0) + coeff * d
-        out[i] = Element(system.space.space_id, acc)
+        out[i] = Element._from_exact(system.space.space_id, acc)
     return out
 
 
 def _split_defect(system: BracketSystem, inputs: Sequence[BasisVector]):
     """The defect on ``inputs`` and its nonzero summands by inner arity i, each
-    weighted by (-1)^(i * (n - i)) as in the defect."""
+    weighted by (-1)^(i * (n - i)) as in the defect.  Most summands are zero,
+    so only the nonzero ones are weighted and summed."""
     summands = jacobi_summands(system, inputs)
     n = len(summands)  # one summand per inner arity 1 .. n
-    parts = {i: (-1 if (i * (n - i)) % 2 else 1) * summand for i, summand in summands.items()}
-    defect = sum(parts.values(), Element(system.space.space_id))
-    return defect, {i: part for i, part in parts.items() if not part.is_zero()}
+    parts = {i: (-1 if (i * (n - i)) % 2 else 1) * summand
+             for i, summand in summands.items() if not summand.is_zero()}
+    return sum(parts.values(), system._zero), parts
 
 
 class ArityCheck(NamedTuple):

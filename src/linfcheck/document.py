@@ -49,39 +49,41 @@ def _coeff_to_json(value: Rational) -> str:
     return str(value)
 
 
-def _coeff_from_json(value: Any) -> Rational:
-    """An int, or a normalised Fraction when the value is not integral."""
+def _coeff_from_json(value: Any, where: str) -> Rational:
+    """An int, or a normalised Fraction when the value is not integral; an
+    error names the value and ``where`` it stands in the document."""
     if isinstance(value, bool) or isinstance(value, float):
-        raise DocumentError(f"coefficients must be exact strings, got {value!r}")
+        raise DocumentError(f"coefficients must be exact strings, got {value!r} in {where}")
     if isinstance(value, int):
         return value
     # the pattern keeps out " 3 ", "3_000", "1.5" and "1e5000000" (seconds for
     # Fraction); on the schema's forms int's digit limit applies
     if not (isinstance(value, str) and _RATIONAL.fullmatch(value)):
-        raise DocumentError(f"bad rational {value!r}")
+        raise DocumentError(f"bad rational {value!r} in {where}")
     numerator, _, denominator = value.partition("/")
     try:
         if not denominator:
             return int(numerator)
         return int_if_integral(Fraction(int(numerator), int(denominator)))
     except ZeroDivisionError as exc:
-        raise DocumentError(f"bad rational {value!r}: {exc}") from None
+        raise DocumentError(f"bad rational {value!r} in {where}: {exc}") from None
     except ValueError:  # int's digit limit: show only the start of the value
-        raise DocumentError(f"bad rational '{value[:20]}...' ({len(value):,} characters): more "
-                            f"than {sys.get_int_max_str_digits():,} digits on a side of the '/'"
-                            ) from None
+        raise DocumentError(f"bad rational '{value[:20]}...' ({len(value):,} characters) in "
+                            f"{where}: more than {sys.get_int_max_str_digits():,} digits on "
+                            "a side of the '/'") from None
 
 
 def _series_to_json(series: Series) -> list[str]:
     return [_coeff_to_json(c) for c in series.coeffs]
 
 
-def _series_from_json(data: Any) -> Series:
+def _series_from_json(data: Any, where: str) -> Series:
     from .series import Series
 
     if not isinstance(data, list) or not data:
         raise DocumentError("a series is a non-empty array of rationals")
-    return Series(tuple(_coeff_from_json(c) for c in data))
+    return Series(tuple(_coeff_from_json(c, f"{where}, coefficient {k}")
+                        for k, c in enumerate(data)))
 
 
 def system_to_document(
@@ -178,15 +180,16 @@ def document_to_system(doc: dict) -> tuple[BracketSystem, DeltaSpec | None]:
             raise DocumentError(str(exc)) from None
 
     entries = []
-    for item in _require(doc, "brackets", list):
+    for number, item in enumerate(_require(doc, "brackets", list), 1):
         inputs = [
             lookup(name)
             for name in _require(item, "inputs", list, "bracket entry")
         ]
         terms: dict[BasisVector, Rational] = {}
-        for part in _require(item, "output", list, "bracket entry"):
+        for term, part in enumerate(_require(item, "output", list, "bracket entry"), 1):
             vector = lookup(_require(part, "gen", str, "output term"))
-            coeff = _coeff_from_json(_require(part, "coeff", (str, int), "output term"))
+            coeff = _coeff_from_json(_require(part, "coeff", (str, int), "output term"),
+                                     f"bracket entry {number}, output term {term}")
             terms[vector] = terms.get(vector, 0) + coeff
         # names and coefficients are checked above, the rest by from_entries
         entries.append((tuple(inputs), Element._from_exact(space_id, terms)))
@@ -215,9 +218,10 @@ def _delta_from_json(data: dict) -> DeltaSpec:
     try:
         return DeltaSpec(
             n_bosons=n_bosons,
-            f=tuple(_series_from_json(s) for s in f),
-            g=tuple(tuple(_series_from_json(s) for s in row) for row in g),
-            h=tuple(_series_from_json(s) for s in h),
+            f=tuple(_series_from_json(s, f"delta f[{a}]") for a, s in enumerate(f)),
+            g=tuple(tuple(_series_from_json(s, f"delta g[{a}][{i}]") for i, s in enumerate(row))
+                    for a, row in enumerate(g)),
+            h=tuple(_series_from_json(s, f"delta h[{a}]") for a, s in enumerate(h)),
             momentum_shift=_flag(data, "momentum_shift"),
             selection_rule=_flag(data, "selection_rule"),
         )

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb
@@ -108,6 +109,16 @@ def test_degree_rule_enforced_at_construction():
         BracketSystem.from_entries(space, SKEW, [((a, a), Element.basis(a))])
     ok = BracketSystem.from_entries(space, SKEW, [((a, b), Element.basis(b))])
     assert ok.evaluate([b, a]) == -1 * Element.basis(b)
+
+
+def test_output_terms_must_be_generators():
+    """A vector with the space's id that is not one of its generators is
+    rejected where the entry is checked, not when the Jacobi scan meets it."""
+    a = BasisVector("V", "a", 0)
+    b = BasisVector("V", "b", 1)
+    ghost = BasisVector("V", "ghost", 1)
+    with pytest.raises(ValueError, match="ghost is not a generator of space 'V'"):
+        BracketSystem.from_entries(GradedSpace("V", (a, b)), SKEW, [((a,), Element.basis(ghost))])
 
 
 def test_entries_canonicalized_with_sign():
@@ -449,6 +460,84 @@ def test_pair_scan_matches_the_tuple_scan_on_example2_dims_4_4():
     assert _assert_matches_oracle(system, 5).passed
 
 
+# -- evaluate's value table ------------------------------------------------------
+#
+# ``evaluate`` works each input tuple out once per system.  The oracle below is
+# its body before that table: the index map, the sorted lookup and the sign.
+
+def _evaluate_oracle(system, inputs):
+    inputs = tuple(inputs)
+    if len(inputs) > system.max_arity:
+        raise TruncationError(
+            f"arity {len(inputs)} exceeds the system's bound {system.max_arity}")
+    by_index = {system.space.indices(key): entry
+                for table in system.tables.values() for key, entry in table.items()}
+    position = system.space.indices(inputs)
+    entry = by_index.get(tuple(sorted(position)))
+    if entry is None:
+        return Element(system.space.space_id)
+    sign = sort_sign(list(position), system.space.parities, system.symmetry == SKEW)
+    return entry if sign == 1 else -entry
+
+
+@st.composite
+def _systems_and_calls(draw):
+    """A random or perturbed skew system, or its desuspension, and a list of
+    input sequences holding each drawn sequence twice, in random order."""
+    system = draw(st.one_of(_random_skew_systems(), _perturbed_examples()))
+    if {g.degree for g in system.space.generators} <= {0, 1} and draw(st.booleans()):
+        system = desuspend_system(system)
+    generators = st.sampled_from(system.space.generators)
+    ghost = BasisVector(system.space.space_id, "ghost", 0)
+    stored = [key for table in system.tables.values() for key in table]
+    kinds = [
+        # repeats and every arity up to the bound
+        st.lists(generators, max_size=system.max_arity),
+        # a non-generator somewhere among generators
+        st.tuples(st.lists(generators, max_size=3), st.integers(0, 3)).map(
+            lambda drawn: (*drawn[0][:drawn[1]], ghost, *drawn[0][drawn[1]:])),
+        # over the arity bound
+        st.lists(generators, min_size=system.max_arity + 1, max_size=system.max_arity + 2),
+    ]
+    groups = [st.lists(kind, max_size=4) for kind in kinds]
+    if stored:  # several reorderings of one stored key
+        groups.append(st.sampled_from(stored).flatmap(
+            lambda key: st.lists(st.permutations(key), max_size=4)))
+    calls = [inputs for group in groups for inputs in draw(group)]
+    return system, draw(st.permutations(calls + calls))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_systems_and_calls())
+def test_evaluate_matches_the_oracle_in_any_order(drawn):
+    system, calls = drawn
+    answers = {}
+    for inputs in calls:
+        try:
+            expected = _evaluate_oracle(system, inputs)
+        except (TruncationError, ValueError) as exc:
+            before = dict(system._values)
+            with pytest.raises(type(exc), match="^" + re.escape(str(exc)) + "$"):
+                system.evaluate(inputs)
+            assert system._values == before
+            continue
+        value = system.evaluate(inputs)
+        assert value == expected, inputs
+        # a repeat gets the very object the first call returned
+        assert answers.setdefault(tuple(inputs), value) is value
+    if system.symmetry == SKEW:  # a warm table gives the report a fresh system gives
+        fresh = BracketSystem(system.space, system.symmetry, system.max_arity, system.tables)
+        assert verify_jacobi(system, 4) == verify_jacobi(fresh, 4)
+
+
+def test_verify_jacobi_twice_gives_a_fresh_systems_report():
+    for make in (lambda: example1_system(c_values={4: 1}).skew_system,
+                 lambda: example2_system().skew_system):
+        system = make()
+        first = verify_jacobi(system, 6)
+        assert verify_jacobi(system, 6) == first == verify_jacobi(make(), 6)
+
+
 # -- degree shift ---------------------------------------------------------------
 
 def test_desuspension_sign_values():
@@ -578,7 +667,7 @@ def _assert_ints_where_integral(system):
         for key, output in table.items():
             for _, c in output.items():
                 assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), (key, c)
-            assert system._by_index[system.space.indices(key)][0] is output
+            assert system.evaluate(key) is output
 
 
 @settings(max_examples=100, deadline=None)

@@ -153,11 +153,14 @@ def test_selection_rule_violations_rejected_at_load(ex1):
 # -- coefficient representation ----------------------------------------------------
 
 def test_rationals_load_as_ints_where_integral():
+    def read(text):
+        return _coeff_from_json(text, "bracket entry 1, output term 1")
+
     for text, value in (("-0", 0), ("007", 7), ("4/2", 2), ("-6/3", -2), ("0/5", 0), (12, 12)):
-        assert type(_coeff_from_json(text)) is int and _coeff_from_json(text) == value, text
-    third = _coeff_from_json("1/3")
+        assert type(read(text)) is int and read(text) == value, text
+    third = read("1/3")
     assert type(third) is Fraction and third == Fraction(1, 3)
-    assert _coeff_from_json("-4/6") == Fraction(-2, 3)
+    assert read("-4/6") == Fraction(-2, 3)
 
 
 def test_loaded_tables_hold_ints_where_integral(tmp_path, ex1):
@@ -174,7 +177,7 @@ def test_loaded_tables_hold_ints_where_integral(tmp_path, ex1):
         assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), c
     for table in system.tables.values():
         for key, output in table.items():
-            assert system._by_index[system.space.indices(key)][0] is output
+            assert system.evaluate(key) is output
 
 
 def test_coefficients_keep_to_the_digit_limit(capsys, tmp_path, ex1):
@@ -195,6 +198,44 @@ def test_coefficients_keep_to_the_digit_limit(capsys, tmp_path, ex1):
             assert "set_int_max_str_digits" not in err
         else:
             assert err == ""
+
+
+@pytest.mark.parametrize("place, value, message", [
+    (("brackets", 2, "output", 0, "coeff"), "1/0",
+     "bad rational '1/0' in bracket entry 3, output term 1: Fraction(1, 0)"),
+    (("brackets", 0, "output", 1, "coeff"), "x",
+     "bad rational 'x' in bracket entry 1, output term 2"),
+    (("delta", "f", 1, 2), 0.5,
+     "coefficients must be exact strings, got 0.5 in delta f[1], coefficient 2"),
+    (("delta", "g", 0, 0, 3), "1/0",
+     "bad rational '1/0' in delta g[0][0], coefficient 3: Fraction(1, 0)"),
+    (("delta", "h", 1, 0), "1.5", "bad rational '1.5' in delta h[1], coefficient 0"),
+])
+def test_bad_coefficients_name_their_place(capsys, tmp_path, ex1, place, value, message):
+    """A bad coefficient's one error line says which bracket entry and output
+    term (counted from 1), or which delta series and power, it stands in."""
+    doc = system_to_document(ex1.symmetric_system, ex1.delta_spec)
+    doc["brackets"][0]["output"].append({"gen": "theta1", "coeff": "0"})
+    *path, last = place
+    parent = doc
+    for step in path:
+        parent = parent[step]
+    parent[last] = value
+    file = tmp_path / "coeff.json"
+    save_document(doc, file)
+    assert main(["delta-check", str(file), "--degree", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_output_terms_off_the_generators_exit_2(capsys, tmp_path, ex1):
+    """The loader looks every output name up in the space, so a document
+    cannot name a vector that is not a generator."""
+    doc = system_to_document(ex1.skew_system)
+    doc["brackets"][0]["output"][0]["gen"] = "ghost"
+    path = tmp_path / "ghost.json"
+    save_document(doc, path)
+    assert main(["verify", str(path), "--max-arity", "2"]) == 2
+    assert capsys.readouterr().err == "error: no generator named 'ghost' in 'V'\n"
 
 
 # sha256 of the documents written by ``export <builtin> --formulation <f> -o``;

@@ -81,7 +81,7 @@ def _series_from_json(data: Any, where: str) -> Series:
     from .series import Series
 
     if not isinstance(data, list) or not data:
-        raise DocumentError("a series is a non-empty array of rationals")
+        raise DocumentError(f"{where}: a series is a non-empty array of rationals")
     return Series(tuple(_coeff_from_json(c, f"{where}, coefficient {k}")
                         for k, c in enumerate(data)))
 

@@ -34,12 +34,12 @@ boson map when the data allow it), whose members all pass or all fail; the
 other monomials are counted but get no image.
 
 The brackets of the operator are its nested graded commutators with the
-multiplications by their inputs (Koszul's higher derived brackets), summed in
-closed form: over subsets T of the odd inputs and multi-indices mu <= m, m
-that of the even inputs, of C(m, mu) (-1)^|m - mu| eps_T theta_out x^(m - mu)
-D(theta_T x^mu).  D's argument multiplies the inputs inside it in input
-order, theta_out the others in reverse input order, and each input left
-outside gives a sign: -1 if even, (-1)^j if odd with j odd inputs before it.
+multiplications by their inputs (Koszul's higher derived brackets).  They are
+graded symmetric, so each is a sign times the bracket of the inputs' product
+theta_T x^m, and Koszul's relation D(theta_T x^m) = sum over the
+sub-multisets (T', mu) of C(m, mu) eps bracket(theta_T' x^mu) theta_(T - T')
+x^(m - mu) gives that bracket from the one image D(theta_T x^m) and the lower
+brackets, which a spec keeps in a table of its own.
 """
 
 from __future__ import annotations
@@ -108,6 +108,9 @@ def _merge_fermions(a: tuple[int, ...], b: tuple[int, ...]):
 
 # _merge_fermions on every pair of theta blocks, for the multiplication loops
 _MERGED = {(a, b): _merge_fermions(a, b) for a in _THETA_BLOCKS for b in _THETA_BLOCKS}
+# each theta block's splits theta_T = eps theta_T' theta_(T - T'), as (T', T - T', eps)
+_SPLITS = {t: [(a, b, m[0]) for (a, b), m in _MERGED.items() if m and m[1] == t]
+           for t in _THETA_BLOCKS}
 
 
 def _theta_derivative(fermions: tuple[int, ...], alpha: int):
@@ -181,10 +184,10 @@ class DeltaSpec(_SpecFields):
     tuple's, so a spec also equals the plain tuple of its fields, and
     assigning an attribute raises.  The operator is held as a table of
     pieces built once per spec; each monomial's image is computed once and
-    cached.  The monomials of the images come from the spec's key table,
-    which maps ``(fermions, bosons)`` to one validated
-    :class:`SuperMonomial`, so equal monomials are the same object within a
-    spec and each is validated once.  ``_replace``, copy and pickle build
+    cached, and so is each monomial's bracket.  The monomials of the images
+    come from the spec's key table, which maps ``(fermions, bosons)`` to one
+    validated :class:`SuperMonomial`, so equal monomials are the same object
+    within a spec and each is validated once.  ``_replace``, copy and pickle build
     through the constructor, so the result is checked again and starts with
     empty tables.
     """
@@ -202,6 +205,7 @@ class DeltaSpec(_SpecFields):
         vars(self).update(
             _images={},  # SuperMonomial -> its image
             _keys={},    # (fermions, bosons) -> the one validated SuperMonomial
+            _brackets={},  # (fermions, bosons) -> its bracket as {(fermions, bosons): coeff}
         )
         return self
 
@@ -321,6 +325,36 @@ class DeltaSpec(_SpecFields):
         self._images[mono] = image
         return image
 
+    def _bracket(self, fermions: tuple, bosons: tuple) -> dict:
+        """Bracket of the sorted inputs whose product is theta_T x^m, as
+        {(fermions, bosons): coefficient}: Koszul's relation solved for its
+        top term, D(theta_T x^m) less C(m, mu) eps bracket(theta_T' x^mu)
+        theta_(T - T') x^(m - mu) for each proper sub-multiset (T', mu), with
+        theta_T = eps theta_T' theta_(T - T').  The lower brackets come
+        first, so a truncated operator raises at the first monomial beyond
+        its order, as the image of every sub-product would."""
+        brackets = self._brackets
+        value = brackets.get((fermions, bosons))
+        if value is not None:
+            return value
+        out = {}
+        for weight, _, rest in _derivative_terms(bosons):
+            mu = tuple(map(sub, bosons, rest))
+            for inner, outer, eps in _SPLITS[fermions]:
+                lower = brackets.get((inner, mu))
+                if lower is None:
+                    if inner == fermions and mu == bosons:  # the top term itself
+                        continue
+                    lower = self._bracket(inner, mu)
+                for (f, b), c in lower.items():
+                    if merged := _MERGED[f, outer]:
+                        key = merged[1], tuple(map(add, b, rest))
+                        out[key] = out.get(key, 0) - merged[0] * eps * weight * c
+        for key, c in self.delta_monomial(self._key(fermions, bosons)).items():
+            out[key] = out.get(key, 0) + c
+        value = brackets[fermions, bosons] = {key: c for key, c in out.items() if c}
+        return value
+
 
 def _taylor_table(series: Series) -> list:
     """M-th entry is M! times the M-th series coefficient."""
@@ -358,45 +392,23 @@ def koszul_bracket(spec: DeltaSpec, inputs: Sequence[BasisVector]) -> Element:
     """n-th bracket of the operator: the n-fold graded commutator with the
     left multiplications by the inputs, applied to 1.
 
-    The recursion ``[A, L_z](w) = A(z w) - (-1)^(par A * par z) z A(w)``,
-    with the operator odd, is summed in closed form over the subsets T of the
-    odd inputs and the mu <= m, m the multi-index of the even inputs:
-    C(m, mu) (-1)^|m - mu| eps_T theta_out x^(m - mu) D(theta_T x^mu).  D's
-    argument multiplies the inputs inside it in input order, theta_out the
-    others in reverse input order, and each input left outside gives a sign:
-    -1 if even, (-1)^j (a factor of eps_T) if odd with j odd inputs before
-    it.  Each image of D is one cached ``delta_monomial`` lookup.  The result
-    must be linear in the generators; anything else signals malformed data.
+    The bracket is graded symmetric, so it is read off the product of the
+    inputs: their sign times the bracket of the monomial theta_T x^m, which
+    ``DeltaSpec._bracket`` builds from one operator image and the lower
+    brackets.  A repeated theta gives 0, but its monomial's bracket still
+    runs, so a truncated operator raises as it would without the repeat.
+    The result must be linear in the generators; anything else signals
+    malformed data.
     """
-    table, thetas, m = spec.generators, [], (0,) * spec.n_bosons
+    table, sign, block, m = spec.generators, 1, (), (0,) * spec.n_bosons
     for vector in inputs:
         if vector not in table:
             raise ValueError(f"{vector!r} is not a generator of the operator's space")
         fermions, bosons = table[vector]
-        thetas, m = thetas + list(fermions), tuple(map(add, m, bosons))
-    # Each odd input goes inside D (appended to theta_T) or outside it
-    # (prepended to theta_out, with eps_T's factor); a split keeps its sign
-    # and both blocks sorted.  A repeated theta gives sign 0, but D still runs
-    # on the split, so a truncated operator raises when the recursion does.
-    splits = [(1, (), ())]
-    for j, alpha in enumerate(thetas):
-        grown = []
-        for sign, inside, outside in splits:
-            s_in, t_in = _MERGED[inside, (alpha,)] or (0, inside)
-            s_out, t_out = _MERGED[(alpha,), outside] or (0, outside)
-            grown += [(sign * s_in, t_in, outside), ((-1) ** j * sign * s_out, inside, t_out)]
-        splits = grown
-    out, terms = {}, _derivative_terms(m)
-    for sign, inside, outside in splits:
-        for weight, total, reduced in terms:
-            coeff = (-1) ** (sum(m) - total) * sign * weight
-            image = spec.delta_monomial(spec._key(inside, tuple(map(sub, m, reduced))))
-            for (fermions, bosons), value in image.items():
-                if merged := _MERGED[outside, fermions]:
-                    key = merged[1], tuple(map(add, reduced, bosons))
-                    out[key] = out.get(key, 0) + merged[0] * coeff * value
-    # most terms cancel, so only the survivors are interned as monomials
-    terms = {spec._key(*key): value for key, value in out.items() if value}
+        swap, block = _MERGED[block, fermions] or (0, block)
+        sign, m = sign * swap, tuple(map(add, m, bosons))
+    value = spec._bracket(block, m)
+    terms = {spec._key(*key): sign * c for key, c in value.items()} if sign else {}
     return linear_element(spec, SuperPoly(spec.n_bosons, terms))
 
 

@@ -210,10 +210,13 @@ def test_coefficients_keep_to_the_digit_limit(capsys, tmp_path, ex1):
     (("delta", "g", 0, 0, 3), "1/0",
      "bad rational '1/0' in delta g[0][0], coefficient 3: Fraction(1, 0)"),
     (("delta", "h", 1, 0), "1.5", "bad rational '1.5' in delta h[1], coefficient 0"),
+    (("delta", "g", 0, 0), [], "delta g[0][0]: a series is a non-empty array of rationals"),
+    (("delta", "f", 1), "0", "delta f[1]: a series is a non-empty array of rationals"),
 ])
 def test_bad_coefficients_name_their_place(capsys, tmp_path, ex1, place, value, message):
     """A bad coefficient's one error line says which bracket entry and output
-    term (counted from 1), or which delta series and power, it stands in."""
+    term (counted from 1), or which delta series and power, it stands in; a
+    series that is empty or not an array names the series."""
     doc = system_to_document(ex1.symmetric_system, ex1.delta_spec)
     doc["brackets"][0]["output"].append({"gen": "theta1", "coeff": "0"})
     *path, last = place

@@ -4,8 +4,10 @@ import pickle
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
-from math import comb, factorial
+from functools import reduce
+from itertools import combinations, permutations, product
+from math import comb, factorial, prod
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -641,6 +643,28 @@ def test_operator_image_cache_is_per_spec():
         assert other._keys.keys() & intact._keys.keys() and not shared
 
 
+def test_bracket_table_is_per_spec():
+    spec = example2_system().delta_spec._replace()
+    gen = spec.space.generator
+    inputs = tuple(gen(name) for name in ("x3", "x1", "theta1", "x2", "x1", "x3"))
+    standalone = koszul_bracket(spec, inputs)  # the first call on a fresh spec
+    assert not standalone.is_zero()
+    # it filled the table with theta1 x1^2 x2 x3^2 and its 35 sub-multisets,
+    # one operator image each
+    assert len(spec._brackets) == spec.images_computed == 2 * 3 * 2 * 3
+    # the same value from a table filled in canonical order, and the same
+    # system from the partly filled table
+    filled = example2_system().delta_spec._replace()
+    system = brackets_from_delta(filled, 8)
+    assert len(filled._brackets) == filled.images_computed == 489
+    assert koszul_bracket(filled, inputs) == standalone
+    assert brackets_from_delta(spec, 8) == system
+    assert filled.images_computed == spec.images_computed == 489
+    for copied in (filled._replace(), copy.copy(filled), copy.deepcopy(filled),
+                   pickle.loads(pickle.dumps(filled))):
+        assert copied == filled and copied._brackets == {}
+
+
 def _assert_images_are_exact(spec):
     """What ``delta_monomial`` builds its images on without checking them:
     every coefficient a nonzero int or Fraction, every key the spec's own
@@ -690,7 +714,7 @@ def test_delta_spec_is_an_immutable_value():
     assert spec != _one_boson_spec(f1=-1, g1=1, g2=1, order=7)
     # assigning or deleting a field raises, so no cache can go stale
     for name in ("n_bosons", "f", "g", "h", "momentum_shift", "selection_rule",
-                 "_images", "_keys", "other"):
+                 "_images", "_keys", "_brackets", "other"):
         with pytest.raises(AttributeError):
             setattr(spec, name, getattr(spec, name))
         with pytest.raises(AttributeError):
@@ -965,6 +989,43 @@ def _koszul_bracket_oracle(spec, inputs):
     return linear_element(spec, op(SuperPoly.basis(SuperMonomial((), (0,) * spec.n_bosons))))
 
 
+def _closed_form_bracket(spec, inputs):
+    """The nested graded commutators summed in closed form: over the subsets
+    T of the odd inputs and the mu <= m, m the multi-index of the even
+    inputs, of C(m, mu) (-1)^|m - mu| eps_T theta_out x^(m - mu)
+    D(theta_T x^mu).  D's argument multiplies the inputs inside it in input
+    order, theta_out the others in reverse input order, and each input left
+    outside gives a sign: -1 if even, (-1)^j (a factor of eps_T) if odd with
+    j odd inputs before it.  It looks up one image per term, where
+    ``koszul_bracket`` looks up one per bracket."""
+    thetas, m = [], (0,) * spec.n_bosons
+    for vector in inputs:
+        if vector not in spec.generators:
+            raise ValueError(f"{vector!r} is not a generator of the operator's space")
+        fermions, bosons = spec.generators[vector]
+        thetas, m = thetas + list(fermions), tuple(map(add, m, bosons))
+    # a repeated theta gives sign 0, but D still runs on the split
+    splits = [(1, (), ())]
+    for j, alpha in enumerate(thetas):
+        grown = []
+        for sign, inside, outside in splits:
+            s_in, t_in = _merge_fermions(inside, (alpha,)) or (0, inside)
+            s_out, t_out = _merge_fermions((alpha,), outside) or (0, outside)
+            grown += [(sign * s_in, t_in, outside), ((-1) ** j * sign * s_out, inside, t_out)]
+        splits = grown
+    out = {}
+    for sign, inside, outside in splits:
+        for mu in product(*(range(k + 1) for k in m)):
+            coeff = (-1) ** (sum(m) - sum(mu)) * sign * prod(map(comb, m, mu))
+            rest = tuple(k - i for k, i in zip(m, mu))
+            image = spec.delta_monomial(SuperMonomial(inside, mu))
+            for (fermions, bosons), value in image.items():
+                if merged := _merge_fermions(outside, fermions):
+                    key = SuperMonomial(merged[1], tuple(map(add, rest, bosons)))
+                    out[key] = out.get(key, 0) + merged[0] * coeff * value
+    return linear_element(spec, SuperPoly(spec.n_bosons, out))
+
+
 def _outcome(bracket, spec, inputs):
     """The bracket's value, or the type of the exception it raises."""
     try:
@@ -983,6 +1044,42 @@ def test_koszul_bracket_matches_the_commutator_recursion(spec, data):
     for inputs in data.draw(st.lists(st.lists(vectors, max_size=5), min_size=1, max_size=6)):
         expected = _outcome(_koszul_bracket_oracle, spec._replace(), inputs)
         assert _outcome(koszul_bracket, spec, inputs) == expected, inputs
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_specs(), st.data())
+def test_koszul_relation_rebuilds_the_operator(spec, data):
+    """Koszul's relation D(a_1 ... a_n) = sum over the subsets I of the input
+    positions of eps_I bracket(a_I) a_(I^c), with a_I a_(I^c) = eps_I a_1 ...
+    a_n, on every monomial through arity 4, its inputs in a drawn order; on
+    the same inputs ``koszul_bracket`` equals the closed form."""
+    oracle = spec._replace()
+    unit = SuperPoly.basis(SuperMonomial((), (0,) * spec.n_bosons))
+
+    def times(vectors):
+        return reduce(mul, (SuperPoly.basis(spec.generators[v]) for v in vectors), unit)
+
+    for fermions in _SECTORS:
+        for bosons in product(range(5), repeat=spec.n_bosons):
+            if len(fermions) + sum(bosons) > 4:
+                continue
+            names = [f"theta{a}" for a in fermions]
+            names += [f"x{i + 1}" for i, k in enumerate(bosons) for _ in range(k)]
+            inputs = data.draw(st.permutations([spec.space.generator(n) for n in names]))
+            total = times(inputs)
+            (mono, sign), = total.items()
+            rebuilt = SuperPoly(spec.n_bosons)
+            for size in range(len(inputs) + 1):
+                for inside in combinations(range(len(inputs)), size):
+                    outside = [v for k, v in enumerate(inputs) if k not in inside]
+                    inside = [inputs[k] for k in inside]
+                    eps = sign * dict((times(inside) * times(outside)).items())[mono]
+                    value = koszul_bracket(spec, inside)
+                    poly = SuperPoly(spec.n_bosons,
+                                     {spec.generators[v]: c for v, c in value.items()})
+                    rebuilt = rebuilt + eps * (poly * times(outside))
+            assert rebuilt == apply_delta(oracle, total), names
+            assert koszul_bracket(spec, inputs) == _closed_form_bracket(oracle, inputs), names
 
 
 def test_koszul_bracket_on_unordered_and_repeated_inputs(ex2):

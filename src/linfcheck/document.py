@@ -242,6 +242,8 @@ def load_document(path: str | Path) -> tuple[BracketSystem, DeltaSpec | None]:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from None
     except ValueError:  # int's limit on the digits of a JSON integer
         raise DocumentError(f"{path} holds a number with too many digits") from None
+    except RecursionError:
+        raise DocumentError(f"{path} is nested too deeply") from None
     return document_to_system(doc)
 
 

@@ -24,14 +24,13 @@ table of pieces that each act on the theta block and apply one series.  It
 also keeps one table of validated monomials: its images share these key
 objects, so each distinct monomial is validated once per spec.  The tables
 hold exact values of validated series, so an image is built from them
-without re-checking its coefficients.  The check
-that D squares to zero numbers the monomials it meets with dense ints, holds
-each image as a row of ids and coefficients, and sums D(D(m)) over the ids;
-only a nonzero residue is turned back into a polynomial.  It does that work
-only on the first monomial of each orbit of the spec's symmetry group (the
-permutations of bosons with equal g columns, and theta1 <-> theta2 with a
-boson map when the data allow it), whose members all pass or all fail; the
-other monomials are counted but get no image.
+without re-checking its coefficients.
+
+The check that D squares to zero applies D to no monomial.  It composes the
+table of pieces with itself once, normal-ordering D o D in the Weyl algebra
+into a short table of terms theta action times x^alpha d^e T(P), and reads
+the verdict off their Taylor coefficients; only a failure evaluates that
+table on monomials, to find the first one D o D does not kill.
 
 The brackets of the operator are its nested graded commutators with the
 multiplications by their inputs (Koszul's higher derived brackets).  They are
@@ -459,85 +458,96 @@ class DeltaSquaredReport(NamedTuple):
     residue: SuperPoly | None = None
 
 
-def _symmetry(spec: DeltaSpec) -> tuple[list, list | None]:
-    """The operator's symmetry group, read off the spec by exact series
-    equality: the classes of bosons with equal ``g`` columns, each permuted
-    freely, and, if theta1 <-> theta2 is a symmetry, the boson map of its
-    coset (``swapped[j] = bosons[partner[j]]``), else None.
+def _composed(spec: DeltaSpec, degree_bound: int) -> dict:
+    """D o D normal-ordered, as {(fermions in, fermions out, alpha): {e:
+    table}}: the operator theta_in -> theta_out times x^alpha sum_e d^e T_e(P),
+    with alpha and e sorted tuples of boson indices (at most two each) and
+    P = d_1 + ... + d_N.  Every piece is a theta action times x^l d^e S(P):
+    D0 and D2 have l = e = 0, D1 has l = e_i and its shift l = e = e_i, S = 1.
+    A product p o q is normal-ordered in the Weyl algebra (Coutinho, "A
+    Primer of Algebraic D-modules", 1995) by [d^e S(P), x_j] = e_j d^(e - e_j)
+    S(P) + d^e S'(P); on Taylor tables S T is the binomial convolution and
+    S'_k = S_(k+1).  Tables are kept through index ``degree_bound``, which
+    reads the pieces' tables through ``degree_bound`` + 1; all-zero tables
+    are left out."""
+    size = degree_bound + 1
+    one = [1] + [0] * size  # the shift's series
 
-    A change of basis phi carries D to D' = phi D phi^-1, again a spec.
-    Every series is one in the total momentum and the shift x_i p_i, if
-    present, is present for every i, so permuting the bosons only permutes
-    g's columns.  The swap sends f to (-f2, -f1) (eps_{21} = -eps_{12}), h to
-    (h2, h1) and g's rows to each other, so with a boson map pi it is a
-    symmetry iff f == (-f2, -f1), h == (h2, h1) and g^i_2 = g^pi(i)_1,
-    g^i_1 = g^pi(i)_2 for every i: the classes pair up by swapped columns."""
-    columns, classes = list(zip(*spec.g)), []
+    def times(left, right):
+        return [sum(comb(n, k) * left[k] * right[n - k] for k in range(n + 1))
+                for n in range(size)]
 
-    def class_of(column):  # compared, not hashed: a Fraction's hash is slow
-        return next((members for members in classes if columns[members[0]] == column), [])
-
-    for i, column in enumerate(columns):
-        members = class_of(column)
-        if not members:
-            classes.append(members)
-        members.append(i)
-    (f1, f2), (h1, h2) = spec.f, spec.h
-    if f1 != -f2 or h1 != h2:
-        return classes, None
-    partner = [0] * spec.n_bosons
-    for members in classes:
-        mirror = class_of(columns[members[0]][::-1])
-        if len(mirror) != len(members):
-            return classes, None
-        for j, i in zip(mirror, members):
-            partner[j] = i
-    return classes, partner
+    groups: dict = {}
+    for act_p, table_p, lift_p in spec._pieces:
+        l_p = () if lift_p is None else (lift_p,)
+        e_p, table_p = (l_p, one) if table_p is None else ((), table_p)
+        for act_q, table_q, lift_q in spec._pieces:
+            e_q, table_q = ((lift_q,), one) if table_q is None else ((), table_q)
+            hits = [(block, s * act_p[mid][0], act_p[mid][1])
+                    for block, (s, mid) in act_q.items() if mid in act_p]
+            if not hits:
+                continue
+            terms = [(l_p, e_p + e_q, table_p)]
+            if lift_q is not None:  # d^e S(P) x_j = x_j d^e S(P) + [d^e S(P), x_j]
+                terms = [(l_p + (lift_q,), e_p + e_q, table_p), (l_p, e_p + e_q, table_p[1:])]
+                if e_p == (lift_q,):
+                    terms.append((l_p, e_q, table_p))
+            for alpha, e, table in terms:
+                product, alpha, e = times(table, table_q), tuple(sorted(alpha)), tuple(sorted(e))
+                for block, sign, out in hits:
+                    tables = groups.setdefault((block, out, alpha), {})
+                    tables[e] = [a + sign * b for a, b in zip(tables.get(e, [0] * size), product)]
+    return {key: kept for key, tables in groups.items()
+            if (kept := {e: table for e, table in tables.items() if any(table)})}
 
 
-def _orbit_leader(spec: DeltaSpec):
-    """The test ``leads(sector rank, bosons)``: is the monomial first in its
-    symmetry orbit in scan order?  None when the group is trivial.  The
-    orbit minimum is the smaller of two cosets' minima, each the exponents
-    sorted ascending within every class."""
-    classes, partner = _symmetry(spec)
-    blocks = [members for members in classes if len(members) > 1]
-    if not blocks and partner is None:
-        return None
+def _coefficient(tables: dict, beta: tuple):
+    """beta! times the coefficient of d^beta in sum_e d^e T_e(P), the sum over
+    e <= beta of T_e[|beta| - |e|] beta!/(beta - e)!."""
+    total, k = 0, sum(beta)
+    for e, table in tables.items():
+        falling = 1
+        for n, i in enumerate(e):
+            falling *= beta[i] - e[:n].count(i)
+        if falling:
+            total += table[k - len(e)] * falling
+    return total
 
-    def least(bosons):  # the minimum over the permutations within classes
-        out = list(bosons)
-        for members in blocks:
-            for i, m in zip(members, sorted([bosons[i] for i in members])):
-                out[i] = m
-        return tuple(out)
 
-    def leads(rank, bosons):
-        if blocks and least(bosons) != bosons:
-            return False
-        # the swap exchanges the sectors (1,) and (2,), ranks 1 and 2
-        return partner is None or (rank, bosons) <= (
-            (0, 2, 1, 3)[rank], least(tuple(map(bosons.__getitem__, partner))))
-
-    return leads
+def _kills(tables: dict, n_bosons: int, degree_bound: int) -> bool:
+    """Does sum_e d^e T_e(P) have no term d^beta with |beta| <= the bound?
+    On the slice |beta| = k, ``_coefficient`` is a polynomial of degree <= 2
+    in beta (a falling factorial per e).  Written in beta_1 .. beta_(N-1),
+    with beta_N = k - their sum, it vanishes on the whole slice iff it does
+    on the points where their sum is at most 2 (all of the slice when
+    k <= 2): those points are the order-2 lattice of the simplex, on which
+    a polynomial of degree <= 2 is determined by its values."""
+    return not any(
+        _coefficient(tables, gamma + (k - sum(gamma),))
+        for k in range(degree_bound + 1)
+        for gamma in _multi_indices(n_bosons - 1, min(k, 2)))
 
 
 def delta_squared_check(spec: DeltaSpec, degree_bound: int) -> DeltaSquaredReport:
-    """Apply the operator twice to every monomial of even degree up to the
-    bound (all four theta sectors); pass iff every image is exactly zero.
+    """Does the operator square to zero on every monomial of even degree up to
+    the bound (all four theta sectors)?  Decided on D o D itself, composed
+    once by ``_composed``, without applying D to any monomial.
 
-    The scan runs over the sectors (), (1,), (2,), (1, 2), then the exponent
-    tuples in lexicographic order, and ``monomials_checked`` counts every
-    monomial up to and including the first failure.  The D^2 work is done
-    only on a lex-leader (Crawford-Ginsberg-Luks-Roy), a monomial that comes
-    first in its orbit under the spec's symmetry group (``_symmetry``).  A
-    symmetry phi has D = phi D phi^-1, so D^2(phi m) = phi D^2(m) with phi
-    signed on monomials: a monomial fails iff its whole orbit does, the
-    first failing monomial leads its orbit, and the verdict, witness and
-    residue are those of the full scan.  Only the leaders and the monomials
-    of their images have their image computed, so the spec's
-    ``images_computed`` is below the full scan's when the group is not
-    trivial."""
+    Within a theta sector, D o D is sum over (theta_out, alpha) of theta_out
+    x^alpha L_alpha, with L_alpha = sum_beta c_(alpha beta) d^beta.  It kills
+    every x^m with |m| <= d iff each c_(alpha beta) with |beta| <= d is 0: apply
+    it to x^beta in order of |beta|; once the lower c vanish, the image is
+    sum_alpha c_(alpha beta) beta! theta_out x^alpha, whose monomials are
+    distinct.  ``_coefficient`` gives beta! c_(alpha beta) and ``_kills`` checks
+    it for every |beta| <= d.
+
+    The report is that of a scan over the sectors (), (1,), (2,), (1, 2), then
+    the exponent tuples in lexicographic order, which applies D twice to each
+    monomial and stops at the first nonzero result: ``monomials_checked``
+    counts every monomial up to and including that witness.  In the first
+    sector with a nonzero term, the monomials are scanned in that order, and
+    D o D (theta_T x^m) = sum C(m, beta) beta! c_(alpha beta) theta_out
+    x^(alpha + m - beta) is read off the composed table until it is nonzero."""
     if type(degree_bound) is not int or degree_bound < 0:
         raise ValueError(f"degree bound must be an int >= 0 (a bound below 0 checks "
                          f"nothing), got {degree_bound!r}")
@@ -546,43 +556,27 @@ def delta_squared_check(spec: DeltaSpec, degree_bound: int) -> DeltaSquaredRepor
             f"degree bound {degree_bound} needs coefficients through order "
             f"{degree_bound + 1}, stored through {spec.coefficient_order}"
         )
-    ids: dict[SuperMonomial, int] = {}
-    monos: list[SuperMonomial] = []
-    rows: list = []  # per id: its image as (ids, coefficients), None until fetched
-    acc: list = []   # D^2 of the current monomial by id; all zero after a pass
-
-    def ident(mono: SuperMonomial) -> int:
-        if mono not in ids:
-            ids[mono] = len(monos)
-            monos.append(mono)
-            rows.append(None)
-            acc.append(0)
-        return ids[mono]
-
-    def row(i: int) -> tuple:
-        terms = spec.delta_monomial(monos[i]).items()
-        rows[i] = [ids[m] if m in ids else ident(m) for m, _ in terms], [c for _, c in terms]
-        return rows[i]
-
-    leads = _orbit_leader(spec)
-    checked = 0
-    for rank, fermions in enumerate(((), (1,), (2,), (1, 2))):
+    composed, checked = _composed(spec, degree_bound), 0
+    for fermions in ((), (1,), (2,), (1, 2)):
+        sector = [(out, alpha, tables) for (block, out, alpha), tables in composed.items()
+                  if block == fermions]
+        if all(_kills(tables, spec.n_bosons, degree_bound) for _, _, tables in sector):
+            checked += comb(degree_bound + spec.n_bosons, spec.n_bosons)
+            continue
         for bosons in _multi_indices(spec.n_bosons, degree_bound):
             checked += 1
-            if leads and not leads(rank, bosons):
-                continue
-            mono = spec._key(fermions, bosons)
-            i = ident(mono)
-            mids, firsts = rows[i] or row(i)
-            touched = set()
-            for mid, c1 in zip(mids, firsts):
-                finals, seconds = rows[mid] or row(mid)
-                touched.update(finals)
-                for final, c2 in zip(finals, seconds):
-                    acc[final] += c1 * c2
-            if any(map(acc.__getitem__, touched)):
-                residue = {monos[f]: acc[f] for f in touched if acc[f]}
-                return DeltaSquaredReport(False, checked, mono,
+            residue: dict[SuperMonomial, Rational] = {}
+            for weight, _, rest in _derivative_terms(bosons):
+                beta = tuple(map(sub, bosons, rest))
+                for out, alpha, tables in sector:
+                    if value := _coefficient(tables, beta):
+                        exponents = list(rest)
+                        for i in alpha:
+                            exponents[i] += 1
+                        mono = SuperMonomial(out, exponents)
+                        residue[mono] = residue.get(mono, 0) + weight * value
+            if residue := {mono: c for mono, c in residue.items() if c}:
+                return DeltaSquaredReport(False, checked, SuperMonomial(fermions, bosons),
                                           SuperPoly(spec.n_bosons, residue))
     return DeltaSquaredReport(True, checked, None, None)
 

@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from itertools import product
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from linfcheck.builtin import b_closed, example1_system, example2_system
 from linfcheck.cli import main
 from linfcheck.document import load_document, save_document, system_to_document
 from linfcheck.errors import DocumentError
-from linfcheck.superspace import DeltaSpec, SuperMonomial
+from linfcheck.superspace import DeltaSpec
 
 
 def run(capsys, *argv):
@@ -371,11 +370,11 @@ def test_json_reports_are_machine_readable(capsys):
 
 
 def test_json_reports_count_operator_images(capsys, monkeypatch):
-    seen = set()
+    calls = []
     compute = DeltaSpec.delta_monomial
 
     def recording(spec, mono):
-        seen.add((mono.fermions, mono.bosons))
+        calls.append((mono.fermions, mono.bosons))
         return compute(spec, mono)
 
     monkeypatch.setattr(DeltaSpec, "delta_monomial", recording)
@@ -384,32 +383,30 @@ def test_json_reports_count_operator_images(capsys, monkeypatch):
         ("delta-check", "example2", "--degree", "4"),
         ("compare", "example1"),
     ):
-        seen.clear()
+        calls.clear()
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0, argv
-        assert json.loads(out)["images"] == len(seen) > 0, argv
+        if argv[0] == "delta-check":  # D o D is composed, never applied to a monomial
+            assert json.loads(out)["images"] == len(calls) == 0, argv
+        else:
+            assert json.loads(out)["images"] == len(set(calls)) > 0, argv
 
 
-def test_json_pins_the_operator_work_counts(capsys):
+def test_json_pins_the_operator_work_counts(capsys, monkeypatch):
     # 4 theta sectors x C(6 + 3, 3) exponent vectors of degree <= 6 are
-    # scanned.  D^2 is composed only on the monomials that come first in
-    # their orbit under (theta1, x1) <-> (theta2, x2), example2's symmetry, so
-    # the images are those of these leaders and of the monomials of their
-    # images: a change to how D is composed with itself must not move either
-    # count
+    # checked, and no operator image is computed: the verdict is read off D o D,
+    # composed once from the pieces.  With h = 0 only theta1 theta2 -> 1
+    # survives (D1 after D1 or after D2), times x1 or x2, each with the tables
+    # of 1, d1, d2 and d3: moving a piece or a normal-ordering rule moves these
+    calls = []
+    monkeypatch.setattr(DeltaSpec, "delta_monomial", lambda spec, mono: calls.append(mono))
     code, out, _ = run(capsys, "delta-check", "example2", "--degree", "6", "--json")
     payload = json.loads(out)
     assert code == 0 and payload["pass"] is True
-    spec, needed = example2_system().delta_spec, set()
-    rank = {(): 0, (1,): 1, (2,): 2, (1, 2): 3}
-    swapped = {(): (), (1,): (2,), (2,): (1,), (1, 2): (1, 2)}
-    for fermions in rank:
-        for bosons in product(range(7), repeat=3):
-            mirror = (rank[swapped[fermions]], (bosons[1], bosons[0], bosons[2]))
-            if sum(bosons) <= 6 and (rank[fermions], bosons) <= mirror:
-                mono = SuperMonomial(fermions, bosons)
-                needed.update([mono, *(m for m, _ in spec.delta_monomial(mono).items())])
-    assert (payload["monomials_checked"], payload["images"]) == (336, len(needed))
+    assert (payload["monomials_checked"], payload["images"], calls) == (336, 0, [])
+    composed = superspace._composed(example2_system().delta_spec, 6)
+    assert sorted(composed) == [((1, 2), (), (0,)), ((1, 2), (), (1,))]
+    assert [sorted(tables) for tables in composed.values()] == [[(), (0,), (1,), (2,)]] * 2
 
 
 def test_coefficients_check_reports_a_mismatch(capsys, monkeypatch):

@@ -1,8 +1,13 @@
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from linfcheck.builtin import example1_system, example2_system
 from linfcheck.cli import main
@@ -257,3 +262,85 @@ def test_exported_documents_are_pinned(capsys, tmp_path, builtin, formulation):
     assert main(["export", builtin, "--formulation", formulation, "-o", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORTED[builtin, formulation]
+
+
+def test_deeply_nested_documents_exit_2(capsys, tmp_path, ex1):
+    """A document nested past the JSON reader's recursion limit is a
+    document error, not an internal one; one nested just below it loads and
+    is rejected by the schema."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(DocumentError, match="nested too deeply"):
+        load_document(deep)
+    doc = system_to_document(ex1.symmetric_system, ex1.delta_spec)
+    doc["delta"]["f"][0] = json.loads("[" * 500 + "]" * 500)
+    below = tmp_path / "below.json"
+    save_document(doc, below)
+    for command in ("verify", "delta-check", "compare"):
+        for path, message in ((deep, "is nested too deeply"), (below, "delta f[0]")):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err, err
+
+
+def _json_paths(node, path=()):
+    """Every node of a JSON document as its path of keys and indices."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.text(max_size=3)
+    | st.sampled_from(["0", "1", "-1/2", "3/0", "theta1", "x1", "v1", "w1", "skew"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=2),
+    max_leaves=4,
+)
+
+
+@cache
+def _exported(builtin, formulation):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["export", builtin, "--formulation", formulation]) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("builtin, formulation", sorted(EXPORTED))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_one_changed_node_gives_a_verdict_or_exit_2(tmp_path, builtin, formulation, data):
+    """Replace, delete or duplicate one node of an exported document: every
+    command gives a verdict (exit 0 or 1) or one error line with exit 2,
+    never an internal error."""
+    doc = json.loads(_exported(builtin, formulation))
+    *where, last = data.draw(st.sampled_from(list(_json_paths(doc))[1:]))
+    parent = doc
+    for step in where:
+        parent = parent[step]
+    change = data.draw(st.sampled_from(("replace", "delete", "duplicate")))
+    if change == "replace":
+        parent[last] = data.draw(_JSON_VALUES)
+    elif change == "delete":
+        del parent[last]
+    elif isinstance(parent, list):
+        parent.insert(last, json.loads(json.dumps(parent[last])))
+    else:
+        parent[last + "_"] = parent[last]
+    path = tmp_path / "changed.json"
+    save_document(doc, path)
+    for argv in (["verify", "--max-arity", "4"], ["delta-check", "--degree", "3"],
+                 ["compare", "--max-arity", "4"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([argv[0], str(path), *argv[1:]])
+        message = err.getvalue()
+        assert "internal error" not in message, (argv, message)
+        if code == 2:
+            assert message.startswith("error: ") and message.count("\n") == 1, message
+        else:
+            assert code in (0, 1) and ("PASS" if code == 0 else "FAIL") in out.getvalue()

@@ -18,6 +18,7 @@ acts on: index k of a residual series, or k + 1 for a ``p-term``, whose
 coefficients multiply one momentum p_i.
 """
 
+import ast
 import io
 import json
 import tempfile
@@ -28,6 +29,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linfcheck
 from linfcheck.brackets import first_difference, suspend_system, verify_jacobi
 from linfcheck.builtin import b_closed, example2_system
 from linfcheck.cli import main
@@ -42,6 +44,7 @@ from linfcheck.superspace import (
     nilpotency_conditions,
 )
 from series_ops import from_coeffs
+from test_superspace import _orbit_scan
 
 MAX_ARITY = 5
 ORDER = MAX_ARITY + 1  # D^2 on degree n needs coefficients through n + 1
@@ -160,10 +163,10 @@ def test_first_jacobi_failure_is_the_first_unkilled_monomial(drawn, through_cli)
         )
 
 
-def _first_failing_degree(spec):
-    """Lowest degree bound at which ``delta_squared_check`` fails."""
+def _first_failing_degree(spec, check=delta_squared_check):
+    """Lowest degree bound at which ``check`` fails."""
     for degree in range(spec.coefficient_order):
-        if not delta_squared_check(spec, degree).passed:
+        if not check(spec, degree).passed:
             return degree
     return None
 
@@ -186,4 +189,28 @@ def _first_residual_degree(spec):
 @given(st.one_of(_solved(), _second_family(), _constant_g(), _mutant()))
 def test_first_failing_degree_is_the_first_nonzero_residual(drawn):
     spec, _, _ = drawn
+    # the composed check, and the monomial scan it replaced
     assert _first_failing_degree(spec) == _first_residual_degree(spec)
+    assert _first_failing_degree(spec._replace(), _orbit_scan) == _first_residual_degree(spec)
+
+
+def _names(module):
+    tree = ast.parse((Path(linfcheck.__file__).parent / f"{module}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+            names.update((getattr(node, "module", None) or "").split("."))
+    return names
+
+
+def test_the_two_formulations_share_no_sign_code():
+    """The operator check and the Jacobi check must not fail through one
+    shared rule: the operator names none of the bracket side's sign and
+    unshuffle functions, and the bracket side never imports the operator."""
+    assert not _names("superspace") & {"sort_sign", "perm_sign", "koszul_sign", "unshuffles"}
+    assert "superspace" not in _names("brackets")

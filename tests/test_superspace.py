@@ -29,9 +29,11 @@ from linfcheck.superspace import (
     delta_squared_check,
     koszul_bracket,
     EPS_LOWER,
+    _coefficient,
+    _composed,
+    _kills,
     _merge_fermions,
-    _orbit_leader,
-    _symmetry,
+    _multi_indices,
     _theta_derivative,
     linear_element,
     nilpotency_conditions,
@@ -340,6 +342,127 @@ def _delta_squared_oracle(spec, degree_bound):
     return DeltaSquaredReport(True, checked, None, None)
 
 
+def _symmetry(spec):
+    """The operator's symmetry group, read off the spec by exact series
+    equality: the classes of bosons with equal ``g`` columns, each permuted
+    freely, and, if theta1 <-> theta2 is a symmetry, the boson map of its
+    coset (``swapped[j] = bosons[partner[j]]``), else None.
+
+    A change of basis phi carries D to D' = phi D phi^-1, again a spec.
+    Every series is one in the total momentum and the shift x_i p_i, if
+    present, is present for every i, so permuting the bosons only permutes
+    g's columns.  The swap sends f to (-f2, -f1) (eps_{21} = -eps_{12}), h to
+    (h2, h1) and g's rows to each other, so with a boson map pi it is a
+    symmetry iff f == (-f2, -f1), h == (h2, h1) and g^i_2 = g^pi(i)_1,
+    g^i_1 = g^pi(i)_2 for every i: the classes pair up by swapped columns."""
+    columns, classes = list(zip(*spec.g)), []
+
+    def class_of(column):  # compared, not hashed: a Fraction's hash is slow
+        return next((members for members in classes if columns[members[0]] == column), [])
+
+    for i, column in enumerate(columns):
+        members = class_of(column)
+        if not members:
+            classes.append(members)
+        members.append(i)
+    (f1, f2), (h1, h2) = spec.f, spec.h
+    if f1 != -f2 or h1 != h2:
+        return classes, None
+    partner = [0] * spec.n_bosons
+    for members in classes:
+        mirror = class_of(columns[members[0]][::-1])
+        if len(mirror) != len(members):
+            return classes, None
+        for j, i in zip(mirror, members):
+            partner[j] = i
+    return classes, partner
+
+
+def _orbit_leader(spec):
+    """The test ``leads(sector rank, bosons)``: is the monomial first in its
+    symmetry orbit in scan order?  None when the group is trivial.  The
+    orbit minimum is the smaller of two cosets' minima, each the exponents
+    sorted ascending within every class."""
+    classes, partner = _symmetry(spec)
+    blocks = [members for members in classes if len(members) > 1]
+    if not blocks and partner is None:
+        return None
+
+    def least(bosons):  # the minimum over the permutations within classes
+        out = list(bosons)
+        for members in blocks:
+            for i, m in zip(members, sorted([bosons[i] for i in members])):
+                out[i] = m
+        return tuple(out)
+
+    def leads(rank, bosons):
+        if blocks and least(bosons) != bosons:
+            return False
+        # the swap exchanges the sectors (1,) and (2,), ranks 1 and 2
+        return partner is None or (rank, bosons) <= (
+            (0, 2, 1, 3)[rank], least(tuple(map(bosons.__getitem__, partner))))
+
+    return leads
+
+
+def _orbit_scan(spec, degree_bound):
+    """``delta_squared_check`` by monomials: D applied twice, on dense ids of
+    the monomials, to the lex-leader of each orbit of the spec's symmetry
+    group only (Crawford-Ginsberg-Luks-Roy).  A symmetry phi has D = phi D
+    phi^-1, so a monomial fails iff its whole orbit does and the first
+    failing monomial leads its orbit.  It fills the spec's image table."""
+    ids, monos, rows, acc = {}, [], [], []
+
+    def ident(mono):
+        if mono not in ids:
+            ids[mono] = len(monos)
+            monos.append(mono)
+            rows.append(None)
+            acc.append(0)
+        return ids[mono]
+
+    def row(i):
+        terms = spec.delta_monomial(monos[i]).items()
+        rows[i] = [ids[m] if m in ids else ident(m) for m, _ in terms], [c for _, c in terms]
+        return rows[i]
+
+    leads = _orbit_leader(spec)
+    checked = 0
+    for rank, fermions in enumerate(_SECTORS):
+        for bosons in _multi_indices(spec.n_bosons, degree_bound):
+            checked += 1
+            if leads and not leads(rank, bosons):
+                continue
+            mono = spec._key(fermions, bosons)
+            i = ident(mono)
+            mids, firsts = rows[i] or row(i)
+            touched = set()
+            for mid, c1 in zip(mids, firsts):
+                finals, seconds = rows[mid] or row(mid)
+                touched.update(finals)
+                for final, c2 in zip(finals, seconds):
+                    acc[final] += c1 * c2
+            if any(map(acc.__getitem__, touched)):
+                residue = {monos[f]: acc[f] for f in touched if acc[f]}
+                return DeltaSquaredReport(False, checked, mono,
+                                          SuperPoly(spec.n_bosons, residue))
+    return DeltaSquaredReport(True, checked, None, None)
+
+
+def _assert_matches_the_oracles(spec, degree_bound):
+    """``delta_squared_check`` gives the double loop's report, as the orbit
+    scan does, without computing an operator image; a failure's residue is
+    D(D(witness))."""
+    expected = _delta_squared_oracle(spec, degree_bound)
+    assert _orbit_scan(spec._replace(), degree_bound) == expected
+    report = delta_squared_check(spec, degree_bound)
+    assert report == expected and spec.images_computed == 0
+    if not report.passed:
+        witness = SuperPoly(spec.n_bosons, {report.witness: 1})
+        assert report.residue == apply_delta(spec, apply_delta(spec, witness))
+    return report
+
+
 @st.composite
 def _small_specs(draw, order=4):
     n_bosons = draw(st.integers(1, 2))
@@ -362,9 +485,7 @@ def _small_specs(draw, order=4):
 @settings(max_examples=60, deadline=None)
 @given(_small_specs(), st.integers(0, 3))
 def test_delta_squared_check_matches_the_double_loop(spec, degree_bound):
-    expected = _delta_squared_oracle(spec, degree_bound)
-    assert delta_squared_check(spec, degree_bound) == expected
-    assert delta_squared_check(spec, degree_bound) == expected  # warm cache
+    _assert_matches_the_oracles(spec, degree_bound)
 
 
 # the seed-1 mutants of the benchmark's mutants workload
@@ -384,9 +505,47 @@ def _example(example, index=None, value=None):
 @pytest.mark.parametrize("example, index, value", _SEED1_MUTANTS)
 def test_delta_squared_check_matches_the_double_loop_on_mutants(example, index, value):
     spec = _example(example, index, value).delta_spec
-    expected = _delta_squared_oracle(spec, 6)
-    assert not expected.passed
-    assert delta_squared_check(spec, 6) == expected
+    assert not _assert_matches_the_oracles(spec, 6).passed
+
+
+@st.composite
+def _zero_operator_tables(draw, degree=5):
+    """Tables {e: T_e} of sum_e d^e T_e(P) on 1 to 4 bosons that represent
+    the zero operator: sums of d^l (sum_i d_i T(P) - P T(P)), where P T(P)
+    has the Taylor table k T[k - 1].  Half of them get one more term
+    c d^e P^k / k!, which is nonzero below the bound iff k + |e| <= degree."""
+    n_bosons, size, tables = draw(st.integers(1, 4)), degree + 1, {}
+    indices = [()] + [(i,) for i in range(n_bosons)]
+
+    def add(e, table):
+        tables[e] = [a + b for a, b in zip(tables.get(e, [0] * size), table)]
+
+    for _ in range(draw(st.integers(1, 3))):
+        t = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+        lead = draw(st.sampled_from(indices))
+        add(lead, [-k * t[k - 1] if k else 0 for k in range(size)])
+        for i in range(n_bosons):
+            add(tuple(sorted(lead + (i,))), t)
+    changed = draw(st.booleans())
+    if changed:
+        e = draw(st.sampled_from(indices + [(i, j) for i in range(n_bosons)
+                                             for j in range(i, n_bosons)]))
+        k, c = draw(st.integers(0, degree)), draw(st.sampled_from((-1, 1, 2)))
+        add(e, [c * (m == k) for m in range(size)])
+        changed = k + len(e) <= degree
+    return n_bosons, degree, tables, changed
+
+
+@settings(max_examples=150, deadline=None)
+@given(_zero_operator_tables())
+def test_kills_reads_each_slice_off_its_order_two_lattice(drawn):
+    """``_kills`` looks at a few points of each slice |beta| = k; it agrees
+    with every beta through the bound, on tables whose terms cancel only
+    across the slice."""
+    n_bosons, degree, tables, changed = drawn
+    every_beta = not any(_coefficient(tables, beta)
+                         for beta in _multi_indices(n_bosons, degree))
+    assert _kills(tables, n_bosons, degree) == every_beta == (not changed)
 
 
 @pytest.mark.parametrize("bound", [-1, True, False, 2.0, "3", None])
@@ -428,18 +587,14 @@ def _symmetric_specs(draw, order=4):
 @settings(max_examples=80, deadline=None)
 @given(_symmetric_specs(), st.integers(0, 3))
 def test_delta_squared_check_matches_the_double_loop_on_symmetric_specs(spec, degree_bound):
-    expected = _delta_squared_oracle(spec, degree_bound)
-    assert delta_squared_check(spec, degree_bound) == expected
-    assert delta_squared_check(spec, degree_bound) == expected  # warm cache
+    _assert_matches_the_oracles(spec, degree_bound)
 
 
 @pytest.mark.parametrize("n_bosons, degree", [(2, 6), (3, 6), (4, 6), (5, 5)])
 @pytest.mark.parametrize("changes", [{}, {3: 19}, {5: 1}])
 def test_delta_squared_check_matches_the_double_loop_on_example2(n_bosons, degree, changes):
     spec = example2_system(n_bosons=n_bosons, order=degree, b_values=changes).delta_spec
-    expected = _delta_squared_oracle(spec, degree)
-    assert expected.passed == (not changes)
-    assert delta_squared_check(spec, degree) == expected
+    assert _assert_matches_the_oracles(spec, degree).passed == (not changes)
 
 
 _RANK = {block: rank for rank, block in enumerate(_SECTORS)}  # the scan order of the sectors
@@ -614,9 +769,9 @@ def test_delta_monomial_matches_the_dataclass_oracle(spec, data):
 def test_operator_image_cache_is_per_spec():
     intact = example2_system().delta_spec
     mutant = example2_system(b_values={2: 1}).delta_spec
-    for _ in range(2):
-        assert delta_squared_check(intact, 4).passed
-        assert not delta_squared_check(mutant, 4).passed
+    for _ in range(2):  # the orbit scan fills and then reads the image tables
+        assert _orbit_scan(intact, 4).passed
+        assert not _orbit_scan(mutant, 4).passed
     fresh = example2_system().delta_spec
     for fermions in _SECTORS:
         for bosons in ((0, 0, 0), (1, 0, 2), (0, 3, 1), (2, 1, 1)):
@@ -682,13 +837,13 @@ def _assert_images_are_exact(spec):
 @settings(max_examples=40, deadline=None)
 @given(_small_specs(), st.integers(0, 3))
 def test_images_hold_exact_nonzero_terms_on_interned_keys(spec, degree_bound):
-    delta_squared_check(spec, degree_bound)
+    _orbit_scan(spec, degree_bound)
     _assert_images_are_exact(spec)
 
 
 def test_example2_images_hold_exact_nonzero_terms_on_interned_keys():
     spec = example2_system().delta_spec
-    assert delta_squared_check(spec, 4).passed
+    assert _orbit_scan(spec, 4).passed
     _assert_images_are_exact(spec)
 
 

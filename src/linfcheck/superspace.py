@@ -35,10 +35,10 @@ table on monomials, to find the first one D o D does not kill.
 The brackets of the operator are its nested graded commutators with the
 multiplications by their inputs (Koszul's higher derived brackets).  They are
 graded symmetric, so each is a sign times the bracket of the inputs' product
-theta_T x^m, and Koszul's relation D(theta_T x^m) = sum over the
-sub-multisets (T', mu) of C(m, mu) eps bracket(theta_T' x^mu) theta_(T - T')
-x^(m - mu) gives that bracket from the one image D(theta_T x^m) and the lower
-brackets, which a spec keeps in a table of its own.
+theta_T x^m.  For the normal-ordered pieces, those commutators keep only the
+terms that differentiate every input once: the bracket of theta_T x^m is read
+off the pieces that differentiate |T| thetas, each one Taylor coefficient
+times its output theta or x, and it applies D to no monomial either.
 """
 
 from __future__ import annotations
@@ -107,9 +107,6 @@ def _merge_fermions(a: tuple[int, ...], b: tuple[int, ...]):
 
 # _merge_fermions on every pair of theta blocks, for the multiplication loops
 _MERGED = {(a, b): _merge_fermions(a, b) for a in _THETA_BLOCKS for b in _THETA_BLOCKS}
-# each theta block's splits theta_T = eps theta_T' theta_(T - T'), as (T', T - T', eps)
-_SPLITS = {t: [(a, b, m[0]) for (a, b), m in _MERGED.items() if m and m[1] == t]
-           for t in _THETA_BLOCKS}
 
 
 def _theta_derivative(fermions: tuple[int, ...], alpha: int):
@@ -183,10 +180,10 @@ class DeltaSpec(_SpecFields):
     tuple's, so a spec also equals the plain tuple of its fields, and
     assigning an attribute raises.  The operator is held as a table of
     pieces built once per spec; each monomial's image is computed once and
-    cached, and so is each monomial's bracket.  The monomials of the images
-    come from the spec's key table, which maps ``(fermions, bosons)`` to one
-    validated :class:`SuperMonomial`, so equal monomials are the same object
-    within a spec and each is validated once.  ``_replace``, copy and pickle build
+    cached.  The monomials of the images come from the spec's key table,
+    which maps ``(fermions, bosons)`` to one validated
+    :class:`SuperMonomial`, so equal monomials are the same object within a
+    spec and each is validated once.  ``_replace``, copy and pickle build
     through the constructor, so the result is checked again and starts with
     empty tables.
     """
@@ -204,7 +201,6 @@ class DeltaSpec(_SpecFields):
         vars(self).update(
             _images={},  # SuperMonomial -> its image
             _keys={},    # (fermions, bosons) -> the one validated SuperMonomial
-            _brackets={},  # (fermions, bosons) -> its bracket as {(fermions, bosons): coeff}
         )
         return self
 
@@ -243,11 +239,12 @@ class DeltaSpec(_SpecFields):
 
     @cached_property
     def _pieces(self) -> tuple:
-        """The operator as pieces (theta action, Taylor table, lifted index)
-        in emission order.  An action maps each theta block the piece does not
-        kill to (sign, new block); D1 lifts by x_i (index i - 1), and the
-        table ``None`` flags its shift x_i d/dp_i.  All-zero tables are left
-        out."""
+        """The operator as pieces (k, theta action, Taylor table, lifted
+        index) in emission order, k the number of thetas the piece
+        differentiates (D0: 0, D1: 1, D2: 2).  An action maps each theta block
+        the piece does not kill to (sign, new block); D1 lifts by x_i (index
+        i - 1), and the table ``None`` flags its shift x_i d/dp_i.  All-zero
+        tables are left out."""
 
         def action(act) -> dict:
             return {block: hit for block in _THETA_BLOCKS if (hit := act(block))}
@@ -261,18 +258,18 @@ class DeltaSpec(_SpecFields):
             return (int_if_integral(Fraction(total, 2)), (gamma,)) if total else None
 
         # D0 = theta_a h^a(d/dx)
-        pieces = [(action(lambda block: _MERGED[(alpha,), block]),
+        pieces = [(0, action(lambda block: _MERGED[(alpha,), block]),
                    _taylor_table(series), None) for alpha, series in zip((1, 2), self.h)]
         for alpha, row in zip((1, 2), self.g):  # D1 = x_i g^i_a(d/dx) d/dtheta_a
             derive = action(lambda block: _theta_derivative(block, alpha))
             for i, series in enumerate(row):
-                pieces.append((derive, _taylor_table(series), i))
+                pieces.append((1, derive, _taylor_table(series), i))
                 if self.momentum_shift:
-                    pieces.append((derive, None, i))
+                    pieces.append((1, derive, None, i))
         # D2 = 1/2 theta_c f^c(d/dx) eps_{ab} d/dtheta_b d/dtheta_a
-        pieces += [(action(lambda block: contract(block, gamma)),
+        pieces += [(2, action(lambda block: contract(block, gamma)),
                     _taylor_table(series), None) for gamma, series in zip((1, 2), self.f)]
-        return tuple(p for p in pieces if p[1] is None or any(p[1]))
+        return tuple(p for p in pieces if p[2] is None or any(p[2]))
 
     @property
     def images_computed(self) -> int:
@@ -288,6 +285,15 @@ class DeltaSpec(_SpecFields):
             self._keys[key] = key
         return key
 
+    def _check_degree(self, degree: int) -> None:
+        """Raise unless the series reach the Taylor coefficient of ``degree``,
+        which monomials of that even degree read."""
+        if degree > self.coefficient_order:
+            raise TruncationError(
+                f"monomial of even degree {degree} needs series coefficients "
+                f"beyond the stored order {self.coefficient_order}"
+            )
+
     def delta_monomial(self, mono: SuperMonomial) -> SuperPoly:
         """Image of a single monomial under the operator."""
         cached = self._images.get(mono)
@@ -296,16 +302,11 @@ class DeltaSpec(_SpecFields):
         if len(mono.bosons) != self.n_bosons:
             raise ValueError(f"monomial {mono!r} has {len(mono.bosons)} exponents, but "
                              f"the operator has {self.n_bosons} even generators")
-        degree = sum(mono.bosons)
-        if degree > self.coefficient_order:
-            raise TruncationError(
-                f"monomial of even degree {degree} needs series coefficients "
-                f"beyond the stored order {self.coefficient_order}"
-            )
+        self._check_degree(sum(mono.bosons))
         out: dict[SuperMonomial, Rational] = {}
         fermions, bosons = mono
         keys = self._keys
-        for action, table, lift in self._pieces:
+        for _, action, table, lift in self._pieces:
             if fermions not in action:
                 continue
             sign, block = action[fermions]
@@ -323,36 +324,6 @@ class DeltaSpec(_SpecFields):
         image = SuperPoly._from_exact(self.n_bosons, out)
         self._images[mono] = image
         return image
-
-    def _bracket(self, fermions: tuple, bosons: tuple) -> dict:
-        """Bracket of the sorted inputs whose product is theta_T x^m, as
-        {(fermions, bosons): coefficient}: Koszul's relation solved for its
-        top term, D(theta_T x^m) less C(m, mu) eps bracket(theta_T' x^mu)
-        theta_(T - T') x^(m - mu) for each proper sub-multiset (T', mu), with
-        theta_T = eps theta_T' theta_(T - T').  The lower brackets come
-        first, so a truncated operator raises at the first monomial beyond
-        its order, as the image of every sub-product would."""
-        brackets = self._brackets
-        value = brackets.get((fermions, bosons))
-        if value is not None:
-            return value
-        out = {}
-        for weight, _, rest in _derivative_terms(bosons):
-            mu = tuple(map(sub, bosons, rest))
-            for inner, outer, eps in _SPLITS[fermions]:
-                lower = brackets.get((inner, mu))
-                if lower is None:
-                    if inner == fermions and mu == bosons:  # the top term itself
-                        continue
-                    lower = self._bracket(inner, mu)
-                for (f, b), c in lower.items():
-                    if merged := _MERGED[f, outer]:
-                        key = merged[1], tuple(map(add, b, rest))
-                        out[key] = out.get(key, 0) - merged[0] * eps * weight * c
-        for key, c in self.delta_monomial(self._key(fermions, bosons)).items():
-            out[key] = out.get(key, 0) + c
-        value = brackets[fermions, bosons] = {key: c for key, c in out.items() if c}
-        return value
 
 
 def _taylor_table(series: Series) -> list:
@@ -392,12 +363,15 @@ def koszul_bracket(spec: DeltaSpec, inputs: Sequence[BasisVector]) -> Element:
     left multiplications by the inputs, applied to 1.
 
     The bracket is graded symmetric, so it is read off the product of the
-    inputs: their sign times the bracket of the monomial theta_T x^m, which
-    ``DeltaSpec._bracket`` builds from one operator image and the lower
-    brackets.  A repeated theta gives 0, but its monomial's bracket still
-    runs, so a truncated operator raises as it would without the repeat.
-    The result must be linear in the generators; anything else signals
-    malformed data.
+    inputs: their sign times the bracket of the monomial theta_T x^m.  The
+    commutators keep only the terms of a piece that differentiate every input
+    once, so that bracket sums, over the pieces that differentiate |T| thetas
+    and act on theta_T, the action's sign times the piece's Taylor
+    coefficient at |m| times its output: theta_a for D0, theta_c for D2 and
+    x_i for D1, whose shift x_i d/dp_i counts only when m = e_i.  A repeated
+    theta gives 0, but its monomial is still read off, so a truncated
+    operator raises as it would without the repeat.  The result is read back
+    through ``linear_element`` as an element of the operator's space.
     """
     table, sign, block, m = spec.generators, 1, (), (0,) * spec.n_bosons
     for vector in inputs:
@@ -406,8 +380,16 @@ def koszul_bracket(spec: DeltaSpec, inputs: Sequence[BasisVector]) -> Element:
         fermions, bosons = table[vector]
         swap, block = _MERGED[block, fermions] or (0, block)
         sign, m = sign * swap, tuple(map(add, m, bosons))
-    value = spec._bracket(block, m)
-    terms = {spec._key(*key): sign * c for key, c in value.items()} if sign else {}
+    degree, zero = sum(m), (0,) * spec.n_bosons
+    spec._check_degree(degree)
+    terms: dict[SuperMonomial, Rational] = {}
+    for k, action, taylor, lift in spec._pieces:
+        if k == len(block) and block in action:
+            s, out = action[block]
+            bosons = zero if lift is None else zero[:lift] + (1,) + zero[lift + 1:]
+            key = spec._key(out, bosons)
+            coeff = int(m == bosons) if taylor is None else taylor[degree]
+            terms[key] = terms.get(key, 0) + sign * s * coeff
     return linear_element(spec, SuperPoly(spec.n_bosons, terms))
 
 
@@ -478,10 +460,10 @@ def _composed(spec: DeltaSpec, degree_bound: int) -> dict:
                 for n in range(size)]
 
     groups: dict = {}
-    for act_p, table_p, lift_p in spec._pieces:
+    for _, act_p, table_p, lift_p in spec._pieces:
         l_p = () if lift_p is None else (lift_p,)
         e_p, table_p = (l_p, one) if table_p is None else ((), table_p)
-        for act_q, table_q, lift_q in spec._pieces:
+        for _, act_q, table_q, lift_q in spec._pieces:
             e_q, table_q = ((lift_q,), one) if table_q is None else ((), table_q)
             hits = [(block, s * act_p[mid][0], act_p[mid][1])
                     for block, (s, mid) in act_q.items() if mid in act_p]

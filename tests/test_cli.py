@@ -226,6 +226,26 @@ def test_compare_on_a_curved_operator_is_a_document_error(capsys, tmp_path):
     assert code == 0 and out.startswith("PASS")
 
 
+def test_compare_on_a_truncated_operator_exits_2(capsys, tmp_path):
+    # example1's operator document with every series cut to order 3: the
+    # brackets through arity 3 compare, arity 4 reads the order-4 coefficient
+    ex = example1_system()
+    doc = system_to_document(ex.symmetric_system, ex.delta_spec)
+    delta = doc["delta"]
+    for key in ("f", "h"):
+        delta[key] = [coeffs[:4] for coeffs in delta[key]]
+    delta["g"] = [[coeffs[:4] for coeffs in row] for row in delta["g"]]
+    path = tmp_path / "order3.json"
+    save_document(doc, path)
+    code, out, _ = run(capsys, "compare", str(path), "--max-arity", "3")
+    assert code == 0 and out.startswith("PASS")
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "compare", str(path), "--max-arity", "4", *extra)
+        assert (code, out) == (2, ""), extra
+        assert err == ("error: monomial of even degree 4 needs series coefficients "
+                       "beyond the stored order 3\n"), extra
+
+
 def test_compare_rejects_a_frame_mismatch_before_rebuilding(capsys, tmp_path, monkeypatch):
     # example1's operator document with its space reversed or renamed: the
     # declared brackets live on another space than the operator's
@@ -378,18 +398,18 @@ def test_json_reports_count_operator_images(capsys, monkeypatch):
         return compute(spec, mono)
 
     monkeypatch.setattr(DeltaSpec, "delta_monomial", recording)
+    # D o D is composed and each bracket read off the operator's pieces: no
+    # command applies D to a monomial
     for argv in (
         ("delta-check", "example1", "--degree", "12"),
         ("delta-check", "example2", "--degree", "4"),
         ("compare", "example1"),
+        ("compare", "example2", "--max-arity", "8"),
     ):
         calls.clear()
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0, argv
-        if argv[0] == "delta-check":  # D o D is composed, never applied to a monomial
-            assert json.loads(out)["images"] == len(calls) == 0, argv
-        else:
-            assert json.loads(out)["images"] == len(set(calls)) > 0, argv
+        assert json.loads(out)["images"] == len(calls) == 0, argv
 
 
 def test_json_pins_the_operator_work_counts(capsys, monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations, product
 from math import comb, factorial, prod
-from operator import add, mul
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -29,8 +29,10 @@ from linfcheck.superspace import (
     delta_squared_check,
     koszul_bracket,
     EPS_LOWER,
+    _MERGED,
     _coefficient,
     _composed,
+    _derivative_terms,
     _kills,
     _merge_fermions,
     _multi_indices,
@@ -798,26 +800,23 @@ def test_operator_image_cache_is_per_spec():
         assert other._keys.keys() & intact._keys.keys() and not shared
 
 
-def test_bracket_table_is_per_spec():
+def test_brackets_compute_no_operator_image():
     spec = example2_system().delta_spec._replace()
     gen = spec.space.generator
     inputs = tuple(gen(name) for name in ("x3", "x1", "theta1", "x2", "x1", "x3"))
     standalone = koszul_bracket(spec, inputs)  # the first call on a fresh spec
-    assert not standalone.is_zero()
-    # it filled the table with theta1 x1^2 x2 x3^2 and its 35 sub-multisets,
-    # one operator image each
-    assert len(spec._brackets) == spec.images_computed == 2 * 3 * 2 * 3
-    # the same value from a table filled in canonical order, and the same
-    # system from the partly filled table
+    # read off the operator's pieces: no image of theta1 x1^2 x2 x3^2 or of
+    # any of its sub-multisets is computed
+    assert not standalone.is_zero() and spec.images_computed == 0
+    # the same value after every bracket through arity 8, and the same system
     filled = example2_system().delta_spec._replace()
     system = brackets_from_delta(filled, 8)
-    assert len(filled._brackets) == filled.images_computed == 489
     assert koszul_bracket(filled, inputs) == standalone
     assert brackets_from_delta(spec, 8) == system
-    assert filled.images_computed == spec.images_computed == 489
+    assert filled.images_computed == spec.images_computed == 0
     for copied in (filled._replace(), copy.copy(filled), copy.deepcopy(filled),
                    pickle.loads(pickle.dumps(filled))):
-        assert copied == filled and copied._brackets == {}
+        assert copied == filled and koszul_bracket(copied, inputs) == standalone
 
 
 def _assert_images_are_exact(spec):
@@ -869,7 +868,7 @@ def test_delta_spec_is_an_immutable_value():
     assert spec != _one_boson_spec(f1=-1, g1=1, g2=1, order=7)
     # assigning or deleting a field raises, so no cache can go stale
     for name in ("n_bosons", "f", "g", "h", "momentum_shift", "selection_rule",
-                 "_images", "_keys", "_brackets", "other"):
+                 "_images", "_keys", "other"):
         with pytest.raises(AttributeError):
             setattr(spec, name, getattr(spec, name))
         with pytest.raises(AttributeError):
@@ -1181,6 +1180,29 @@ def _closed_form_bracket(spec, inputs):
     return linear_element(spec, SuperPoly(spec.n_bosons, out))
 
 
+def _relation_bracket(spec, fermions, bosons, splits, brackets):
+    """Bracket of theta_T x^m from Koszul's relation D(theta_T x^m) = sum over
+    the sub-multisets (T', mu) of C(m, mu) eps bracket(theta_T' x^mu)
+    theta_(T - T') x^(m - mu), solved for its top term: the one image
+    D(theta_T x^m) less the lower brackets' terms.  ``splits`` lists each
+    block's splits theta_T = eps theta_T' theta_(T - T') as (T', T - T',
+    eps); ``brackets`` keeps each bracket as {(fermions, bosons): coeff}."""
+    key = (fermions, bosons)
+    if key not in brackets:
+        out = dict(spec.delta_monomial(SuperMonomial(fermions, bosons)).items())
+        for weight, _, rest in _derivative_terms(bosons):
+            mu = tuple(map(sub, bosons, rest))
+            for inner, outer, eps in splits[fermions]:
+                if (inner, mu) == key:  # the top term itself
+                    continue
+                for (f, b), c in _relation_bracket(spec, inner, mu, splits, brackets).items():
+                    if merged := _merge_fermions(f, outer):
+                        term = merged[1], tuple(map(add, b, rest))
+                        out[term] = out.get(term, 0) - merged[0] * eps * weight * c
+        brackets[key] = {term: c for term, c in out.items() if c}
+    return brackets[key]
+
+
 def _outcome(bracket, spec, inputs):
     """The bracket's value, or the type of the exception it raises."""
     try:
@@ -1207,9 +1229,13 @@ def test_koszul_relation_rebuilds_the_operator(spec, data):
     """Koszul's relation D(a_1 ... a_n) = sum over the subsets I of the input
     positions of eps_I bracket(a_I) a_(I^c), with a_I a_(I^c) = eps_I a_1 ...
     a_n, on every monomial through arity 4, its inputs in a drawn order; on
-    the same inputs ``koszul_bracket`` equals the closed form."""
+    the same inputs ``koszul_bracket`` equals the closed form and the
+    relation solved for its top term."""
     oracle = spec._replace()
     unit = SuperPoly.basis(SuperMonomial((), (0,) * spec.n_bosons))
+    splits = {block: [(a, b, merged[0]) for (a, b), merged in _MERGED.items()
+                      if merged and merged[1] == block] for block in _SECTORS}
+    relation = {}
 
     def times(vectors):
         return reduce(mul, (SuperPoly.basis(spec.generators[v]) for v in vectors), unit)
@@ -1234,7 +1260,11 @@ def test_koszul_relation_rebuilds_the_operator(spec, data):
                                      {spec.generators[v]: c for v, c in value.items()})
                     rebuilt = rebuilt + eps * (poly * times(outside))
             assert rebuilt == apply_delta(oracle, total), names
-            assert koszul_bracket(spec, inputs) == _closed_form_bracket(oracle, inputs), names
+            solved = _relation_bracket(oracle, *mono, splits, relation)
+            solved = linear_element(oracle, SuperPoly(spec.n_bosons, {
+                SuperMonomial(*term): sign * c for term, c in solved.items()}))
+            closed_form = _closed_form_bracket(oracle, inputs)
+            assert koszul_bracket(spec, inputs) == closed_form == solved, names
 
 
 def test_koszul_bracket_on_unordered_and_repeated_inputs(ex2):

@@ -26,9 +26,8 @@ _HOME = {
         "series": ("Series", "g_series", "lambert_w_series", "nilcheck_one_boson",
                    "solve_f1", "solve_g2", "wronskian"),
         "superspace": ("DeltaSpec", "DeltaSquaredReport", "SuperMonomial",
-                       "SuperPoly", "apply_delta", "brackets_from_delta",
-                       "delta_squared_check", "koszul_bracket",
-                       "nilpotency_conditions"),
+                       "SuperPoly", "brackets_from_delta", "delta_squared_check",
+                       "koszul_bracket", "nilpotency_conditions"),
     }.items()
     for name in names
 }

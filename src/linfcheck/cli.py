@@ -128,7 +128,6 @@ def cmd_delta_check(args) -> dict:
         "degree": args.degree,
         "order": delta.coefficient_order,
         "monomials_checked": report.monomials_checked,
-        "images": delta.images_computed,
         "witness": str(report.witness) if report.witness else None,
         "residue": None if report.passed else str(report.residue),
         "residuals": residuals,
@@ -176,8 +175,7 @@ def cmd_compare(args) -> dict:
             f"brackets from it; delta-check can check it ({exc})"
         ) from exc
     diff = first_difference(symmetric, rebuilt, n_max)
-    report = {"command": "compare", "pass": diff is None, "max_arity": n_max,
-              "images": delta.images_computed}
+    report = {"command": "compare", "pass": diff is None, "max_arity": n_max}
     if diff is not None:
         arity, key, declared, recovered = diff
         report.update(arity=arity, inputs=[v.name for v in key],
@@ -216,6 +214,14 @@ def cmd_coefficients(args) -> dict:
     first, value, route = COEFFICIENTS[args.which]
     _require_bound("n_max", args.n_max, first)
     rows = [(n, value(n)) for n in range(first, args.n_max + 1)]
+    values = {}
+    for n, v in rows:
+        try:
+            values[str(n)] = str(v)
+        except ValueError:  # int's digit limit on printing
+            raise ValueError(f"coefficients {args.which}: the value at n={n} has more than "
+                             f"{sys.get_int_max_str_digits():,} digits on a side of the "
+                             "'/'") from None
     mismatches: list[str] = []
     if args.check:
         independent = route(args.n_max)
@@ -226,7 +232,7 @@ def cmd_coefficients(args) -> dict:
     return {
         "command": "coefficients",
         "which": args.which,
-        "values": {str(n): str(v) for n, v in rows},
+        "values": values,
         "checked": args.check,
         "mismatches": mismatches,
         "pass": not mismatches,

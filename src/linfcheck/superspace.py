@@ -20,11 +20,9 @@ one-variable coefficient times |m|!).  Entries of g may additionally carry
 the momentum-shift term + p_i, which the second bundled example uses.
 Theta derivatives act from the left: d/dtheta_a picks up (-1)^k when
 theta_a sits behind k other thetas.  A spec builds its operator once, as a
-table of pieces that each act on the theta block and apply one series.  It
-also keeps one table of validated monomials: its images share these key
-objects, so each distinct monomial is validated once per spec.  The tables
-hold exact values of validated series, so an image is built from them
-without re-checking its coefficients.
+table of pieces that each act on the theta block and apply one series.  Their
+Taylor tables hold exact values of validated series, so the image of a
+monomial is built from them without re-checking its coefficients.
 
 The check that D squares to zero applies D to no monomial.  It composes the
 table of pieces with itself once, normal-ordering D o D in the Weyl algebra
@@ -49,7 +47,7 @@ from math import comb
 from operator import add, itemgetter, sub
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
-from .errors import ConsistencyError, TruncationError
+from .errors import TruncationError
 from .grading import BasisVector, Element, GradedSpace, Rational, int_if_integral
 from .series import Series
 
@@ -179,13 +177,8 @@ class DeltaSpec(_SpecFields):
     immutable tuple of these six fields: equality, hash and repr are the
     tuple's, so a spec also equals the plain tuple of its fields, and
     assigning an attribute raises.  The operator is held as a table of
-    pieces built once per spec; each monomial's image is computed once and
-    cached.  The monomials of the images come from the spec's key table,
-    which maps ``(fermions, bosons)`` to one validated
-    :class:`SuperMonomial`, so equal monomials are the same object within a
-    spec and each is validated once.  ``_replace``, copy and pickle build
-    through the constructor, so the result is checked again and starts with
-    empty tables.
+    pieces built once per spec.  ``_replace``, copy and pickle build through
+    the constructor, so the result re-runs the checks.
     """
 
     def __new__(cls, *args, **kwargs):
@@ -198,10 +191,6 @@ class DeltaSpec(_SpecFields):
             raise ValueError("g must be a 2 x n_bosons array of series")
         if self.selection_rule and not all(s.is_zero() for s in self.h):
             raise ValueError("the degree selection rule forces h to vanish")
-        vars(self).update(
-            _images={},  # SuperMonomial -> its image
-            _keys={},    # (fermions, bosons) -> the one validated SuperMonomial
-        )
         return self
 
     @classmethod
@@ -271,20 +260,6 @@ class DeltaSpec(_SpecFields):
                     _taylor_table(series), None) for gamma, series in zip((1, 2), self.f)]
         return tuple(p for p in pieces if p[2] is None or any(p[2]))
 
-    @property
-    def images_computed(self) -> int:
-        """Number of distinct monomials whose image is in the cache."""
-        return len(self._images)
-
-    def _key(self, fermions: tuple, bosons: tuple) -> SuperMonomial:
-        """The spec's one validated monomial for ``(fermions, bosons)``,
-        built and validated on the first request."""
-        key = self._keys.get((fermions, bosons))
-        if key is None:
-            key = SuperMonomial(fermions, bosons)
-            self._keys[key] = key
-        return key
-
     def _check_degree(self, degree: int) -> None:
         """Raise unless the series reach the Taylor coefficient of ``degree``,
         which monomials of that even degree read."""
@@ -296,34 +271,27 @@ class DeltaSpec(_SpecFields):
 
     def delta_monomial(self, mono: SuperMonomial) -> SuperPoly:
         """Image of a single monomial under the operator."""
-        cached = self._images.get(mono)
-        if cached is not None:
-            return cached
         if len(mono.bosons) != self.n_bosons:
             raise ValueError(f"monomial {mono!r} has {len(mono.bosons)} exponents, but "
                              f"the operator has {self.n_bosons} even generators")
         self._check_degree(sum(mono.bosons))
         out: dict[SuperMonomial, Rational] = {}
         fermions, bosons = mono
-        keys = self._keys
         for _, action, table, lift in self._pieces:
             if fermions not in action:
                 continue
             sign, block = action[fermions]
             if table is None:  # x_i d/dp_i: m_i times the same monomial
                 if bosons[lift]:
-                    key = keys.get((block, bosons)) or self._key(block, bosons)
+                    key = SuperMonomial(block, bosons)
                     out[key] = out.get(key, 0) + sign * bosons[lift]
                 continue
             for weight, total, reduced in _derivative_terms(bosons, lift):
                 coeff = table[total]
                 if coeff:
-                    key = keys.get((block, reduced)) or self._key(block, reduced)
+                    key = SuperMonomial(block, reduced)
                     out[key] = out.get(key, 0) + sign * (weight * coeff)
-
-        image = SuperPoly._from_exact(self.n_bosons, out)
-        self._images[mono] = image
-        return image
+        return SuperPoly._from_exact(self.n_bosons, out)
 
 
 def _taylor_table(series: Series) -> list:
@@ -343,17 +311,6 @@ def _derivative_terms(bosons: tuple[int, ...], lift: int | None = None) -> list:
     return terms
 
 
-def apply_delta(spec: DeltaSpec, poly: SuperPoly) -> SuperPoly:
-    """Image of a polynomial under the operator; exact or it raises."""
-    if poly.n_bosons != spec.n_bosons:
-        raise ValueError("polynomial and operator disagree on the even generators")
-    out: dict[SuperMonomial, Rational] = {}
-    for mono, coeff in poly.items():
-        for image, value in spec.delta_monomial(mono).items():
-            out[image] = out.get(image, 0) + coeff * value
-    return SuperPoly(spec.n_bosons, out)
-
-
 # ---------------------------------------------------------------------------
 # brackets extracted from the operator
 # ---------------------------------------------------------------------------
@@ -370,8 +327,7 @@ def koszul_bracket(spec: DeltaSpec, inputs: Sequence[BasisVector]) -> Element:
     coefficient at |m| times its output: theta_a for D0, theta_c for D2 and
     x_i for D1, whose shift x_i d/dp_i counts only when m = e_i.  A repeated
     theta gives 0, but its monomial is still read off, so a truncated
-    operator raises as it would without the repeat.  The result is read back
-    through ``linear_element`` as an element of the operator's space.
+    operator raises as it would without the repeat.
     """
     table, sign, block, m = spec.generators, 1, (), (0,) * spec.n_bosons
     for vector in inputs:
@@ -382,27 +338,15 @@ def koszul_bracket(spec: DeltaSpec, inputs: Sequence[BasisVector]) -> Element:
         sign, m = sign * swap, tuple(map(add, m, bosons))
     degree, zero = sum(m), (0,) * spec.n_bosons
     spec._check_degree(degree)
-    terms: dict[SuperMonomial, Rational] = {}
+    vectors = {mono: vector for vector, mono in table.items()}
+    terms: dict[BasisVector, Rational] = {}
     for k, action, taylor, lift in spec._pieces:
         if k == len(block) and block in action:
             s, out = action[block]
             bosons = zero if lift is None else zero[:lift] + (1,) + zero[lift + 1:]
-            key = spec._key(out, bosons)
+            vector = vectors[out, bosons]  # theta_a, theta_c or x_i
             coeff = int(m == bosons) if taylor is None else taylor[degree]
-            terms[key] = terms.get(key, 0) + sign * s * coeff
-    return linear_element(spec, SuperPoly(spec.n_bosons, terms))
-
-
-def linear_element(spec: DeltaSpec, poly: SuperPoly) -> Element:
-    """Read a polynomial that is linear in the generators back as an element
-    of the operator's space; anything else raises :class:`ConsistencyError`."""
-    vectors = {mono: vector for vector, mono in spec.generators.items()}
-    try:
-        terms = {vectors[mono]: coeff for mono, coeff in poly.items()}
-    except KeyError:
-        raise ConsistencyError(
-            f"bracket value is not linear in the generators: {poly}"
-        ) from None
+            terms[vector] = terms.get(vector, 0) + sign * s * coeff
     return Element(spec.space.space_id, terms)
 
 

@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -24,7 +25,6 @@ from linfcheck.superspace import (
     DeltaSquaredReport,
     SuperMonomial,
     SuperPoly,
-    apply_delta,
     brackets_from_delta,
     delta_squared_check,
     koszul_bracket,
@@ -37,7 +37,6 @@ from linfcheck.superspace import (
     _merge_fermions,
     _multi_indices,
     _theta_derivative,
-    linear_element,
     nilpotency_conditions,
 )
 from series_ops import from_coeffs, one, truncate
@@ -176,6 +175,39 @@ def test_three_theta_derivatives_annihilate_everything():
 
 # -- applying the operator -------------------------------------------------------
 
+def apply_delta(spec, poly):
+    """Image of a polynomial under the operator, one ``delta_monomial`` per
+    term: the monomial-level oracle the composed routes are checked against."""
+    if poly.n_bosons != spec.n_bosons:
+        raise ValueError("polynomial and operator disagree on the even generators")
+    out = {}
+    for mono, coeff in poly.items():
+        for image, value in spec.delta_monomial(mono).items():
+            out[image] = out.get(image, 0) + coeff * value
+    return SuperPoly(spec.n_bosons, out)
+
+
+def _linear_element(spec, poly):
+    """A polynomial that is linear in the generators, read back as an element
+    of the operator's space; anything else raises :class:`ConsistencyError`."""
+    vectors = {mono: vector for vector, mono in spec.generators.items()}
+    try:
+        terms = {vectors[mono]: coeff for mono, coeff in poly.items()}
+    except KeyError:
+        raise ConsistencyError(f"bracket value is not linear in the generators: {poly}") from None
+    return Element(spec.space.space_id, terms)
+
+
+@contextmanager
+def _images_recorded():
+    """The monomials ``delta_monomial`` is called on inside the block."""
+    calls, compute = [], DeltaSpec.delta_monomial
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DeltaSpec, "delta_monomial",
+                      lambda spec, mono: calls.append(mono) or compute(spec, mono))
+        yield calls
+
+
 def test_apply_delta_on_unit():
     no_h = _one_boson_spec(f1=-1, g1=1, g2=1)
     assert apply_delta(no_h, SuperPoly.basis(SuperMonomial((), (0,)))).is_zero()
@@ -222,10 +254,6 @@ def test_delta_monomial_rejects_a_monomial_of_another_width(ex1, ex2):
                        (ex2.delta_spec, SuperMonomial((), (0, 0, 0, 1)))):
         with pytest.raises(ValueError, match="exponents, but the operator has"):
             spec.delta_monomial(mono)
-        assert mono not in spec._images  # nothing of the wrong width is cached
-    # the check runs on a cache miss only; a hit returns the cached image
-    mono = SuperMonomial((1,), (1,))
-    assert ex1.delta_spec.delta_monomial(mono) is ex1.delta_spec.delta_monomial(mono)
 
 
 def test_selection_rule_forces_h_to_vanish():
@@ -321,19 +349,16 @@ def test_delta_squared_constant_g_identity_passes():
 
 def _delta_squared_oracle(spec, degree_bound):
     """The double loop over ``delta_monomial`` that composed the operator
-    with itself before ``delta_squared_check`` went through ``apply_delta``;
-    each scanned monomial's images come from a fresh copy of the spec, so no
-    cache the scan fills is read."""
+    with itself before ``delta_squared_check`` went through ``apply_delta``."""
     checked = 0
     for fermions in _SECTORS:
         for bosons in product(range(degree_bound + 1), repeat=spec.n_bosons):
             if sum(bosons) > degree_bound:
                 continue
             mono = SuperMonomial(fermions, bosons)
-            fresh = spec._replace()
             acc = {}
-            for mid, c1 in fresh.delta_monomial(mono).items():
-                for final, c2 in fresh.delta_monomial(mid).items():
+            for mid, c1 in spec.delta_monomial(mono).items():
+                for final, c2 in spec.delta_monomial(mid).items():
                     acc[final] = acc.get(final, 0) + c1 * c2
             checked += 1
             residue = {m: c for m, c in acc.items() if c}
@@ -412,7 +437,7 @@ def _orbit_scan(spec, degree_bound):
     the monomials, to the lex-leader of each orbit of the spec's symmetry
     group only (Crawford-Ginsberg-Luks-Roy).  A symmetry phi has D = phi D
     phi^-1, so a monomial fails iff its whole orbit does and the first
-    failing monomial leads its orbit.  It fills the spec's image table."""
+    failing monomial leads its orbit."""
     ids, monos, rows, acc = {}, [], [], []
 
     def ident(mono):
@@ -435,7 +460,7 @@ def _orbit_scan(spec, degree_bound):
             checked += 1
             if leads and not leads(rank, bosons):
                 continue
-            mono = spec._key(fermions, bosons)
+            mono = SuperMonomial(fermions, bosons)
             i = ident(mono)
             mids, firsts = rows[i] or row(i)
             touched = set()
@@ -456,9 +481,10 @@ def _assert_matches_the_oracles(spec, degree_bound):
     scan does, without computing an operator image; a failure's residue is
     D(D(witness))."""
     expected = _delta_squared_oracle(spec, degree_bound)
-    assert _orbit_scan(spec._replace(), degree_bound) == expected
-    report = delta_squared_check(spec, degree_bound)
-    assert report == expected and spec.images_computed == 0
+    assert _orbit_scan(spec, degree_bound) == expected
+    with _images_recorded() as calls:
+        report = delta_squared_check(spec, degree_bound)
+    assert report == expected and calls == []
     if not report.passed:
         witness = SuperPoly(spec.n_bosons, {report.witness: 1})
         assert report.residue == apply_delta(spec, apply_delta(spec, witness))
@@ -768,95 +794,62 @@ def test_delta_monomial_matches_the_dataclass_oracle(spec, data):
             assert len(mono.bosons) == spec.n_bosons and min(mono.bosons) >= 0
 
 
-def test_operator_image_cache_is_per_spec():
-    intact = example2_system().delta_spec
-    mutant = example2_system(b_values={2: 1}).delta_spec
-    for _ in range(2):  # the orbit scan fills and then reads the image tables
-        assert _orbit_scan(intact, 4).passed
-        assert not _orbit_scan(mutant, 4).passed
-    fresh = example2_system().delta_spec
-    for fermions in _SECTORS:
-        for bosons in ((0, 0, 0), (1, 0, 2), (0, 3, 1), (2, 1, 1)):
-            mono = SuperMonomial(fermions, bosons)
-            assert intact.delta_monomial(mono) is intact.delta_monomial(mono)
-            assert intact.delta_monomial(mono) == fresh.delta_monomial(mono)
-    # one table of validated monomials per spec, shared by all its images
-    copied = intact._replace()
-    assert copied._keys == {} and copied._images == {}
-    first_seen, repeats = {}, 0
-    for image in intact._images.values():
-        for mono, _ in image.items():
-            assert type(mono) is SuperMonomial
-            assert SuperMonomial(mono.fermions, mono.bosons) == mono
-            assert intact._keys[mono] is mono
-            repeats += mono in first_seen
-            assert first_seen.setdefault(mono, mono) is mono
-    assert repeats  # some monomial sits in two images, as one object
-    mono = SuperMonomial((1, 2), (2, 1, 1))
-    assert not copied.delta_monomial(mono).is_zero()
-    assert copied.delta_monomial(mono) == intact.delta_monomial(mono)
-    for other in (fresh, mutant, copied):
-        shared = {id(k) for k in other._keys.values()} & {id(k) for k in intact._keys.values()}
-        assert other._keys.keys() & intact._keys.keys() and not shared
-
-
 def test_brackets_compute_no_operator_image():
-    spec = example2_system().delta_spec._replace()
+    spec = example2_system().delta_spec
     gen = spec.space.generator
     inputs = tuple(gen(name) for name in ("x3", "x1", "theta1", "x2", "x1", "x3"))
-    standalone = koszul_bracket(spec, inputs)  # the first call on a fresh spec
-    # read off the operator's pieces: no image of theta1 x1^2 x2 x3^2 or of
-    # any of its sub-multisets is computed
-    assert not standalone.is_zero() and spec.images_computed == 0
-    # the same value after every bracket through arity 8, and the same system
-    filled = example2_system().delta_spec._replace()
-    system = brackets_from_delta(filled, 8)
-    assert koszul_bracket(filled, inputs) == standalone
-    assert brackets_from_delta(spec, 8) == system
-    assert filled.images_computed == spec.images_computed == 0
-    for copied in (filled._replace(), copy.copy(filled), copy.deepcopy(filled),
-                   pickle.loads(pickle.dumps(filled))):
-        assert copied == filled and koszul_bracket(copied, inputs) == standalone
+    with _images_recorded() as calls:
+        value = koszul_bracket(spec, inputs)
+        system = brackets_from_delta(spec, 8)
+    # read off the operator's pieces: no image of theta1 x1^2 x2 x3^2, of its
+    # sub-multisets or of any monomial through arity 8 is computed
+    assert not value.is_zero() and calls == []
+    assert brackets_from_delta(spec._replace(), 8) == system
+    for copied in (spec._replace(), copy.copy(spec), copy.deepcopy(spec),
+                   pickle.loads(pickle.dumps(spec))):
+        assert copied == spec and koszul_bracket(copied, inputs) == value
 
 
-def _assert_images_are_exact(spec):
-    """What ``delta_monomial`` builds its images on without checking them:
-    every coefficient a nonzero int or Fraction, every key the spec's own
-    interned monomial on ``n_bosons`` exponents."""
-    assert spec._images
-    for image in spec._images.values():
+def _assert_images_are_exact(spec, degree_bound):
+    """What ``delta_monomial`` builds its images on without checking them, on
+    every monomial through the bound: every coefficient a nonzero int or
+    Fraction, every key a :class:`SuperMonomial` on ``n_bosons`` exponents."""
+    images = [spec.delta_monomial(SuperMonomial(fermions, bosons)) for fermions in _SECTORS
+              for bosons in _multi_indices(spec.n_bosons, degree_bound)]
+    assert len(images) == 4 * comb(degree_bound + spec.n_bosons, spec.n_bosons)
+    for image in images:
         assert type(image) is SuperPoly and image.n_bosons == spec.n_bosons
         assert image == SuperPoly(spec.n_bosons, dict(image.items()))
         for key, coeff in image.items():
             assert type(coeff) in (int, Fraction) and coeff != 0
             assert type(key) is SuperMonomial and len(key.bosons) == spec.n_bosons
-            assert spec._key(*key) is key
+            assert SuperMonomial(*key) == key
+    return images
 
 
 @settings(max_examples=40, deadline=None)
 @given(_small_specs(), st.integers(0, 3))
 def test_images_hold_exact_nonzero_terms_on_interned_keys(spec, degree_bound):
-    _orbit_scan(spec, degree_bound)
-    _assert_images_are_exact(spec)
+    _assert_images_are_exact(spec, degree_bound)
 
 
 def test_example2_images_hold_exact_nonzero_terms_on_interned_keys():
-    spec = example2_system().delta_spec
-    assert _orbit_scan(spec, 4).passed
-    _assert_images_are_exact(spec)
+    images = _assert_images_are_exact(example2_system().delta_spec, 4)
+    assert not all(image.is_zero() for image in images)
 
 
 def test_delta_spec_is_an_immutable_value():
     zero = Series.zero(6)
     spec = _one_boson_spec(f1=-1, g1=1, g2=1, order=6)
     twin = spec._replace()
+    assert "space" not in vars(spec) and "_pieces" not in vars(spec)
     spec.delta_monomial(SuperMonomial((1, 2), (2,)))
-    assert spec._images and spec._keys and "space" not in vars(spec)
-    spec.space  # fill a cached property too
-    # the caches take no part in ==, hash and repr
+    spec.space  # fill the cached properties
+    assert "space" in vars(spec) and "_pieces" in vars(spec)
+    # they take no part in ==, hash and repr
     assert spec == twin and hash(spec) == hash(twin) and repr(spec) == repr(twin)
     assert repr(spec).startswith("DeltaSpec(n_bosons=1, f=(Series(")
-    assert "_images" not in repr(spec) and "_keys" not in repr(spec)
+    assert "_pieces" not in repr(spec)
     # they are the tuple's: a spec equals the plain tuple of its six fields
     fields = (1, spec.f, spec.g, spec.h, False, False)
     assert tuple(spec) == fields and spec == fields and hash(spec) == hash(fields)
@@ -868,17 +861,16 @@ def test_delta_spec_is_an_immutable_value():
     assert spec != _one_boson_spec(f1=-1, g1=1, g2=1, order=7)
     # assigning or deleting a field raises, so no cache can go stale
     for name in ("n_bosons", "f", "g", "h", "momentum_shift", "selection_rule",
-                 "_images", "_keys", "other"):
+                 "_pieces", "other"):
         with pytest.raises(AttributeError):
             setattr(spec, name, getattr(spec, name))
         with pytest.raises(AttributeError):
             delattr(spec, name)
-    # a copy is equal and starts with empty caches
+    # a copy is equal and starts without the cached properties
     for copied in (spec._replace(), DeltaSpec._make(fields), copy.copy(spec),
                    copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
         assert type(copied) is DeltaSpec and copied == spec
-        assert copied._images == {} and copied._keys == {}
-        assert "space" not in vars(copied)
+        assert "space" not in vars(copied) and "_pieces" not in vars(copied)
     # the four checks of the constructor, which _replace runs again
     for kwargs, message in (
         (dict(n_bosons=0, g=((), ())), "need at least one even generator"),
@@ -1094,28 +1086,22 @@ def test_generator_table_is_the_frame_of_the_operator(n_bosons):
                  for i, unit in enumerate(units)]
     assert list(spec.generators.items()) == expected
     assert tuple(spec.generators) == spec.space.generators
-    for vector, mono in spec.generators.items():
-        assert linear_element(spec, SuperPoly.basis(mono)) == Element.basis(vector)
+    # an operator whose one bracket is the generator: D0 = theta_a h^a on
+    # (), or D1 = x_i g^i_1 d/dtheta_1 on (theta1,)
+    one, theta1 = Series.constant(1, 4), spec.space.generator("theta1")
+    for vector, (fermions, bosons) in spec.generators.items():
+        if fermions:
+            h = (one, zero) if fermions == (1,) else (zero, one)
+            only, inputs = spec._replace(h=h), ()
+        else:
+            row = tuple(one if k else zero for k in bosons)
+            only, inputs = spec._replace(g=(row, spec.g[1])), (theta1,)
+        assert koszul_bracket(only, inputs) == Element.basis(vector)
     # a valid name with the wrong space id or degree, or an index beyond N
     for foreign in (BasisVector("V", "x1", 0), BasisVector("W", "theta1", 0),
                     BasisVector("W", f"x{n_bosons + 1}", 0)):
         with pytest.raises(ValueError, match="not a generator of the operator's space"):
             koszul_bracket(spec, (foreign,))
-
-
-def test_linear_element_rejects_higher_terms(ex1):
-    from linfcheck.superspace import linear_element
-
-    spec = ex1.delta_spec
-    quadratic = SuperPoly.basis(SuperMonomial((), (2,)))
-    with pytest.raises(ConsistencyError):
-        linear_element(spec, quadratic)
-    pair = SuperPoly.basis(SuperMonomial((1, 2), (0,)))
-    with pytest.raises(ConsistencyError):
-        linear_element(spec, pair)
-    assert linear_element(spec, SuperPoly.basis(SuperMonomial((2,), (0,)))) == Element.basis(
-        spec.space.generator("theta2")
-    )
 
 
 # -- bracket extraction against the commutator recursion -------------------------
@@ -1140,7 +1126,7 @@ def _koszul_bracket_oracle(spec, inputs):
             raise ValueError(f"{vector!r} is not a generator of the operator's space")
         z = SuperPoly.basis(spec.generators[vector])
         op, parity = commute(op, parity, z, vector.parity)
-    return linear_element(spec, op(SuperPoly.basis(SuperMonomial((), (0,) * spec.n_bosons))))
+    return _linear_element(spec, op(SuperPoly.basis(SuperMonomial((), (0,) * spec.n_bosons))))
 
 
 def _closed_form_bracket(spec, inputs):
@@ -1177,7 +1163,7 @@ def _closed_form_bracket(spec, inputs):
                 if merged := _merge_fermions(outside, fermions):
                     key = SuperMonomial(merged[1], tuple(map(add, rest, bosons)))
                     out[key] = out.get(key, 0) + merged[0] * coeff * value
-    return linear_element(spec, SuperPoly(spec.n_bosons, out))
+    return _linear_element(spec, SuperPoly(spec.n_bosons, out))
 
 
 def _relation_bracket(spec, fermions, bosons, splits, brackets):
@@ -1219,7 +1205,7 @@ def test_koszul_bracket_matches_the_commutator_recursion(spec, data):
     pool = spec.space.generators + (BasisVector("W", "x3", 0),)
     vectors = st.sampled_from(pool[:-1]) | st.sampled_from(pool)
     for inputs in data.draw(st.lists(st.lists(vectors, max_size=5), min_size=1, max_size=6)):
-        expected = _outcome(_koszul_bracket_oracle, spec._replace(), inputs)
+        expected = _outcome(_koszul_bracket_oracle, spec, inputs)
         assert _outcome(koszul_bracket, spec, inputs) == expected, inputs
 
 
@@ -1231,7 +1217,6 @@ def test_koszul_relation_rebuilds_the_operator(spec, data):
     a_n, on every monomial through arity 4, its inputs in a drawn order; on
     the same inputs ``koszul_bracket`` equals the closed form and the
     relation solved for its top term."""
-    oracle = spec._replace()
     unit = SuperPoly.basis(SuperMonomial((), (0,) * spec.n_bosons))
     splits = {block: [(a, b, merged[0]) for (a, b), merged in _MERGED.items()
                       if merged and merged[1] == block] for block in _SECTORS}
@@ -1259,11 +1244,11 @@ def test_koszul_relation_rebuilds_the_operator(spec, data):
                     poly = SuperPoly(spec.n_bosons,
                                      {spec.generators[v]: c for v, c in value.items()})
                     rebuilt = rebuilt + eps * (poly * times(outside))
-            assert rebuilt == apply_delta(oracle, total), names
-            solved = _relation_bracket(oracle, *mono, splits, relation)
-            solved = linear_element(oracle, SuperPoly(spec.n_bosons, {
+            assert rebuilt == apply_delta(spec, total), names
+            solved = _relation_bracket(spec, *mono, splits, relation)
+            solved = _linear_element(spec, SuperPoly(spec.n_bosons, {
                 SuperMonomial(*term): sign * c for term, c in solved.items()}))
-            closed_form = _closed_form_bracket(oracle, inputs)
+            closed_form = _closed_form_bracket(spec, inputs)
             assert koszul_bracket(spec, inputs) == closed_form == solved, names
 
 
@@ -1297,7 +1282,7 @@ def _oracle_tables(spec, max_arity):
 
 def test_brackets_from_delta_match_oracle_tables(ex1, ex2):
     for ex, max_arity in ((ex1, 8), (ex2, 6)):
-        spec = ex.delta_spec._replace()
+        spec = ex.delta_spec
         rebuilt = brackets_from_delta(spec, max_arity)
-        assert rebuilt == _oracle_tables(spec._replace(), max_arity)
+        assert rebuilt == _oracle_tables(spec, max_arity)
         assert rebuilt.entry_count() > 0

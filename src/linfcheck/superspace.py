@@ -355,6 +355,9 @@ def brackets_from_delta(spec: DeltaSpec, max_arity: int) -> BracketSystem:
     ``max_arity`` into a symmetric system on the operator's space."""
     from .brackets import SYMMETRIC, BracketSystem, canonical_tuples
 
+    if type(max_arity) is not int or max_arity < 0:
+        raise ValueError(f"arity bound must be an int >= 0 (a bound below 0 checks "
+                         f"nothing), got {max_arity!r}")
     entries = []
     for n in range(0, max_arity + 1):
         for tup in canonical_tuples(spec.space, SYMMETRIC, n):

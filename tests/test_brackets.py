@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linfcheck import brackets
 from linfcheck.brackets import (
     SKEW,
     SYMMETRIC,
     ArityCheck,
     BracketSystem,
     JacobiReport,
-    _split_defect,
+    _summands,
+    _weighted,
     canonical_key,
     canonical_tuples,
     desuspend_system,
@@ -32,6 +34,7 @@ from linfcheck.grading import (
     koszul_sign,
     perm_sign,
     sort_sign,
+    unshuffles,
 )
 
 
@@ -47,6 +50,11 @@ def ex2():
 
 def _gens(system, *names):
     return tuple(system.space.generator(n) for n in names)
+
+
+def _split_defect(system, inputs):
+    """The defect on ``inputs`` and its weighted nonzero summands by inner arity."""
+    return _weighted(system, jacobi_summands(system, inputs))
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -458,6 +466,121 @@ def test_pair_scan_matches_the_tuple_scan_on_example2_dims_4_4():
     system = example2_system(4, 4).skew_system
     _assert_pair_defects_exact(system, 5)
     assert _assert_matches_oracle(system, 5).passed
+
+
+# -- the unshuffle sum against its first form -------------------------------------
+#
+# ``verify_jacobi`` reads each unshuffle's head and tail through index getters
+# that the second tuple of an arity builds and the later ones reuse.  The
+# oracles below are the scan before that: every head and tail rebuilt from the
+# unshuffle, for every tuple.
+
+def _jacobi_summands_oracle(system, inputs):
+    inputs = tuple(inputs)
+    n = len(inputs)
+    degrees = tuple(v.degree for v in inputs)
+    at = (None, *inputs).__getitem__  # sigma's images are 1-based
+    evaluate = system.evaluate
+    out = {}
+    for i in range(1, n + 1):
+        acc = {}  # coefficient of each output generator
+        for sigma in unshuffles(i, n):
+            sign = perm_sign(sigma) * koszul_sign(sigma, degrees)
+            inner = evaluate(tuple(map(at, sigma[:i])))
+            if inner.is_zero():
+                continue
+            tail = tuple(map(at, sigma[i:]))
+            for vector, coeff in inner.items():
+                coeff *= sign
+                for w, d in evaluate((vector, *tail)).items():
+                    acc[w] = acc.get(w, 0) + coeff * d
+        out[i] = Element._from_exact(system.space.space_id, acc)
+    return out
+
+
+def _verify_jacobi_oracle(system, n_max):
+    checks = []
+    for n in range(1, n_max + 1):
+        counterexample = defect = summands = None
+        count = 0
+        for tup in canonical_tuples(system.space, SKEW, n):
+            count += 1
+            parts = {i: (-1) ** (i * (n - i)) * summand
+                     for i, summand in _jacobi_summands_oracle(system, tup).items()
+                     if not summand.is_zero()}
+            value = sum(parts.values(), Element(system.space.space_id))
+            if not value.is_zero():
+                counterexample, defect, summands = tup, value, parts
+                break
+        checks.append(ArityCheck(n, count, counterexample, defect, summands))
+    return JacobiReport(tuple(checks))
+
+
+def _assert_summands_match_oracle(system, n_max):
+    """Both paths of the sum give the oracle's summands on every canonical
+    tuple: rebuilt heads and tails (``jacobi_summands``, and the first tuple
+    of an arity in ``verify_jacobi``), and one arity's index getters, built
+    by its first tuple here and reused by the rest."""
+    for n in range(1, n_max + 1):
+        blocks = {}
+        for tup in canonical_tuples(system.space, SKEW, n):
+            expected = _jacobi_summands_oracle(system, tup)
+            assert jacobi_summands(system, tup) == expected, tup
+            assert _summands(system, tup, blocks) == expected, tup
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_random_skew_systems(), _perturbed_examples()))
+def test_summands_and_reports_match_the_rebuilding_oracle(system):
+    _assert_summands_match_oracle(system, 5)
+    assert verify_jacobi(system, 5) == _verify_jacobi_oracle(system, 5)
+
+
+def test_reused_blocks_give_the_oracles_counterexamples():
+    """Seeded mutants: the report, counterexample summands included, is the
+    oracle's, and some counterexamples come after the first tuple of their
+    arity, so the reused getters produced their summands."""
+    late = 0
+    for system in (
+        *(example1_system(c_values={k: v}).skew_system for k, v in ((4, -22), (5, 7), (6, 25))),
+        *(example2_system(b_values={k: v}).skew_system for k, v in ((2, 22), (3, 19), (4, -25))),
+    ):
+        report = verify_jacobi(system, 6)
+        assert not report.passed
+        assert report == _verify_jacobi_oracle(system, 6)
+        failure = next(check for check in report.checks if not check.ok)
+        assert failure.summands and sum(failure.summands.values(), Element("V")) == failure.defect
+        late += failure.inputs_checked > 1
+    assert late
+
+
+def test_index_blocks_are_built_once_per_arity_from_its_second_tuple(monkeypatch):
+    built = []
+    index_blocks = brackets._index_blocks
+
+    def counting(sigmas, i):
+        built.append((len(sigmas[0]), i))
+        return index_blocks(sigmas, i)
+
+    monkeypatch.setattr(brackets, "_index_blocks", counting)
+    system = example2_system().skew_system
+    assert verify_jacobi(system, 5).passed
+    # every arity of example2 has a second tuple: each split built once
+    assert built == [(n, i) for n in range(1, 6) for i in range(1, n + 1)]
+    built.clear()
+    w = BasisVector("V", "w", 1)
+    one = BracketSystem.from_entries(GradedSpace("V", (w,)), SKEW, [], 8)
+    report = verify_jacobi(one, 8)
+    assert report.passed and [c.inputs_checked for c in report.checks] == [1] * 8
+    assert built == []  # one tuple per arity: nothing to reuse
+
+
+@pytest.mark.parametrize("bound", [0, -3, True, False, 2.0, "3", None])
+def test_verify_jacobi_rejects_a_bound_that_checks_nothing(ex1, bound):
+    # a bound below 1 checks nothing, and a bool or a float is no arity
+    with pytest.raises(ValueError, match=r"^arity bound must be an int >= 1 \(a bound below "
+                                         r"1 checks nothing\), got "):
+        verify_jacobi(ex1.skew_system, bound)
 
 
 # -- evaluate's value table ------------------------------------------------------

@@ -102,6 +102,20 @@ def test_verify_zero_system_passes(capsys, tmp_path):
     assert code == 0
 
 
+def test_verify_one_odd_generator_passes_with_one_tuple_per_arity(capsys, tmp_path):
+    # (w, ..., w) is the only tuple of each arity, and every nested term of its
+    # 2^n unshuffles is zero; the scan is exponential in the arity here, so
+    # keep such documents at or below arity 16
+    doc = {"version": "1", "space": {"id": "V", "generators": [{"name": "w", "degree": 1}]},
+           "symmetry": "skew", "max_arity": 12, "brackets": []}
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(path), "--max-arity", "12", "--json")
+    report = json.loads(out)
+    assert (code, report["pass"], report["max_arity"]) == (0, True, 12)
+    assert report["arities"] == [{"arity": n, "ok": True, "tuples": 1} for n in range(1, 13)]
+
+
 def test_verify_on_a_space_without_generators_is_a_usage_error(capsys, tmp_path):
     doc = {"version": "1", "space": {"id": "V", "generators": []},
            "symmetry": "skew", "max_arity": 4, "brackets": []}

@@ -583,6 +583,14 @@ def test_delta_squared_check_rejects_a_bound_that_checks_nothing(ex1, bound):
         delta_squared_check(ex1.delta_spec, bound)
 
 
+@pytest.mark.parametrize("bound", [-1, True, False, 2.0, "3", None])
+def test_brackets_from_delta_rejects_a_bound_that_checks_nothing(ex1, bound):
+    # a negative bound tabulates nothing, and a bool or a float is no arity
+    with pytest.raises(ValueError, match=r"^arity bound must be an int >= 0 \(a bound below "
+                                         r"0 checks nothing\), got "):
+        brackets_from_delta(ex1.delta_spec, bound)
+
+
 @st.composite
 def _symmetric_specs(draw, order=4):
     """Specs whose operator commutes with (theta1, x1) <-> (theta2, x2) and

@@ -91,10 +91,15 @@ def cmd_verify(args) -> dict:
             "requested_max_arity": args.max_arity, "arities": arities}
 
 
-def _verify_text(report: dict):
+def _clamp_note(report: dict):
+    """The note of a report whose --max-arity was clamped to the input's bound."""
     if report["max_arity"] != report["requested_max_arity"]:
         yield (f"note: document stores arities up to {report['max_arity']}; "
                "checking that far")
+
+
+def _verify_text(report: dict):
+    yield from _clamp_note(report)
     for check in report["arities"]:
         if check["ok"]:
             yield f"arity {check['arity']}: ok ({check['tuples']} tuples)"
@@ -175,7 +180,8 @@ def cmd_compare(args) -> dict:
             f"brackets from it; delta-check can check it ({exc})"
         ) from exc
     diff = first_difference(symmetric, rebuilt, n_max)
-    report = {"command": "compare", "pass": diff is None, "max_arity": n_max}
+    report = {"command": "compare", "pass": diff is None, "max_arity": n_max,
+              "requested_max_arity": args.max_arity}
     if diff is not None:
         arity, key, declared, recovered = diff
         report.update(arity=arity, inputs=[v.name for v in key],
@@ -184,6 +190,7 @@ def cmd_compare(args) -> dict:
 
 
 def _compare_text(report: dict):
+    yield from _clamp_note(report)
     if report["pass"]:
         yield ("PASS: operator brackets match the declared tables through "
                f"arity {report['max_arity']}")

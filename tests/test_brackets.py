@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linfcheck import brackets
 from linfcheck.brackets import (
     SKEW,
     SYMMETRIC,
@@ -470,10 +469,9 @@ def test_pair_scan_matches_the_tuple_scan_on_example2_dims_4_4():
 
 # -- the unshuffle sum against its first form -------------------------------------
 #
-# ``verify_jacobi`` reads each unshuffle's head and tail through index getters
-# that the second tuple of an arity builds and the later ones reuse.  The
-# oracles below are the scan before that: every head and tail rebuilt from the
-# unshuffle, for every tuple.
+# ``verify_jacobi`` takes each unshuffle's head and tail from the combinations
+# of the tuple, in the unshuffles' order.  The oracles below are the scan
+# before that: every head and tail rebuilt from the unshuffle, for every tuple.
 
 def _jacobi_summands_oracle(system, inputs):
     inputs = tuple(inputs)
@@ -517,16 +515,13 @@ def _verify_jacobi_oracle(system, n_max):
 
 
 def _assert_summands_match_oracle(system, n_max):
-    """Both paths of the sum give the oracle's summands on every canonical
-    tuple: rebuilt heads and tails (``jacobi_summands``, and the first tuple
-    of an arity in ``verify_jacobi``), and one arity's index getters, built
-    by its first tuple here and reused by the rest."""
+    """The one summation path, as ``jacobi_summands`` and as ``verify_jacobi``
+    calls it, gives the oracle's summands on every canonical tuple."""
     for n in range(1, n_max + 1):
-        blocks = {}
         for tup in canonical_tuples(system.space, SKEW, n):
             expected = _jacobi_summands_oracle(system, tup)
             assert jacobi_summands(system, tup) == expected, tup
-            assert _summands(system, tup, blocks) == expected, tup
+            assert _summands(system, tup) == expected, tup
 
 
 @settings(max_examples=100, deadline=None)
@@ -536,10 +531,10 @@ def test_summands_and_reports_match_the_rebuilding_oracle(system):
     assert verify_jacobi(system, 5) == _verify_jacobi_oracle(system, 5)
 
 
-def test_reused_blocks_give_the_oracles_counterexamples():
+def test_mutants_give_the_oracles_counterexamples():
     """Seeded mutants: the report, counterexample summands included, is the
     oracle's, and some counterexamples come after the first tuple of their
-    arity, so the reused getters produced their summands."""
+    arity, so the scan reached them past tuples that passed."""
     late = 0
     for system in (
         *(example1_system(c_values={k: v}).skew_system for k, v in ((4, -22), (5, 7), (6, 25))),
@@ -552,27 +547,6 @@ def test_reused_blocks_give_the_oracles_counterexamples():
         assert failure.summands and sum(failure.summands.values(), Element("V")) == failure.defect
         late += failure.inputs_checked > 1
     assert late
-
-
-def test_index_blocks_are_built_once_per_arity_from_its_second_tuple(monkeypatch):
-    built = []
-    index_blocks = brackets._index_blocks
-
-    def counting(sigmas, i):
-        built.append((len(sigmas[0]), i))
-        return index_blocks(sigmas, i)
-
-    monkeypatch.setattr(brackets, "_index_blocks", counting)
-    system = example2_system().skew_system
-    assert verify_jacobi(system, 5).passed
-    # every arity of example2 has a second tuple: each split built once
-    assert built == [(n, i) for n in range(1, 6) for i in range(1, n + 1)]
-    built.clear()
-    w = BasisVector("V", "w", 1)
-    one = BracketSystem.from_entries(GradedSpace("V", (w,)), SKEW, [], 8)
-    report = verify_jacobi(one, 8)
-    assert report.passed and [c.inputs_checked for c in report.checks] == [1] * 8
-    assert built == []  # one tuple per arity: nothing to reuse
 
 
 @pytest.mark.parametrize("bound", [0, -3, True, False, 2.0, "3", None])

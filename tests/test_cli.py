@@ -361,6 +361,26 @@ def test_compare_zeroed_delta_fails(capsys, tmp_path):
     assert "FAIL" in out
 
 
+def test_compare_clamps_to_the_documents_bound_as_verify_does(capsys, tmp_path):
+    ex = example1_system()
+    doc = system_to_document(ex.symmetric_system, ex.delta_spec)
+    doc["max_arity"] = 3
+    doc["brackets"] = [b for b in doc["brackets"] if len(b["inputs"]) <= 3]
+    path = tmp_path / "arity3.json"
+    save_document(doc, path)
+    code, out, _ = run(capsys, "compare", str(path), "--max-arity", "8")
+    assert (code, out) == (0, "note: document stores arities up to 3; checking that far\n"
+                               "PASS: operator brackets match the declared tables through "
+                               "arity 3\n")
+    code, out, _ = run(capsys, "compare", str(path), "--max-arity", "8", "--json")
+    payload = json.loads(out)
+    assert (code, payload["pass"], payload["max_arity"], payload["requested_max_arity"]) == (
+        0, True, 3, 8)
+    # no note when nothing was clamped
+    code, out, _ = run(capsys, "compare", str(path), "--max-arity", "3")
+    assert code == 0 and out.startswith("PASS:")
+
+
 def test_coefficients_tables(capsys):
     code, out, _ = run(capsys, "coefficients", "b", "4")
     assert code == 0

@@ -1,6 +1,6 @@
 import pickle
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -106,6 +106,17 @@ def test_unshuffles_against_brute_force():
             assert len(set(got)) == len(got)
             assert sorted(got) == got  # deterministic lexicographic order
             assert set(got) == set(_unshuffles_brute(i, n))
+
+
+def test_unshuffle_heads_and_tails_are_combinations_in_order():
+    # the Jacobi sum takes each unshuffle's head and tail from combinations
+    # of its inputs, in this order
+    for n in range(0, 11):
+        for i in range(0, n + 1):
+            sigmas = unshuffles(i, n)
+            assert [sigma[:i] for sigma in sigmas] == list(combinations(range(1, n + 1), i))
+            tails = list(combinations(range(1, n + 1), n - i))
+            assert [sigma[i:] for sigma in sigmas] == tails[::-1]
 
 
 def test_cached_signs_and_unshuffles_behave_like_fresh_ones():

@@ -33,7 +33,8 @@ evaluations.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, compress
+from operator import attrgetter, eq
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import TruncationError
@@ -53,12 +54,17 @@ from .grading import (
 SKEW = "skew"
 SYMMETRIC = "symmetric"
 
+_degree = attrgetter("degree")
+
 
 def _vanishes(position: Sequence[int], odd: Sequence[int], skew: bool) -> bool:
     """Whether the symmetry forces a bracket to vanish on sorted indices: an
     input repeats and swapping it with itself would flip the sign (see
     ``sort_sign``)."""
-    return any(a == b and odd[a] != skew for a, b in zip(position, position[1:]))
+    if len(set(position)) == len(position):  # no input repeats
+        return False
+    repeated = compress(position, map(eq, position, position[1:]))
+    return (not skew) in map(odd.__getitem__, repeated)  # some odd[a] != skew
 
 
 def canonical_key(
@@ -117,13 +123,14 @@ class BracketSystem:
         Jacobi sums would spend most of their time in Fraction arithmetic."""
         if symmetry not in (SKEW, SYMMETRIC):
             raise ValueError(f"unknown symmetry {symmetry!r}")
+        space_id, skew = space.space_id, symmetry == SKEW
         tables: dict[int, dict[tuple[BasisVector, ...], Element]] = {}
         for inputs, output in entries:
             inputs = tuple(inputs)
             n = len(inputs)
             if n > max_arity:
                 raise ValueError(f"entry arity {n} exceeds max_arity {max_arity}")
-            if output.space_id != space.space_id:
+            if output.space_id != space_id:
                 raise ValueError("output element lives in the wrong space")
             key, sign = canonical_key(space, symmetry, inputs)
             if key is None:
@@ -134,19 +141,20 @@ class BracketSystem:
                 continue
             if output.is_zero():
                 continue
-            target = (2 - n if symmetry == SKEW else 1) + sum(v.degree for v in inputs)
-            for vector, _ in output.items():
+            target = (2 - n if skew else 1) + sum(map(_degree, inputs))
+            terms = {}
+            for vector, coeff in output.items():
                 if vector.degree != target:
                     raise ValueError(
                         f"bracket of {inputs} must have degree {target}, "
                         f"got a {vector.name} term of degree {vector.degree}"
                     )
-            space.indices(v for v, _ in output.items())  # ValueError on a non-generator
+                terms[vector] = int_if_integral(sign * coeff)
+            space.indices(terms)  # ValueError on a non-generator
             table = tables.setdefault(n, {})
             if key in table:
                 raise ValueError(f"duplicate table entry for {key}")
-            table[key] = Element._from_exact(
-                space.space_id, {v: int_if_integral(sign * c) for v, c in output.items()})
+            table[key] = Element._from_exact(space_id, terms)
         return cls(space, symmetry, max_arity, tables)
 
     def evaluate(self, inputs: Sequence[BasisVector]) -> Element:
@@ -337,8 +345,8 @@ def _shift_system(system: BracketSystem) -> BracketSystem:
     for n, table in system.tables.items():
         shifted = tables[n] = {}
         for key, output in table.items():
-            new_key = tuple(mapping[v] for v in key)
-            sign = desuspension_sign([v.degree for v in (new_key if down else key)])
+            new_key = tuple(map(mapping.__getitem__, key))
+            sign = desuspension_sign(tuple(map(_degree, new_key if down else key)))
             shifted[new_key] = Element._from_exact(
                 target_id, {mapping[v]: sign * c for v, c in output.items()})
     return BracketSystem(GradedSpace(target_id, mapping.values()),

@@ -91,15 +91,16 @@ def cmd_verify(args) -> dict:
             "requested_max_arity": args.max_arity, "arities": arities}
 
 
-def _clamp_note(report: dict):
-    """The note of a report whose --max-arity was clamped to the input's bound."""
-    if report["max_arity"] != report["requested_max_arity"]:
-        yield (f"note: document stores arities up to {report['max_arity']}; "
-               "checking that far")
+def _clamp_note(report: dict, args):
+    """The note that opens the text of a verify or compare report whose
+    --max-arity was clamped to the bound its input stores."""
+    requested = report.get("requested_max_arity")
+    if requested is not None and requested != report["max_arity"]:
+        stored = f"builtin {args.input}" if args.input in BUILTINS else "document"
+        yield f"note: {stored} stores arities up to {report['max_arity']}; checking that far"
 
 
 def _verify_text(report: dict):
-    yield from _clamp_note(report)
     for check in report["arities"]:
         if check["ok"]:
             yield f"arity {check['arity']}: ok ({check['tuples']} tuples)"
@@ -190,7 +191,6 @@ def cmd_compare(args) -> dict:
 
 
 def _compare_text(report: dict):
-    yield from _clamp_note(report)
     if report["pass"]:
         yield ("PASS: operator brackets match the declared tables through "
                f"arity {report['max_arity']}")
@@ -324,11 +324,14 @@ def main(argv=None) -> int:
         return USAGE if exc.code else PASS
     try:
         report = args.fn(args)
-        # an export to stdout prints the document itself in both modes
-        if args.json or "document" in report:
-            text = json.dumps(report.get("document", report), indent=2)
+        if "document" in report:  # an export to stdout prints it in both modes
+            from .document import indented_json
+
+            text = indented_json(report["document"])
+        elif args.json:
+            text = json.dumps(report, indent=2)
         else:
-            text = "\n".join(args.text(report))
+            text = "\n".join([*_clamp_note(report, args), *args.text(report)])
         print(text)
         sys.stdout.flush()
     except (DocumentError, TruncationError, ConsistencyError, ValueError) as exc:

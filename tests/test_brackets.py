@@ -1,3 +1,4 @@
+import json
 import re
 from fractions import Fraction
 from itertools import permutations, product
@@ -14,6 +15,7 @@ from linfcheck.brackets import (
     BracketSystem,
     JacobiReport,
     _summands,
+    _vanishes,
     _weighted,
     canonical_key,
     canonical_tuples,
@@ -25,6 +27,7 @@ from linfcheck.brackets import (
     verify_jacobi,
 )
 from linfcheck.builtin import c1_closed, example1_system, example2_system
+from linfcheck.document import document_to_system, indented_json, system_to_document
 from linfcheck.errors import TruncationError
 from linfcheck.grading import (
     BasisVector,
@@ -128,6 +131,36 @@ def test_output_terms_must_be_generators():
         BracketSystem.from_entries(GradedSpace("V", (a, b)), SKEW, [((a,), Element.basis(ghost))])
 
 
+def test_from_entries_messages():
+    """Each check of an entry keeps its exact message; an entry with a term
+    of the wrong degree and a term off the generators reports the degree."""
+    a, b = BasisVector("V", "a", 0), BasisVector("V", "b", 1)
+    ghost = BasisVector("V", "ghost", 1)
+    space = GradedSpace("V", (a, b))
+    cases = [
+        ("both", [], "unknown symmetry 'both'"),
+        (SKEW, [((a, b, b, b), Element.basis(b))], "entry arity 4 exceeds max_arity 3"),
+        (SKEW, [((a,), Element.basis(BasisVector("W", "b", 1)))],
+         "output element lives in the wrong space"),
+        (SKEW, [((a, a), Element.basis(a))], "symmetry forces the bracket of (a, a) to vanish"),
+        (SYMMETRIC, [((b, b), Element.basis(a))],
+         "symmetry forces the bracket of (b, b) to vanish"),
+        (SKEW, [((b, a), Element.basis(a))],
+         "bracket of (b, a) must have degree 1, got a a term of degree 0"),
+        (SKEW, [((a,), Element("V", {ghost: 1, a: 2}))],
+         "bracket of (a,) must have degree 1, got a a term of degree 0"),
+        (SYMMETRIC, [((a,), Element.basis(b)), ((b, a), Element.basis(ghost))],
+         "bracket of (b, a) must have degree 2, got a ghost term of degree 1"),
+        (SKEW, [((a,), Element("V", {b: 1, ghost: 1}))], "ghost is not a generator of space 'V'"),
+        (SKEW, [((a, b), Element.basis(b)), ((b, a), Element.basis(b, 2))],
+         "duplicate table entry for (a, b)"),
+    ]
+    for symmetry, entries, message in cases:
+        with pytest.raises(ValueError) as caught:
+            BracketSystem.from_entries(space, symmetry, entries, max_arity=3)
+        assert str(caught.value) == message
+
+
 def test_entries_canonicalized_with_sign():
     a = BasisVector("V", "a", 0)
     b = BasisVector("V", "b", 1)
@@ -185,6 +218,25 @@ def test_sort_sign_and_canonical_key_count_pairs(drawn, skew):
                               [space.generators[k] for k in position])
     assert sign == expected
     assert key == (None if expected == 0 else tuple(space.generators[k] for k in ordered))
+
+
+def _vanishes_oracle(position, odd, skew):
+    """``_vanishes`` as written before its no-repeat test: a scan of the
+    adjacent pairs."""
+    return any(a == b and odd[a] != skew for a, b in zip(position, position[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DEGREES.flatmap(lambda degrees: st.tuples(
+    st.just(degrees), st.lists(st.integers(0, len(degrees) - 1), max_size=9).map(sorted))))
+def test_vanishes_matches_the_pair_scan(drawn):
+    degrees, position = drawn
+    odd = tuple(d % 2 for d in degrees)
+    for skew in (True, False):
+        expected = _vanishes_oracle(position, odd, skew)
+        # canonical_key passes a list, canonical_tuples a tuple
+        assert _vanishes(position, odd, skew) is expected
+        assert _vanishes(tuple(position), odd, skew) is expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -704,6 +756,22 @@ def test_round_trip_through_the_shift(ex1, ex2):
 @given(_random_skew_systems(grading=(0, 1), min_size=1))
 def test_round_trip_through_the_shift_on_random_systems(system):
     _assert_round_trip(system)
+
+
+def _assert_document_round_trip(system):
+    """The written document reads back as the system, with no operator."""
+    text = indented_json(system_to_document(system))
+    read, delta = document_to_system(json.loads(text))
+    assert (read, read.max_arity, delta) == (system, system.max_arity, None)
+    assert _typed_tables(read) == _typed_tables(system)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_random_skew_systems(), _random_skew_systems(grading=(0, 1), min_size=1)))
+def test_documents_round_trip_on_random_systems(system):
+    _assert_document_round_trip(system)
+    if {g.degree for g in system.space.generators} <= {0, 1}:
+        _assert_document_round_trip(desuspend_system(system))
 
 
 def _shift_oracle(system):

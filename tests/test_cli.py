@@ -381,6 +381,24 @@ def test_compare_clamps_to_the_documents_bound_as_verify_does(capsys, tmp_path):
     assert code == 0 and out.startswith("PASS:")
 
 
+def test_clamp_note_names_the_kind_of_input(capsys, tmp_path):
+    """A builtin's note names the builtin; a document's keeps its wording."""
+    note = "note: builtin example1 stores arities up to 10; checking that far\n"
+    for command in ("verify", "compare"):
+        code, out, _ = run(capsys, command, "example1", "--max-arity", "11")
+        assert code == 0 and out.startswith(note) and out.count("note:") == 1, out
+    doc = system_to_document(example1_system(max_arity=3).skew_system)
+    path = tmp_path / "arity3.json"
+    save_document(doc, path)
+    code, out, _ = run(capsys, "verify", str(path), "--max-arity", "11")
+    assert code == 0
+    assert out.startswith("note: document stores arities up to 3; checking that far\n"
+                          "arity 1: ok"), out
+    # the note is text only: the JSON report carries both bounds instead
+    code, out, _ = run(capsys, "verify", "example1", "--max-arity", "11", "--json")
+    assert "note" not in out and json.loads(out)["requested_max_arity"] == 11
+
+
 def test_coefficients_tables(capsys):
     code, out, _ = run(capsys, "coefficients", "b", "4")
     assert code == 0

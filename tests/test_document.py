@@ -14,6 +14,7 @@ from linfcheck.cli import main
 from linfcheck.document import (
     _coeff_from_json,
     document_to_system,
+    indented_json,
     load_document,
     save_document,
     system_to_document,
@@ -264,6 +265,32 @@ def test_exported_documents_are_pinned(capsys, tmp_path, builtin, formulation):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORTED[builtin, formulation]
 
 
+# sha256 of save_document's output for structures the exports do not cover:
+# example2 with B_3 replaced, and example1 with a Fraction C_5
+SAVED_STRUCTURES = {
+    "example2-B3": lambda: example2_system(b_values={3: 5}),
+    "example1-C5-fraction": lambda: example1_system(c_values={5: Fraction(-7, 3)}),
+}
+SAVED = {
+    ("example2-B3", "jacobi"): "1e968527c180b5dfb3b1c9ca6b4e80a4502ecd832489941f4b458fd217a2cf02",
+    ("example2-B3", "operator"): "baeaeb524cc2ebcc48d239e2c6ff4e2236304b57a854ec5eb3c952228d4b30d9",
+    ("example1-C5-fraction", "jacobi"):
+        "e82db799d230fa1e026df98142fee55ee745880d1ce92918d5b87ad0257b25ae",
+    ("example1-C5-fraction", "operator"):
+        "6cfd2bdc35f7039d4818e76dfca585ed8766b09cebcf755ce7d4f69d97fd8817",
+}
+
+
+@pytest.mark.parametrize("structure, formulation", sorted(SAVED))
+def test_saved_documents_are_pinned(tmp_path, structure, formulation):
+    ex = SAVED_STRUCTURES[structure]()
+    doc = (system_to_document(ex.skew_system) if formulation == "jacobi"
+           else system_to_document(ex.symmetric_system, ex.delta_spec))
+    path = tmp_path / "saved.json"
+    save_document(doc, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED[structure, formulation]
+
+
 def test_deeply_nested_documents_exit_2(capsys, tmp_path, ex1):
     """A document nested past the JSON reader's recursion limit is a
     document error, not an internal one; one nested just below it loads and
@@ -299,6 +326,40 @@ _JSON_VALUES = st.recursive(
                                                                  max_size=2),
     max_leaves=4,
 )
+
+
+# _JSON_VALUES widened with what a writer can get wrong: any text (non-ASCII,
+# quotes, backslashes, control characters), ints past 2**64, floats, nested
+# empty containers, tuples and keys that are not str
+_ESCAPES = st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600a ', max_size=6)
+_WRITER_VALUES = st.recursive(
+    _JSON_VALUES | st.text() | _ESCAPES | st.integers() | st.integers(2**64 - 2, 2**200)
+    | st.integers(-2**200, -2**64) | st.floats()
+    | st.sampled_from([[], {}, [[]], [{}], {"": []}, {"a": {"b": []}}, ()]),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=3) | _ESCAPES, inner, max_size=3)
+    | st.dictionaries(st.integers() | st.booleans() | st.none() | st.floats(), inner,
+                      max_size=3)
+    | st.dictionaries(st.text(max_size=2) | st.integers(0, 3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_WRITER_VALUES)
+def test_indented_json_is_json_dumps_with_indent_2(value):
+    assert indented_json(value) == json.dumps(value, indent=2)
+
+
+def test_indented_json_on_deep_and_exported_values():
+    """One frame per level: the 500-deep list is written.  An export to
+    stdout prints the bytes that ``-o`` writes."""
+    deep = json.loads("[" * 500 + "]" * 500)
+    assert indented_json(deep) == json.dumps(deep, indent=2)
+    for (builtin, formulation), digest in EXPORTED.items():
+        text = _exported(builtin, formulation)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 @cache

@@ -20,7 +20,7 @@ _HOME = {
         "builtin": ("ExampleSystems", "b_closed", "c1_closed", "c1_recursive",
                     "c2_daily", "example1_system", "example2_system",
                     "theta_sector_sign"),
-        "errors": ("ConsistencyError", "DocumentError", "TruncationError"),
+        "errors": ("DocumentError", "TruncationError"),
         "grading": ("BasisVector", "Element", "GradedSpace", "desuspension_sign",
                     "koszul_sign", "perm_sign", "unshuffles"),
         "series": ("Series", "g_series", "lambert_w_series", "nilcheck_one_boson",

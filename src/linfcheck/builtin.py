@@ -26,7 +26,6 @@ from .grading import (
     Rational,
     _exact,
     desuspension_sign,
-    int_if_integral,
 )
 
 if TYPE_CHECKING:
@@ -140,7 +139,7 @@ def example1_system(
         for n, value in c_values.items():
             if n < 3:
                 raise ValueError("coefficients are indexed from 3")
-            cs[n] = int_if_integral(_exact(value))
+            cs[n] = _exact(value)
     if series_order < 1:  # g1 = 1 + x
         raise ValueError("the coordinate series needs order >= 1")
 
@@ -151,14 +150,15 @@ def example1_system(
         v2 = BasisVector("V", "v2", 0)
         w = BasisVector("V", "w", 1)
         space = GradedSpace("V", (v1, v2, w))
+        # from_entries is the one check of these entries
         entries = [
-            ((v1,), Element.basis(w)),
-            ((v2,), Element.basis(w)),
-            ((v1, v2), Element.basis(v1)),
-            ((v1, w), Element.basis(w)),
+            ((v1,), Element._from_exact("V", {w: 1})),
+            ((v2,), Element._from_exact("V", {w: 1})),
+            ((v1, v2), Element._from_exact("V", {v1: 1})),
+            ((v1, w), Element._from_exact("V", {w: 1})),
         ]
         for n in range(3, max_arity + 1):
-            entries.append(((v2,) + (w,) * (n - 1), Element.basis(w, cs[n])))
+            entries.append(((v2,) + (w,) * (n - 1), Element._from_exact("V", {w: cs[n]})))
         return BracketSystem.from_entries(space, SKEW, entries, max_arity)
 
     def symmetric() -> BracketSystem:
@@ -211,21 +211,22 @@ def _second_family_skew(
     vs = [BasisVector("V", f"v{i}", 0) for i in range(1, n_v + 1)]
     ws = [BasisVector("V", f"w{j}", 1) for j in range(1, n_w + 1)]
     space = GradedSpace("V", vs + ws)
+    # from_entries is the one check of these entries
     entries: list[tuple[tuple[BasisVector, ...], Element]] = []
     for i, v in enumerate(vs):
-        entries.append(((v,), Element.basis(ws[i])))
+        entries.append(((v,), Element._from_exact("V", {ws[i]: 1})))
     for i, v in enumerate(vs):
         for j, wv in enumerate(ws):
             terms: dict[BasisVector, Rational] = {ws[i]: b1}
             terms[wv] = terms.get(wv, 0) + 1
-            entries.append(((v, wv), Element("V", terms)))
+            entries.append(((v, wv), Element._from_exact("V", terms)))
     for n in range(3, max_arity + 1):
         cn = c_of(n)
         if not cn:
             continue
         for i, v in enumerate(vs):
             for tail in combinations_with_replacement(ws, n - 1):
-                entries.append(((v,) + tail, Element.basis(ws[i], cn)))
+                entries.append(((v,) + tail, Element._from_exact("V", {ws[i]: cn})))
     return BracketSystem.from_entries(space, SKEW, entries, max_arity)
 
 
@@ -265,7 +266,7 @@ def example2_system(
         for m, value in b_values.items():
             if m < 0:
                 raise ValueError("coefficients are indexed from 0")
-            bs[m] = int_if_integral(_exact(value))
+            bs[m] = _exact(value)
     if bs[0] != 1:
         raise ValueError("the sequence must be normalized to B_0 = 1")
     if series_order < 0:  # G needs its constant coefficient

@@ -23,7 +23,7 @@ from fractions import Fraction
 from importlib import import_module
 from types import SimpleNamespace
 
-from .errors import ConsistencyError, DocumentError, TruncationError
+from .errors import DocumentError, TruncationError
 from .grading import DEFAULT_ORDER
 
 
@@ -334,7 +334,7 @@ def main(argv=None) -> int:
             text = "\n".join([*_clamp_note(report, args), *args.text(report)])
         print(text)
         sys.stdout.flush()
-    except (DocumentError, TruncationError, ConsistencyError, ValueError) as exc:
+    except (DocumentError, TruncationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except BrokenPipeError:  # no verdict was read; the flush at exit goes to devnull

@@ -46,10 +46,6 @@ SCHEMA_VERSION = "1"
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _coeff_to_json(value: Rational) -> str:
-    return str(value)
-
-
 def _coeff_from_json(value: Any, where: str) -> Rational:
     """An int, or a normalised Fraction when the value is not integral; an
     error names the value and ``where`` it stands in the document."""
@@ -75,7 +71,7 @@ def _coeff_from_json(value: Any, where: str) -> Rational:
 
 
 def _series_to_json(series: Series) -> list[str]:
-    return [_coeff_to_json(c) for c in series.coeffs]
+    return [str(c) for c in series.coeffs]
 
 
 def _series_from_json(data: Any, where: str) -> Series:
@@ -83,8 +79,7 @@ def _series_from_json(data: Any, where: str) -> Series:
 
     if not isinstance(data, list) or not data:
         raise DocumentError(f"{where}: a series is a non-empty array of rationals")
-    return Series(tuple(_coeff_from_json(c, f"{where}, coefficient {k}")
-                        for k, c in enumerate(data)))
+    return Series(_coeff_from_json(c, f"{where}, coefficient {k}") for k, c in enumerate(data))
 
 
 def system_to_document(
@@ -110,7 +105,7 @@ def system_to_document(
                 {
                     "inputs": [v.name for v in key],
                     "output": [
-                        {"gen": v.name, "coeff": _coeff_to_json(c)}
+                        {"gen": v.name, "coeff": str(c)}
                         for v, c in sorted(output.items(), key=lambda vc: vc[0].name)
                     ],
                 }

@@ -5,9 +5,5 @@ class TruncationError(Exception):
     """An exact answer would require series coefficients beyond the stored order."""
 
 
-class ConsistencyError(Exception):
-    """An internal algebraic invariant failed, indicating malformed operator data."""
-
-
 class DocumentError(Exception):
     """A system document failed schema validation."""

@@ -36,10 +36,6 @@ def _exact(value: Rational) -> Rational:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def _as_fraction(value: Rational) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(_exact(value))
-
-
 def int_if_integral(value: Rational) -> Rational:
     """Prefer plain ints over integral Fractions in hot paths."""
     if isinstance(value, Fraction) and value.denominator == 1:

@@ -20,9 +20,9 @@ one-variable coefficient times |m|!).  Entries of g may additionally carry
 the momentum-shift term + p_i, which the second bundled example uses.
 Theta derivatives act from the left: d/dtheta_a picks up (-1)^k when
 theta_a sits behind k other thetas.  A spec builds its operator once, as a
-table of pieces that each act on the theta block and apply one series.  Their
-Taylor tables hold exact values of validated series, so the image of a
-monomial is built from them without re-checking its coefficients.
+table of pieces that each act on the theta block and apply one series.  A
+piece reads its series' stored Taylor coefficients, checked when the series
+was built, so the image of a monomial is built without re-checking them.
 
 The check that D squares to zero applies D to no monomial.  It composes the
 table of pieces with itself once, normal-ordering D o D in the Weyl algebra
@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import TruncationError
 from .grading import BasisVector, Element, GradedSpace, Rational, int_if_integral
-from .series import Series
+from .series import Series, binomial_product
 
 if TYPE_CHECKING:
     from .brackets import BracketSystem
@@ -248,16 +248,16 @@ class DeltaSpec(_SpecFields):
 
         # D0 = theta_a h^a(d/dx)
         pieces = [(0, action(lambda block: _MERGED[(alpha,), block]),
-                   _taylor_table(series), None) for alpha, series in zip((1, 2), self.h)]
+                   series.taylor_coeffs, None) for alpha, series in zip((1, 2), self.h)]
         for alpha, row in zip((1, 2), self.g):  # D1 = x_i g^i_a(d/dx) d/dtheta_a
             derive = action(lambda block: _theta_derivative(block, alpha))
             for i, series in enumerate(row):
-                pieces.append((1, derive, _taylor_table(series), i))
+                pieces.append((1, derive, series.taylor_coeffs, i))
                 if self.momentum_shift:
                     pieces.append((1, derive, None, i))
         # D2 = 1/2 theta_c f^c(d/dx) eps_{ab} d/dtheta_b d/dtheta_a
         pieces += [(2, action(lambda block: contract(block, gamma)),
-                    _taylor_table(series), None) for gamma, series in zip((1, 2), self.f)]
+                    series.taylor_coeffs, None) for gamma, series in zip((1, 2), self.f)]
         return tuple(p for p in pieces if p[2] is None or any(p[2]))
 
     def _check_degree(self, degree: int) -> None:
@@ -292,11 +292,6 @@ class DeltaSpec(_SpecFields):
                     key = SuperMonomial(block, reduced)
                     out[key] = out.get(key, 0) + sign * (weight * coeff)
         return SuperPoly._from_exact(self.n_bosons, out)
-
-
-def _taylor_table(series: Series) -> list:
-    """M-th entry is M! times the M-th series coefficient."""
-    return [int_if_integral(series.taylor(m)) for m in range(series.order + 1)]
 
 
 def _derivative_terms(bosons: tuple[int, ...], lift: int | None = None) -> list:
@@ -395,17 +390,12 @@ def _composed(spec: DeltaSpec, degree_bound: int) -> dict:
     D0 and D2 have l = e = 0, D1 has l = e_i and its shift l = e = e_i, S = 1.
     A product p o q is normal-ordered in the Weyl algebra (Coutinho, "A
     Primer of Algebraic D-modules", 1995) by [d^e S(P), x_j] = e_j d^(e - e_j)
-    S(P) + d^e S'(P); on Taylor tables S T is the binomial convolution and
+    S(P) + d^e S'(P); on Taylor tables S T is ``binomial_product`` and
     S'_k = S_(k+1).  Tables are kept through index ``degree_bound``, which
     reads the pieces' tables through ``degree_bound`` + 1; all-zero tables
     are left out."""
     size = degree_bound + 1
     one = [1] + [0] * size  # the shift's series
-
-    def times(left, right):
-        return [sum(comb(n, k) * left[k] * right[n - k] for k in range(n + 1))
-                for n in range(size)]
-
     groups: dict = {}
     for _, act_p, table_p, lift_p in spec._pieces:
         l_p = () if lift_p is None else (lift_p,)
@@ -422,7 +412,8 @@ def _composed(spec: DeltaSpec, degree_bound: int) -> dict:
                 if e_p == (lift_q,):
                     terms.append((l_p, e_q, table_p))
             for alpha, e, table in terms:
-                product, alpha, e = times(table, table_q), tuple(sorted(alpha)), tuple(sorted(e))
+                product = binomial_product(table, table_q, size)
+                alpha, e = tuple(sorted(alpha)), tuple(sorted(e))
                 for block, sign, out in hits:
                     tables = groups.setdefault((block, out, alpha), {})
                     tables[e] = [a + sign * b for a, b in zip(tables.get(e, [0] * size), product)]

@@ -185,6 +185,22 @@ def test_float_overrides_are_rejected():
                for output in table.values() for _, c in output.items())
 
 
+@pytest.mark.parametrize("build", [
+    example1_system,
+    example2_system,
+    lambda: example1_system(c_values={4: Fraction(6, 3)}),
+    lambda: example2_system(b_values={2: Fraction(6, 3)}),
+])
+def test_operator_series_and_pieces_hold_ints(build):
+    # the sequences are integral, so every stored Taylor coefficient and every
+    # Taylor table of the operator's pieces is an int, integral overrides too
+    spec = build().delta_spec
+    series = [*spec.f, *spec.h, *(s for row in spec.g for s in row)]
+    assert all(type(t) is int for s in series for t in s.taylor_coeffs)
+    tables = [table for _, _, table, _ in spec._pieces if table is not None]
+    assert tables and all(type(t) is int for table in tables for t in table)
+
+
 def test_example2_override_flows_everywhere():
     ex = example2_system(b_values={3: 0})
     V = ex.skew_system

@@ -291,6 +291,40 @@ def test_saved_documents_are_pinned(tmp_path, structure, formulation):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED[structure, formulation]
 
 
+# sha256 of ``delta-check --json`` on operator documents whose series have
+# non-integral Taylor coefficients: the report a failing check prints, pinned
+# when series stored their power coefficients
+NON_INTEGRAL_REPORTS = {
+    "example1-C5-fraction":
+        ("8", "d7c9cdb24756e6f749625e4277af0f0958ec3b52ca19bfb13f79aa3208317bcc"),
+    "example2-g-fractions":
+        ("6", "9d04a4aa137499faae13d00836a26ecf3705cca8310540ac6fc7f52e7f6c909e"),
+}
+
+
+def _non_integral_document(structure):
+    if structure == "example1-C5-fraction":  # b_2(4) = -7/3 in the theta sector
+        ex = SAVED_STRUCTURES[structure]()
+        return system_to_document(ex.symmetric_system, ex.delta_spec)
+    ex = example2_system()
+    doc = system_to_document(ex.symmetric_system, ex.delta_spec)
+    doc["delta"]["g"][0][0][3] = "1/7"  # Taylor coefficient 6/7
+    doc["delta"]["g"][1][1][5] = "-5/9"  # Taylor coefficient -200/3
+    return doc
+
+
+@pytest.mark.parametrize("structure", sorted(NON_INTEGRAL_REPORTS))
+def test_non_integral_taylor_coefficients_keep_their_report(capsys, tmp_path, structure):
+    path = tmp_path / "operator.json"
+    save_document(_non_integral_document(structure), path)
+    degree, digest = NON_INTEGRAL_REPORTS[structure]
+    assert main(["delta-check", str(path), "--degree", degree, "--json"]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    spec = load_document(path)[1]
+    assert any(type(t) is Fraction for s in spec.g[0] + spec.g[1] for t in s.taylor_coeffs)
+
+
 def test_deeply_nested_documents_exit_2(capsys, tmp_path, ex1):
     """A document nested past the JSON reader's recursion limit is a
     document error, not an internal one; one nested just below it loads and

@@ -1,9 +1,9 @@
 import json
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linfcheck import cli
@@ -130,6 +130,80 @@ def test_product_matches_the_fraction_double_loop(a, b):
     assert product == expected
     assert product.order == expected.order == min(a.order, b.order)
     assert all(type(c) is Fraction for c in product.coeffs)
+
+
+# -- the power-basis arithmetic the Taylor-coefficient store replaced, kept as
+# oracles ----------------------------------------------------------------------
+
+def _numerators(coeffs):
+    """Integer numerators of ``coeffs`` over the lcm of their denominators,
+    and that lcm."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _power_product(a, b):
+    """Convolve the power coefficients' integer numerators over a common
+    denominator and divide once per coefficient."""
+    n = min(a.order, b.order)
+    x, x_den = _numerators(a.coeffs[: n + 1])
+    y, y_den = _numerators(b.coeffs[: n + 1])
+    return Series(Fraction(sum(x[j] * y[k - j] for j in range(k + 1)), x_den * y_den)
+                  for k in range(n + 1))
+
+
+def _power_inverse(a):
+    """1/a from a * (1/a) = 1 on power coefficients."""
+    inv0 = 1 / a.coeffs[0]
+    out = [inv0]
+    for k in range(1, a.order + 1):
+        out.append(-inv0 * sum(a.coeffs[j] * out[k - j] for j in range(1, k + 1)))
+    return Series(out)
+
+
+def _stored_exactly(series):
+    """A series stores its Taylor coefficients as ints where integral."""
+    return all(type(t) is int or (type(t) is Fraction and t.denominator != 1)
+               for t in series.taylor_coeffs)
+
+
+@given(_factors(), _factors())
+@settings(max_examples=200, deadline=None)
+def test_product_matches_the_power_basis_convolution(a, b):
+    product = a * b
+    assert product == _power_product(a, b) and _stored_exactly(product)
+
+
+@given(_factors())
+@settings(max_examples=200, deadline=None)
+def test_inverse_matches_the_power_basis_recurrence(a):
+    assume(a.taylor_coeffs[0])
+    inverse = a.inverse()
+    assert inverse == _power_inverse(a) and _stored_exactly(inverse)
+    assert a * inverse == Series.constant(1, a.order)
+
+
+@given(_factors(), st.one_of(st.integers(-9, 9), rationals()))
+@settings(max_examples=200, deadline=None)
+def test_calculus_matches_the_power_basis_formulas(a, constant):
+    c = a.coeffs
+    if a.order:
+        assert a.derivative() == Series(k * c[k] for k in range(1, a.order + 1))
+    integral = a.integral(constant)
+    assert integral == Series([constant, *(ck / (k + 1) for k, ck in enumerate(c))])
+    assert _stored_exactly(integral) and integral.derivative() == a
+
+
+@given(_factors())
+@settings(max_examples=200, deadline=None)
+def test_taylor_and_power_coefficients_round_trip(a):
+    taylor = [a.taylor(n) for n in range(a.order + 1)]
+    assert taylor == [factorial(n) * a[n] for n in range(a.order + 1)]
+    assert all(type(c) is Fraction for c in a.coeffs) and list(a.coeffs) == [
+        a[n] for n in range(a.order + 1)]
+    assert Series.from_taylor(taylor) == a == Series(a.coeffs)
+    assert hash(Series.from_taylor(taylor)) == hash(a) == hash(Series(a.coeffs))
+    assert _stored_exactly(a) and _stored_exactly(-a) and _stored_exactly(a + a)
 
 
 @given(series_strategy(constant=0), series_strategy(constant=0))

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from linfcheck.brackets import SYMMETRIC, BracketSystem, canonical_tuples, first_difference
 from linfcheck.builtin import example1_system, example2_system
 from linfcheck.document import document_to_system, system_to_document
-from linfcheck.errors import ConsistencyError, TruncationError
+from linfcheck.errors import TruncationError
 from linfcheck.grading import BasisVector, Element
 from linfcheck.series import Series
 from linfcheck.superspace import (
@@ -189,12 +189,12 @@ def apply_delta(spec, poly):
 
 def _linear_element(spec, poly):
     """A polynomial that is linear in the generators, read back as an element
-    of the operator's space; anything else raises :class:`ConsistencyError`."""
+    of the operator's space; anything else raises ``ValueError``."""
     vectors = {mono: vector for vector, mono in spec.generators.items()}
     try:
         terms = {vectors[mono]: coeff for mono, coeff in poly.items()}
     except KeyError:
-        raise ConsistencyError(f"bracket value is not linear in the generators: {poly}") from None
+        raise ValueError(f"bracket value is not linear in the generators: {poly}") from None
     return Element(spec.space.space_id, terms)
 
 
@@ -1201,7 +1201,7 @@ def _outcome(bracket, spec, inputs):
     """The bracket's value, or the type of the exception it raises."""
     try:
         return bracket(spec, inputs)
-    except (ValueError, ConsistencyError, TruncationError) as exc:
+    except (ValueError, TruncationError) as exc:
         return type(exc)
 
 

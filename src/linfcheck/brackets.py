@@ -15,7 +15,10 @@ two adjacent inputs a, b contributes (``grading.sort_sign``)
     symmetric:   (-1)^(parity(a) * parity(b))
 
 so a skew bracket vanishes on a repeated even generator and a symmetric one
-on a repeated odd generator; such keys are never stored.
+on a repeated odd generator; such keys are never stored.  ``from_entries``
+is the one check of a table entry; it stores a plain ``Element`` of ``int``
+coefficients given on a canonical key as it is and rebuilds any other.  The
+degree shift maps checked tables without checking them again.
 
 The generalized Jacobi identities are checked tuple by tuple: for each
 canonically ordered input tuple, the sum over unshuffles of the nested terms
@@ -33,8 +36,8 @@ evaluations.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement, compress
-from operator import attrgetter, eq
+from itertools import combinations, combinations_with_replacement
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import TruncationError
@@ -55,16 +58,19 @@ SKEW = "skew"
 SYMMETRIC = "symmetric"
 
 _degree = attrgetter("degree")
+_INT = frozenset((int,))
 
 
 def _vanishes(position: Sequence[int], odd: Sequence[int], skew: bool) -> bool:
     """Whether the symmetry forces a bracket to vanish on sorted indices: an
     input repeats and swapping it with itself would flip the sign (see
-    ``sort_sign``)."""
-    if len(set(position)) == len(position):  # no input repeats
-        return False
-    repeated = compress(position, map(eq, position, position[1:]))
-    return (not skew) in map(odd.__getitem__, repeated)  # some odd[a] != skew
+    ``sort_sign``); sorted, a repeat is two adjacent equal indices."""
+    previous = -1
+    for index in position:
+        if index == previous and odd[index] != skew:
+            return True
+        previous = index
+    return False
 
 
 def canonical_key(
@@ -118,12 +124,13 @@ class BracketSystem:
         entries: Iterable[tuple[Sequence[BasisVector], Element]],
         max_arity: int = DEFAULT_MAX_ARITY,
     ) -> "BracketSystem":
-        """The one place an entry is checked: arity, space, key, degree and
-        duplicates.  Each is stored with integral coefficients as ints, or the
-        Jacobi sums would spend most of their time in Fraction arithmetic."""
+        """The one place an entry is checked: arity, space, key, degree,
+        generators and duplicates.  Each is stored with integral coefficients
+        as ints, or the Jacobi sums would spend most of their time in Fraction
+        arithmetic; an output already so, on a canonical key, is kept as given."""
         if symmetry not in (SKEW, SYMMETRIC):
             raise ValueError(f"unknown symmetry {symmetry!r}")
-        space_id, skew = space.space_id, symmetry == SKEW
+        space_id, skew, generators = space.space_id, symmetry == SKEW, space._index.keys()
         tables: dict[int, dict[tuple[BasisVector, ...], Element]] = {}
         for inputs, output in entries:
             inputs = tuple(inputs)
@@ -133,28 +140,34 @@ class BracketSystem:
             if output.space_id != space_id:
                 raise ValueError("output element lives in the wrong space")
             key, sign = canonical_key(space, symmetry, inputs)
+            terms = output._terms
             if key is None:
-                if not output.is_zero():
+                if terms:
                     raise ValueError(
                         f"symmetry forces the bracket of {inputs} to vanish"
                     )
                 continue
-            if output.is_zero():
+            if not terms:
                 continue
             target = (2 - n if skew else 1) + sum(map(_degree, inputs))
-            terms = {}
-            for vector, coeff in output.items():
+            for vector in terms:
                 if vector.degree != target:
                     raise ValueError(
                         f"bracket of {inputs} must have degree {target}, "
                         f"got a {vector.name} term of degree {vector.degree}"
                     )
-                terms[vector] = int_if_integral(sign * coeff)
-            space.indices(terms)  # ValueError on a non-generator
-            table = tables.setdefault(n, {})
-            if key in table:
+            if not terms.keys() <= generators:
+                space.indices(terms)  # names the first non-generator
+            if sign != 1 or type(output) is not Element or \
+                    not _INT.issuperset(map(type, terms.values())):
+                output = Element._owning(
+                    space_id, {v: int_if_integral(sign * c) for v, c in terms.items()})
+            table = tables.get(n)
+            if table is None:
+                table = tables[n] = {}
+            elif key in table:
                 raise ValueError(f"duplicate table entry for {key}")
-            table[key] = Element._from_exact(space_id, terms)
+            table[key] = output
         return cls(space, symmetry, max_arity, tables)
 
     def evaluate(self, inputs: Sequence[BasisVector]) -> Element:
@@ -173,7 +186,7 @@ class BracketSystem:
             if value is None:
                 value = self._zero
             elif sign == -1:
-                value = Element._from_exact(value.space_id, {v: -c for v, c in value.items()})
+                value = Element._owning(value.space_id, {v: -c for v, c in value.items()})
             self._values[inputs] = value
         return value
 
@@ -341,14 +354,17 @@ def _shift_system(system: BracketSystem) -> BracketSystem:
     # Valid by construction, so from_entries is skipped: generators map in
     # order (a canonical key stays canonical, sign +1), a key repeats only the
     # parity the other symmetry allows, and every degree rule shifts alike.
-    tables = {}
+    tables, signs = {}, {}  # signs: desuspension_sign by degree pattern
     for n, table in system.tables.items():
         shifted = tables[n] = {}
         for key, output in table.items():
             new_key = tuple(map(mapping.__getitem__, key))
-            sign = desuspension_sign(tuple(map(_degree, new_key if down else key)))
-            shifted[new_key] = Element._from_exact(
-                target_id, {mapping[v]: sign * c for v, c in output.items()})
+            pattern = tuple(map(_degree, new_key if down else key))
+            sign = signs.get(pattern)
+            if sign is None:
+                sign = signs[pattern] = desuspension_sign(pattern)
+            shifted[new_key] = Element._owning(
+                target_id, {mapping[v]: sign * c for v, c in output._terms.items()})
     return BracketSystem(GradedSpace(target_id, mapping.values()),
                          SYMMETRIC if down else SKEW, system.max_arity, tables)
 

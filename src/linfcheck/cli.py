@@ -69,14 +69,30 @@ def _require_bound(flag: str, value: int, least: int) -> None:
         )
 
 
+def _stored(args) -> str:
+    """What stores the bracket tables: the builtin by name, or the document."""
+    return f"builtin {args.input}" if args.input in BUILTINS else "document"
+
+
+def _clamped_arity(args, stored: int, least: int) -> int:
+    """--max-arity clamped to the arity bound the input stores; a bound below
+    ``least`` is a usage error, which names both bounds when the clamp caused it."""
+    if min(args.max_arity, stored) < least <= args.max_arity:
+        raise DocumentError(
+            f"{_stored(args)} stores arities up to {stored}, so --max-arity "
+            f"{args.max_arity} checks nothing (the effective bound must be >= {least})"
+        )
+    _require_bound("--max-arity", args.max_arity, least)
+    return min(args.max_arity, stored)
+
+
 def cmd_verify(args) -> dict:
     from .brackets import verify_jacobi
 
     skew = _load_input(args.input).skew_system
     if skew is None:
         raise DocumentError("verify needs a skew system (use a skew document)")
-    n_max = min(args.max_arity, skew.max_arity)
-    _require_bound("--max-arity", n_max, 1)
+    n_max = _clamped_arity(args, skew.max_arity, 1)
     report = verify_jacobi(skew, n_max)
     arities = [
         {"arity": check.arity, "ok": True, "tuples": check.inputs_checked}
@@ -96,8 +112,8 @@ def _clamp_note(report: dict, args):
     --max-arity was clamped to the bound its input stores."""
     requested = report.get("requested_max_arity")
     if requested is not None and requested != report["max_arity"]:
-        stored = f"builtin {args.input}" if args.input in BUILTINS else "document"
-        yield f"note: {stored} stores arities up to {report['max_arity']}; checking that far"
+        yield (f"note: {_stored(args)} stores arities up to {report['max_arity']}; "
+               "checking that far")
 
 
 def _verify_text(report: dict):
@@ -169,8 +185,7 @@ def cmd_compare(args) -> dict:
     if symmetric.space != delta.space:
         raise DocumentError(f"the brackets are declared on {symmetric.space!r}, but the "
                             f"operator acts on {delta.space!r}")
-    n_max = min(args.max_arity, symmetric.max_arity)
-    _require_bound("--max-arity", n_max, 0)
+    n_max = _clamped_arity(args, symmetric.max_arity, 0)
     try:
         rebuilt = brackets_from_delta(delta, n_max)
     except ValueError as exc:  # a rebuilt bracket of the wrong degree

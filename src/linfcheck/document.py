@@ -31,6 +31,7 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -43,6 +44,7 @@ if TYPE_CHECKING:  # the operator modules load only for a "delta" section
     from .superspace import DeltaSpec
 
 SCHEMA_VERSION = "1"
+_name = attrgetter("name")
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
@@ -97,19 +99,15 @@ def system_to_document(
         "max_arity": system.max_arity,
         "brackets": [],
     }
+    brackets = doc["brackets"]
     for n in sorted(system.tables):
         table = system.tables[n]
         for key in sorted(table, key=system.space.indices):
-            output = table[key]
-            doc["brackets"].append(
-                {
-                    "inputs": [v.name for v in key],
-                    "output": [
-                        {"gen": v.name, "coeff": str(c)}
-                        for v, c in sorted(output.items(), key=lambda vc: vc[0].name)
-                    ],
-                }
-            )
+            terms = table[key].items()
+            if len(terms) > 1:
+                terms = sorted(terms, key=lambda vc: vc[0].name)
+            brackets.append({"inputs": list(map(_name, key)),
+                             "output": [{"gen": v.name, "coeff": str(c)} for v, c in terms]})
     if delta is not None:
         doc["delta"] = {
             "bosons": delta.n_bosons,
@@ -167,7 +165,10 @@ def document_to_system(doc: dict) -> tuple[BracketSystem, DeltaSpec | None]:
         raise DocumentError(f"symmetry must be 'skew' or 'symmetric', got {symmetry!r}")
     max_arity = _require(doc, "max_arity", int)
 
+    generator = space._by_name.get
+
     def lookup(name) -> BasisVector:
+        """The generator named ``name``; only the error path calls this."""
         if not isinstance(name, str):
             raise DocumentError(f"generator names must be strings, got {name!r}")
         try:
@@ -177,18 +178,22 @@ def document_to_system(doc: dict) -> tuple[BracketSystem, DeltaSpec | None]:
 
     entries = []
     for number, item in enumerate(_require(doc, "brackets", list), 1):
-        inputs = [
-            lookup(name)
-            for name in _require(item, "inputs", list, "bracket entry")
-        ]
+        names = _require(item, "inputs", list, "bracket entry")
+        try:
+            inputs = tuple(map(generator, names))
+        except TypeError:  # an unhashable name
+            inputs = (None,)
+        if None in inputs:
+            inputs = tuple(map(lookup, names))  # raises on the first bad name
         terms: dict[BasisVector, Rational] = {}
         for term, part in enumerate(_require(item, "output", list, "bracket entry"), 1):
-            vector = lookup(_require(part, "gen", str, "output term"))
+            name = _require(part, "gen", str, "output term")
+            vector = generator(name) or lookup(name)
             coeff = _coeff_from_json(_require(part, "coeff", (str, int), "output term"),
                                      f"bracket entry {number}, output term {term}")
             terms[vector] = terms.get(vector, 0) + coeff
         # names and coefficients are checked above, the rest by from_entries
-        entries.append((tuple(inputs), Element._from_exact(space_id, terms)))
+        entries.append((inputs, Element._from_exact(space_id, terms)))
     try:
         system = BracketSystem.from_entries(space, symmetry, entries, max_arity)
     except ValueError as exc:

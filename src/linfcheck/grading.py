@@ -244,6 +244,15 @@ class Element:
         element._terms = {key: coeff for key, coeff in terms.items() if coeff}
         return element
 
+    @classmethod
+    def _owning(cls, space_id, terms: dict) -> "Element":
+        """An element that takes ``terms`` as its own, unchecked and uncopied:
+        nonzero exact coefficients of ``space_id`` that nobody changes later."""
+        element = object.__new__(cls)
+        element.space_id = space_id
+        element._terms = terms
+        return element
+
     @staticmethod
     def _space_of(vector: BasisVector) -> str:
         return vector.space_id

@@ -27,12 +27,21 @@ from linfcheck.brackets import (
     verify_jacobi,
 )
 from linfcheck.builtin import c1_closed, example1_system, example2_system
-from linfcheck.document import document_to_system, indented_json, system_to_document
-from linfcheck.errors import TruncationError
+from linfcheck.document import (
+    SCHEMA_VERSION,
+    _coeff_from_json,
+    _require,
+    document_to_system,
+    indented_json,
+    system_to_document,
+)
+from linfcheck.errors import DocumentError, TruncationError
 from linfcheck.grading import (
+    DEFAULT_MAX_ARITY,
     BasisVector,
     Element,
     GradedSpace,
+    int_if_integral,
     koszul_sign,
     perm_sign,
     sort_sign,
@@ -821,6 +830,347 @@ def test_shift_matches_the_checked_oracle(system):
 def test_shift_matches_the_checked_oracle_on_the_builtins(ex1, ex2):
     for example in (ex1, ex2):
         _assert_shift_matches_oracle(example.skew_system)
+
+
+# -- the table layer against its earlier bodies -------------------------------------
+#
+# ``from_entries`` keeps an entry's ``Element`` when it is already what it would
+# build, ``_shift_system`` memoises its sign per degree pattern, the document
+# reader finds generators by name in one dict and the writer sorts only
+# outputs of more than one term. The oracles below are the bodies these
+# replaced, kept to check them against.
+
+def _from_entries_oracle(space, symmetry, entries, max_arity=DEFAULT_MAX_ARITY):
+    """``BracketSystem.from_entries`` as it was written before it kept the
+    given elements: every entry rebuilt term by term."""
+    if symmetry not in (SKEW, SYMMETRIC):
+        raise ValueError(f"unknown symmetry {symmetry!r}")
+    space_id, skew = space.space_id, symmetry == SKEW
+    tables = {}
+    for inputs, output in entries:
+        inputs = tuple(inputs)
+        n = len(inputs)
+        if n > max_arity:
+            raise ValueError(f"entry arity {n} exceeds max_arity {max_arity}")
+        if output.space_id != space_id:
+            raise ValueError("output element lives in the wrong space")
+        key, sign = canonical_key(space, symmetry, inputs)
+        if key is None:
+            if not output.is_zero():
+                raise ValueError(f"symmetry forces the bracket of {inputs} to vanish")
+            continue
+        if output.is_zero():
+            continue
+        target = (2 - n if skew else 1) + sum(v.degree for v in inputs)
+        terms = {}
+        for vector, coeff in output.items():
+            if vector.degree != target:
+                raise ValueError(
+                    f"bracket of {inputs} must have degree {target}, "
+                    f"got a {vector.name} term of degree {vector.degree}"
+                )
+            terms[vector] = int_if_integral(sign * coeff)
+        space.indices(terms)  # ValueError on a non-generator
+        table = tables.setdefault(n, {})
+        if key in table:
+            raise ValueError(f"duplicate table entry for {key}")
+        table[key] = Element._from_exact(space_id, terms)
+    return BracketSystem(space, symmetry, max_arity, tables)
+
+
+def _shift_system_oracle(system):
+    """``_shift_system`` as it was written before it memoised the sign: one
+    ``desuspension_sign`` call per entry."""
+    down = system.symmetry == SKEW
+    prefixes = {0: "theta", 1: "x"} if down else {-1: "v", 0: "w"}
+    degrees = {g.degree for g in system.space.generators}
+    if not degrees <= prefixes.keys():
+        raise ValueError(
+            f"degree shift is implemented for spaces concentrated in degrees "
+            f"{sorted(prefixes)}, got {sorted(degrees)}"
+        )
+    target_id, shift = ("W", -1) if down else ("V", 1)
+    mapping = {}
+    for g in system.space.generators:
+        number = 1 + sum(h.degree == g.degree for h in mapping)
+        mapping[g] = BasisVector(target_id, f"{prefixes[g.degree]}{number}", g.degree + shift)
+    tables = {}
+    for n, table in system.tables.items():
+        shifted = tables[n] = {}
+        for key, output in table.items():
+            new_key = tuple(map(mapping.__getitem__, key))
+            sign = desuspension_sign(tuple(v.degree for v in (new_key if down else key)))
+            shifted[new_key] = Element._from_exact(
+                target_id, {mapping[v]: sign * c for v, c in output.items()})
+    return BracketSystem(GradedSpace(target_id, mapping.values()),
+                         SYMMETRIC if down else SKEW, system.max_arity, tables)
+
+
+def _system_to_document_oracle(system):
+    """The brackets of ``system_to_document`` as they were written before the
+    writer sorted only outputs of more than one term."""
+    doc = {
+        "version": SCHEMA_VERSION,
+        "space": {
+            "id": system.space.space_id,
+            "generators": [
+                {"name": g.name, "degree": g.degree} for g in system.space.generators
+            ],
+        },
+        "symmetry": system.symmetry,
+        "max_arity": system.max_arity,
+        "brackets": [],
+    }
+    for n in sorted(system.tables):
+        table = system.tables[n]
+        for key in sorted(table, key=system.space.indices):
+            output = table[key]
+            doc["brackets"].append(
+                {
+                    "inputs": [v.name for v in key],
+                    "output": [
+                        {"gen": v.name, "coeff": str(c)}
+                        for v, c in sorted(output.items(), key=lambda vc: vc[0].name)
+                    ],
+                }
+            )
+    return doc
+
+
+def _document_to_system_oracle(doc):
+    """``document_to_system`` as it was written before it looked names up in
+    one dict, for documents without a "delta" section."""
+    if not isinstance(doc, dict):
+        raise DocumentError("document must be a JSON object")
+    version = _require(doc, "version", str)
+    if version != SCHEMA_VERSION:
+        raise DocumentError(f"unsupported schema version {version!r}")
+
+    space_doc = _require(doc, "space", dict)
+    space_id = _require(space_doc, "id", str, "space")
+    generators = []
+    for gen in _require(space_doc, "generators", list, "space"):
+        name = _require(gen, "name", str, "generator")
+        degree = _require(gen, "degree", int, "generator")
+        generators.append(BasisVector(space_id, name, degree))
+    if not generators:
+        raise DocumentError("space needs at least one generator")
+    try:
+        space = GradedSpace(space_id, generators)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
+
+    symmetry = _require(doc, "symmetry", str)
+    if symmetry not in (SKEW, SYMMETRIC):
+        raise DocumentError(f"symmetry must be 'skew' or 'symmetric', got {symmetry!r}")
+    max_arity = _require(doc, "max_arity", int)
+
+    def lookup(name):
+        if not isinstance(name, str):
+            raise DocumentError(f"generator names must be strings, got {name!r}")
+        try:
+            return space.generator(name)
+        except ValueError as exc:
+            raise DocumentError(str(exc)) from None
+
+    entries = []
+    for number, item in enumerate(_require(doc, "brackets", list), 1):
+        inputs = [lookup(name) for name in _require(item, "inputs", list, "bracket entry")]
+        terms = {}
+        for term, part in enumerate(_require(item, "output", list, "bracket entry"), 1):
+            vector = lookup(_require(part, "gen", str, "output term"))
+            coeff = _coeff_from_json(_require(part, "coeff", (str, int), "output term"),
+                                     f"bracket entry {number}, output term {term}")
+            terms[vector] = terms.get(vector, 0) + coeff
+        entries.append((tuple(inputs), Element._from_exact(space_id, terms)))
+    try:
+        system = BracketSystem.from_entries(space, symmetry, entries, max_arity)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
+    return system, None
+
+
+def _outcome(build, *args):
+    """What ``build(*args)`` gives: ("ok", result), or the type and message
+    of the error it raises."""
+    try:
+        return "ok", build(*args)
+    except (ValueError, DocumentError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_tables(got, expected):
+    """The same system, with the same coefficient types, every stored value
+    a plain ``Element``."""
+    assert (got.space, got.symmetry, got.max_arity) == \
+        (expected.space, expected.symmetry, expected.max_arity)
+    assert _typed_tables(got) == _typed_tables(expected)
+    assert all(type(value) is Element for table in got.tables.values()
+               for value in table.values())
+
+
+class _Tagged(Element):
+    """A subclass whose instances ``from_entries`` must not store."""
+
+
+_GHOST = BasisVector("V", "ghost", 1)
+
+
+@st.composite
+def _entry_lists(draw):
+    """A space, a symmetry, a bound and entries for ``from_entries``: inputs in
+    any order (so the sign may be -1), outputs of the right degree with int
+    and integral or non-integral Fraction coefficients, and now and then a
+    zero output, a key the symmetry kills, a duplicate, a ghost generator, a
+    wrong degree, the wrong space or an ``Element`` subclass."""
+    degrees = draw(st.lists(st.sampled_from((0, 1, 0, 1, 2, -1)), min_size=1, max_size=4))
+    space = _space(degrees)
+    symmetry = draw(st.sampled_from((SKEW, SYMMETRIC)))
+    max_arity = draw(st.integers(1, 4))
+    rare = st.integers(0, 39).map(lambda k: k == 0)  # true one time in forty
+    entries, keys = [], set()
+    for _ in range(draw(st.integers(0, 8))):
+        if entries and draw(rare):  # the last key again, reordered
+            inputs = tuple(draw(st.permutations(entries[-1][0])))
+        else:
+            n = max_arity + 1 if draw(rare) else draw(st.integers(0, max_arity))
+            inputs = tuple(draw(st.lists(st.sampled_from(space.generators),
+                                         min_size=n, max_size=n)))
+            if draw(st.booleans()):  # drawn lists lean towards sorted ones
+                inputs = inputs[::-1]
+            if tuple(sorted(space.indices(inputs))) in keys:
+                continue
+            keys.add(tuple(sorted(space.indices(inputs))))
+        if draw(rare):
+            inputs += (_GHOST,)
+        target = (2 - len(inputs) if symmetry == SKEW else 1) + sum(v.degree for v in inputs)
+        outputs = [g for g in space.generators if g.degree == target]
+        if draw(rare):
+            outputs = [*space.generators, _GHOST]
+        chosen = [] if not outputs or draw(rare) else \
+            draw(st.lists(st.sampled_from(outputs), unique=True, min_size=1, max_size=3))
+        space_id = "W" if draw(rare) else "V"
+        kind = _Tagged if draw(rare) else Element
+        terms = {BasisVector(space_id, g.name, g.degree): draw(_COEFFS) for g in chosen}
+        entries.append((inputs, kind(space_id, terms)))
+    return space, symmetry, entries, max_arity
+
+
+@settings(max_examples=400, deadline=None)
+@given(_entry_lists())
+def test_from_entries_matches_the_rebuilding_oracle(drawn):
+    space, symmetry, entries, max_arity = drawn
+    given_terms = [dict(output.items()) for _, output in entries]
+    got = _outcome(BracketSystem.from_entries, space, symmetry, entries, max_arity)
+    expected = _outcome(_from_entries_oracle, space, symmetry, entries, max_arity)
+    assert got[0] == expected[0]
+    if got[0] == "ok":
+        _assert_same_tables(got[1], expected[1])
+    else:
+        assert got == expected
+    # no entry, stored as given or rebuilt with a sign, changes the caller's element
+    assert [dict(output.items()) for _, output in entries] == given_terms
+
+
+def test_from_entries_keeps_only_plain_int_elements_in_canonical_order():
+    a, b = BasisVector("V", "a", 0), BasisVector("V", "b", 1)
+    space = GradedSpace("V", (a, b))
+    plain, tagged = Element("V", {b: 2}), _Tagged("V", {b: 2})
+    halves = Element("V", {b: Fraction(4, 2)})
+    system = BracketSystem.from_entries(
+        space, SKEW, [((a, b), plain), ((a,), tagged), ((b, b, a), halves)])
+    assert system.tables[2][(a, b)] is plain
+    stored = [system.tables[1][(a,)], system.tables[3][(a, b, b)]]
+    assert [(type(value), value) for value in stored] == [(Element, plain)] * 2
+    assert [type(c) for value in stored for _, c in value.items()] == [int, int]
+    swapped = BracketSystem.from_entries(space, SKEW, [((b, a), plain)])
+    assert swapped.tables[2][(a, b)] == Element("V", {b: -2})
+    assert plain == Element("V", {b: 2})
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_skew_systems(), st.data())
+def test_from_entries_keeps_or_rebuilds_the_entries_of_random_systems(system, data):
+    """Stored entries with int coefficients come back as the same objects;
+    shuffled, every entry is rebuilt with its sign, and the stored ones stay
+    as they were."""
+    entries = [(key, value) for table in system.tables.values() for key, value in table.items()]
+    kept = BracketSystem.from_entries(system.space, SKEW, entries, system.max_arity)
+    _assert_same_tables(kept, system)
+    for key, value in entries:
+        if all(type(c) is int for _, c in value.items()):
+            assert kept.tables[len(key)][key] is value
+    before = _typed_tables(system)
+    shuffled = [(data.draw(st.permutations(key)), value) for key, value in entries]
+    _assert_same_tables(
+        BracketSystem.from_entries(system.space, SKEW, shuffled, system.max_arity),
+        _from_entries_oracle(system.space, SKEW, shuffled, system.max_arity))
+    assert _typed_tables(system) == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_random_skew_systems(), _random_skew_systems(grading=(0, 1), min_size=1),
+                 _perturbed_examples()))
+def test_shift_document_reader_and_writer_match_their_oracles(system):
+    """On random systems and, where the grading allows, their desuspensions:
+    the shift, and a document written and read back."""
+    systems = [system]
+    got = _outcome(desuspend_system, system)
+    expected = _outcome(_shift_system_oracle, system)
+    assert got[0] == expected[0]
+    if got[0] == "ok":
+        _assert_same_tables(got[1], expected[1])
+        _assert_same_tables(suspend_system(got[1]), _shift_system_oracle(got[1]))
+        systems.append(got[1])
+    else:
+        assert got == expected
+    for source in systems:
+        doc = system_to_document(source)
+        assert doc == _system_to_document_oracle(source)
+        assert indented_json(doc) == indented_json(_system_to_document_oracle(source))
+        read, _ = document_to_system(json.loads(json.dumps(doc)))
+        _assert_same_tables(read, _document_to_system_oracle(doc)[0])
+
+
+def _document_of(space, symmetry, entries, max_arity):
+    """``entries`` written as a document by name, coefficients as strings."""
+    return {
+        "version": "1", "symmetry": symmetry, "max_arity": max_arity,
+        "space": {"id": space.space_id,
+                  "generators": [{"name": g.name, "degree": g.degree} for g in space.generators]},
+        "brackets": [{"inputs": [v.name for v in inputs],
+                      "output": [{"gen": v.name, "coeff": str(c)} for v, c in output.items()]}
+                     for inputs, output in entries],
+    }
+
+
+_BAD_NAMES = st.sampled_from([5, None, True, ["e0"], {"e0": 1}, "nope", "e0 "])
+_BAD_COEFFS = st.sampled_from([1.5, True, None, "1/0", "1.5", " 3", "3_0", ["1"], 7, "-4/6"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_entry_lists(), st.data())
+def test_document_reader_matches_its_oracle_on_drawn_documents(drawn, data):
+    """Documents of drawn entry lists, now and then with a name or a
+    coefficient replaced: the same tables, or the same error."""
+    doc = _document_of(*drawn)
+    for item in doc["brackets"]:
+        for k in range(len(item["inputs"])):
+            if data.draw(st.integers(0, 7)) == 0:
+                item["inputs"][k] = data.draw(_BAD_NAMES)
+        for part in item["output"]:
+            if data.draw(st.integers(0, 14)) == 0:
+                part["gen"] = data.draw(_BAD_NAMES)
+            if data.draw(st.integers(0, 14)) == 0:
+                part["coeff"] = data.draw(_BAD_COEFFS)
+    got = _outcome(document_to_system, doc)
+    expected = _outcome(_document_to_system_oracle, doc)
+    assert got[0] == expected[0]
+    if got[0] == "ok":
+        _assert_same_tables(got[1][0], expected[1][0])
+        assert got[1][1] is None
+    else:
+        assert got == expected
 
 
 # -- coefficient representation ---------------------------------------------------

@@ -381,6 +381,37 @@ def test_compare_clamps_to_the_documents_bound_as_verify_does(capsys, tmp_path):
     assert code == 0 and out.startswith("PASS:")
 
 
+def test_a_clamp_that_checks_nothing_names_both_bounds(capsys, tmp_path):
+    """When the document's bound, not the flag, leaves nothing to check, the
+    error names both; an unclamped bound keeps its message."""
+    ex = example1_system()
+    skew = system_to_document(ex.skew_system)
+    skew.update(max_arity=0, brackets=[])
+    operator = system_to_document(ex.symmetric_system, ex.delta_spec)
+    operator.update(max_arity=-2, brackets=[])
+    paths = {}
+    for name, doc in (("skew", skew), ("operator", operator)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        save_document(doc, paths[name])
+    cases = [
+        (("verify", paths["skew"], "--max-arity", "8"),
+         "error: document stores arities up to 0, so --max-arity 8 checks nothing "
+         "(the effective bound must be >= 1)\n"),
+        (("compare", paths["operator"], "--max-arity", "3"),
+         "error: document stores arities up to -2, so --max-arity 3 checks nothing "
+         "(the effective bound must be >= 0)\n"),
+        (("verify", paths["skew"], "--max-arity", "-1"),
+         "error: --max-arity -1 checks nothing (the effective bound must be >= 1)\n"),
+        (("compare", paths["operator"], "--max-arity", "-3"),
+         "error: --max-arity -3 checks nothing (the effective bound must be >= 0)\n"),
+        (("compare", "example1", "--max-arity", "-1"),
+         "error: --max-arity -1 checks nothing (the effective bound must be >= 0)\n"),
+    ]
+    for argv, message in cases:
+        for mode in ((), ("--json",)):
+            assert run(capsys, *argv, *mode) == (2, "", message), (argv, mode)
+
+
 def test_clamp_note_names_the_kind_of_input(capsys, tmp_path):
     """A builtin's note names the builtin; a document's keeps its wording."""
     note = "note: builtin example1 stores arities up to 10; checking that far\n"

@@ -160,7 +160,7 @@ class BracketSystem:
                 space.indices(terms)  # names the first non-generator
             if sign != 1 or type(output) is not Element or \
                     not _INT.issuperset(map(type, terms.values())):
-                output = Element._owning(
+                output = Element._from_exact(
                     space_id, {v: int_if_integral(sign * c) for v, c in terms.items()})
             table = tables.get(n)
             if table is None:
@@ -186,7 +186,7 @@ class BracketSystem:
             if value is None:
                 value = self._zero
             elif sign == -1:
-                value = Element._owning(value.space_id, {v: -c for v, c in value.items()})
+                value = Element._from_exact(value.space_id, {v: -c for v, c in value.items()})
             self._values[inputs] = value
         return value
 
@@ -220,8 +220,8 @@ def first_difference(
         ta = a.tables.get(n, {})
         tb = b.tables.get(n, {})
         for key in sorted(set(ta) | set(tb), key=a.space.indices):
-            va = ta.get(key, Element(a.space.space_id))
-            vb = tb.get(key, Element(b.space.space_id))
+            va = ta.get(key, a._zero)
+            vb = tb.get(key, b._zero)
             if va != vb:
                 return (n, key, va, vb)
     return None
@@ -315,6 +315,9 @@ def verify_jacobi(system: BracketSystem, n_max: int) -> JacobiReport:
         raise TruncationError(
             f"n_max {n_max} exceeds the system's bound {system.max_arity}"
         )
+    if not system.space.generators:
+        raise ValueError(f"space needs at least one generator (a space with none checks "
+                         f"nothing), got {system.space!r}")
     if system.symmetry != SKEW:
         raise ValueError("Jacobi identities are stated for skew systems")
     checks = []
@@ -363,7 +366,7 @@ def _shift_system(system: BracketSystem) -> BracketSystem:
             sign = signs.get(pattern)
             if sign is None:
                 sign = signs[pattern] = desuspension_sign(pattern)
-            shifted[new_key] = Element._owning(
+            shifted[new_key] = Element._from_exact(
                 target_id, {mapping[v]: sign * c for v, c in output._terms.items()})
     return BracketSystem(GradedSpace(target_id, mapping.values()),
                          SYMMETRIC if down else SKEW, system.max_arity, tables)

@@ -48,28 +48,28 @@ _name = attrgetter("name")
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _coeff_from_json(value: Any, where: str) -> Rational:
+def _coeff_from_json(value: Any, where: str, *at) -> Rational:
     """An int, or a normalised Fraction when the value is not integral; an
-    error names the value and ``where`` it stands in the document."""
+    error names the value and where it stands, ``where % at``, built only then."""
     if isinstance(value, bool) or isinstance(value, float):
-        raise DocumentError(f"coefficients must be exact strings, got {value!r} in {where}")
+        raise DocumentError(f"coefficients must be exact strings, got {value!r} in {where % at}")
     if isinstance(value, int):
         return value
     # the pattern keeps out " 3 ", "3_000", "1.5" and "1e5000000" (seconds for
     # Fraction); on the schema's forms int's digit limit applies
     if not (isinstance(value, str) and _RATIONAL.fullmatch(value)):
-        raise DocumentError(f"bad rational {value!r} in {where}")
+        raise DocumentError(f"bad rational {value!r} in {where % at}")
     numerator, _, denominator = value.partition("/")
     try:
         if not denominator:
             return int(numerator)
         return int_if_integral(Fraction(int(numerator), int(denominator)))
     except ZeroDivisionError as exc:
-        raise DocumentError(f"bad rational {value!r} in {where}: {exc}") from None
+        raise DocumentError(f"bad rational {value!r} in {where % at}: {exc}") from None
     except ValueError:  # int's digit limit: show only the start of the value
         raise DocumentError(f"bad rational '{value[:20]}...' ({len(value):,} characters) in "
-                            f"{where}: more than {sys.get_int_max_str_digits():,} digits on "
-                            "a side of the '/'") from None
+                            f"{where % at}: more than {sys.get_int_max_str_digits():,} digits "
+                            "on a side of the '/'") from None
 
 
 def _series_to_json(series: Series) -> list[str]:
@@ -81,7 +81,7 @@ def _series_from_json(data: Any, where: str) -> Series:
 
     if not isinstance(data, list) or not data:
         raise DocumentError(f"{where}: a series is a non-empty array of rationals")
-    return Series(_coeff_from_json(c, f"{where}, coefficient {k}") for k, c in enumerate(data))
+    return Series(_coeff_from_json(c, "%s, coefficient %d", where, k) for k, c in enumerate(data))
 
 
 def system_to_document(
@@ -190,7 +190,7 @@ def document_to_system(doc: dict) -> tuple[BracketSystem, DeltaSpec | None]:
             name = _require(part, "gen", str, "output term")
             vector = generator(name) or lookup(name)
             coeff = _coeff_from_json(_require(part, "coeff", (str, int), "output term"),
-                                     f"bracket entry {number}, output term {term}")
+                                     "bracket entry %d, output term %d", number, term)
             terms[vector] = terms.get(vector, 0) + coeff
         # names and coefficients are checked above, the rest by from_entries
         entries.append((inputs, Element._from_exact(space_id, terms)))

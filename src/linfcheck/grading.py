@@ -236,21 +236,14 @@ class Element:
         self._terms = clean
 
     @classmethod
-    def _from_exact(cls, space_id, terms: Mapping) -> "Element":
-        """An element of terms already known to be exact and of ``space_id``,
-        kept without re-checking; only the zero coefficients are dropped."""
+    def _from_exact(cls, space_id, terms: dict) -> "Element":
+        """The trusted constructor, for values built from checked parts: exact
+        coefficients on keys of ``space_id``.  It takes the caller's fresh
+        ``terms`` as its own, unchecked, and copies it only to drop a zero."""
         element = object.__new__(cls)
         element.space_id = space_id
-        element._terms = {key: coeff for key, coeff in terms.items() if coeff}
-        return element
-
-    @classmethod
-    def _owning(cls, space_id, terms: dict) -> "Element":
-        """An element that takes ``terms`` as its own, unchecked and uncopied:
-        nonzero exact coefficients of ``space_id`` that nobody changes later."""
-        element = object.__new__(cls)
-        element.space_id = space_id
-        element._terms = terms
+        element._terms = terms if all(terms.values()) else \
+            {key: coeff for key, coeff in terms.items() if coeff}
         return element
 
     @staticmethod
@@ -275,7 +268,7 @@ class Element:
         terms = dict(self._terms)
         for key, coeff in other._terms.items():
             terms[key] = terms.get(key, 0) + coeff
-        return type(self)(self.space_id, terms)
+        return self._from_exact(self.space_id, terms)
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-1) * other
@@ -285,7 +278,7 @@ class Element:
 
     def __rmul__(self, scalar: Rational) -> "Element":
         scalar = _exact(scalar)
-        return type(self)(self.space_id, {k: scalar * c for k, c in self._terms.items()})
+        return self._from_exact(self.space_id, {k: scalar * c for k, c in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):

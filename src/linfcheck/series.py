@@ -208,7 +208,6 @@ def solve_g2(g1: Series, f1: Series, ratio_at_zero: Rational = 1) -> Series:
 # the two classical inverse-function series
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def lambert_w_series(order: int) -> Series:
     """Taylor series of the inverse W of w * e^w, coefficient by coefficient.
 
@@ -226,7 +225,6 @@ def lambert_w_series(order: int) -> Series:
     return Series.from_taylor(w)
 
 
-@lru_cache(maxsize=None)
 def g_series(order: int) -> Series:
     """Solution of G'(G + p) = G with G(0) = 1, coefficient by coefficient.
 

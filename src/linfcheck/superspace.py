@@ -145,7 +145,7 @@ class SuperPoly(Element):
                 bosons = tuple(p + q for p, q in zip(ma.bosons, mb.bosons))
                 mono = SuperMonomial(fermions, bosons)
                 out[mono] = out.get(mono, 0) + sign * ca * cb
-        return SuperPoly(self.n_bosons, out)
+        return SuperPoly._from_exact(self.n_bosons, out)
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -342,7 +342,7 @@ def koszul_bracket(spec: DeltaSpec, inputs: Sequence[BasisVector]) -> Element:
             vector = vectors[out, bosons]  # theta_a, theta_c or x_i
             coeff = int(m == bosons) if taylor is None else taylor[degree]
             terms[vector] = terms.get(vector, 0) + sign * s * coeff
-    return Element(spec.space.space_id, terms)
+    return Element._from_exact(spec.space.space_id, terms)
 
 
 def brackets_from_delta(spec: DeltaSpec, max_arity: int) -> BracketSystem:
@@ -497,7 +497,7 @@ def delta_squared_check(spec: DeltaSpec, degree_bound: int) -> DeltaSquaredRepor
                         residue[mono] = residue.get(mono, 0) + weight * value
             if residue := {mono: c for mono, c in residue.items() if c}:
                 return DeltaSquaredReport(False, checked, SuperMonomial(fermions, bosons),
-                                          SuperPoly(spec.n_bosons, residue))
+                                          SuperPoly._from_exact(spec.n_bosons, residue))
     return DeltaSquaredReport(True, checked, None, None)
 
 

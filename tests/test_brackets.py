@@ -2,7 +2,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -501,8 +501,48 @@ def _perturbed_examples(draw):
                            max_arity=5, b_values={index: draw(_COEFFS)}).skew_system
 
 
+def _basis_change(system, lower):
+    """l'_n(u_1 .. u_n) = A l_n(A^-1 u_1, ..., A^-1 u_n), built through
+    ``from_entries``, for the integer unitriangular A = 1 + N inside each
+    degree, ``lower`` mapping each (i, j), i > j, of N's support to its
+    entry.  A linear L-infinity isomorphism: l' passes exactly where l does,
+    on tables that no longer depend on the total momentum alone."""
+    space = system.space
+    generators = space.generators
+    forward, inverse = {}, {}  # the columns of A and of its inverse
+    for j, g in enumerate(generators):
+        forward[g] = [(g, 1)] + [(generators[i], c) for (i, k), c in lower.items()
+                                 if k == j and c]
+        column = {j: 1}  # forward substitution: A x = e_j
+        for i in range(j + 1, len(generators)):
+            if x := -sum(lower.get((i, k), 0) * column.get(k, 0) for k in range(j, i)):
+                column[i] = x
+        inverse[g] = [(generators[i], c) for i, c in column.items()]
+    entries = []
+    for n in range(system.max_arity + 1):
+        for key in canonical_tuples(space, SKEW, n):
+            out = {}
+            for choice in product(*map(inverse.__getitem__, key)):
+                weight = prod(c for _, c in choice)
+                for w, d in system.evaluate(tuple(v for v, _ in choice)).items():
+                    for x, a in forward[w]:
+                        out[x] = out.get(x, 0) + weight * d * a
+            entries.append((key, Element(space.space_id, out)))
+    return BracketSystem.from_entries(space, SKEW, entries, system.max_arity)
+
+
+@st.composite
+def _basis_changed_examples(draw):
+    """example2 at dims (2, 2) or (3, 3) after a drawn unitriangular change of
+    basis: passing tables of another shape than the examples'."""
+    dim = draw(st.sampled_from((2, 3)))
+    lower = {(i, j): draw(st.integers(-2, 2)) for block in (range(dim), range(dim, 2 * dim))
+             for i in block for j in block if i > j}
+    return _basis_change(example2_system(dim, dim, max_arity=5).skew_system, lower)
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(_random_skew_systems(), _perturbed_examples()))
+@given(st.one_of(_random_skew_systems(), _perturbed_examples(), _basis_changed_examples()))
 def test_pair_scan_matches_the_tuple_scan_on_random_systems(system):
     _assert_evaluate_follows_canonical_key(system, 4)
     _assert_pair_defects_exact(system, 5)
@@ -520,6 +560,25 @@ def test_pair_scan_matches_the_tuple_scan_on_mutants(example, index, value):
     else:
         system = example2_system(b_values={index: value}).skew_system
     assert not _assert_matches_oracle(system, 6).passed
+
+
+def test_a_basis_changed_example_passes_both_scans_and_a_mutant_fails_both():
+    example = example2_system(3, 3, max_arity=6).skew_system
+    lower = {(1, 0): 1, (2, 0): -2, (2, 1): 1, (4, 3): -1, (5, 3): 2, (5, 4): 1}
+    system = _basis_change(example, lower)
+    assert system != example
+    assert _assert_matches_oracle(system, 6).passed
+    # l'_1(v1) holds w1, so a change of l'_6(v2, w1, ..., w1) shows in the
+    # defect of (v1, v2, w1, ..., w1)
+    v1, v2, _, w1 = system.space.generators[:4]
+    key = (v2,) + (w1,) * 5
+    changed = system.tables[6][key] + Element("V", {w1: 1})
+    entries = [(k, changed if k == key else value)
+               for table in system.tables.values() for k, value in table.items()]
+    mutant = BracketSystem.from_entries(system.space, SKEW, entries, 6)
+    report = _assert_matches_oracle(mutant, 6)
+    assert [check.ok for check in report.checks] == [True] * 5 + [False]
+    assert report.checks[-1].counterexample == (v1, v2) + (w1,) * 4
 
 
 def test_pair_scan_matches_the_tuple_scan_on_example2_dims_4_4():
@@ -586,7 +645,7 @@ def _assert_summands_match_oracle(system, n_max):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(_random_skew_systems(), _perturbed_examples()))
+@given(st.one_of(_random_skew_systems(), _perturbed_examples(), _basis_changed_examples()))
 def test_summands_and_reports_match_the_rebuilding_oracle(system):
     _assert_summands_match_oracle(system, 5)
     assert verify_jacobi(system, 5) == _verify_jacobi_oracle(system, 5)
@@ -616,6 +675,14 @@ def test_verify_jacobi_rejects_a_bound_that_checks_nothing(ex1, bound):
     with pytest.raises(ValueError, match=r"^arity bound must be an int >= 1 \(a bound below "
                                          r"1 checks nothing\), got "):
         verify_jacobi(ex1.skew_system, bound)
+
+
+def test_verify_jacobi_rejects_a_space_with_no_generators():
+    # no tuple at any arity: a PASS would check nothing
+    system = BracketSystem.from_entries(GradedSpace("V", []), SKEW, [], 4)
+    with pytest.raises(ValueError, match=r"^space needs at least one generator \(a space with "
+                                         r"none checks nothing\), got GradedSpace\('V', \[\]\)$"):
+        verify_jacobi(system, 4)
 
 
 # -- evaluate's value table ------------------------------------------------------

@@ -4,7 +4,12 @@ from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from linfcheck.brackets import SKEW, BracketSystem, desuspend_system, first_difference
+from linfcheck.builtin import example1_system, example2_system
+from linfcheck.document import document_to_system
 from linfcheck.grading import (
     BasisVector,
     Element,
@@ -14,6 +19,7 @@ from linfcheck.grading import (
     perm_sign,
     unshuffles,
 )
+from linfcheck.superspace import SuperMonomial, SuperPoly, koszul_bracket
 
 
 def _permute(seq, sigma):
@@ -179,3 +185,136 @@ def test_element_arithmetic_and_pruning():
         Element("V", {BasisVector("U", "u", 0): 1})
     with pytest.raises(TypeError):
         0.5 * e
+
+
+# -- the checked and the trusted constructor ---------------------------------------
+#
+# ``Element(...)`` checks every term; ``Element._from_exact`` trusts values built
+# from checked parts and drops only zero coefficients.  Every operator goes
+# through the trusted one, so each must give what the checked one gives.
+
+_VECTORS = [BasisVector("V", name, degree) for name, degree in
+            (("a", 0), ("b", 1), ("c", 0), ("d", 1))]
+_EXACT = st.one_of(st.integers(-3, 3),
+                   st.fractions(min_value=-2, max_value=2, max_denominator=3))
+_TERMS = st.dictionaries(st.sampled_from(_VECTORS), _EXACT, max_size=4)
+
+
+def _stored(element):
+    """The stored terms, after checking that none of them is zero."""
+    terms = dict(element.items())
+    assert all(terms.values()), terms
+    return terms
+
+
+def _assert_operators_match_the_checked_constructor(kind, space_id, x, y, k):
+    a, b = kind(space_id, x), kind(space_id, y)
+    keys = x.keys() | y.keys()
+    for got, terms in (
+        (a + b, {key: x.get(key, 0) + y.get(key, 0) for key in keys}),
+        (a - b, {key: x.get(key, 0) - y.get(key, 0) for key in keys}),
+        (-a, {key: -c for key, c in x.items()}),
+        (k * a, {key: k * c for key, c in x.items()}),
+    ):
+        assert type(got) is kind and got.space_id == space_id
+        assert _stored(got) == _stored(kind(space_id, terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TERMS, _TERMS, _EXACT)
+def test_every_constructor_and_operator_prunes_zeros_as_the_checked_one(x, y, k):
+    checked = Element("V", x)
+    assert _stored(checked) == {v: c for v, c in x.items() if c}
+    assert _stored(Element._from_exact("V", dict(x))) == _stored(checked)
+    _assert_operators_match_the_checked_constructor(Element, "V", x, y, k)
+
+
+_SUPER_MONOS = [SuperMonomial(f, (i, j)) for f in ((), (1,), (2,), (1, 2))
+                for i in range(2) for j in range(2)]
+_SUPER_TERMS = st.dictionaries(st.sampled_from(_SUPER_MONOS), _EXACT, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SUPER_TERMS, _SUPER_TERMS, _EXACT)
+def test_superpoly_operators_prune_zeros_as_the_checked_one(x, y, k):
+    _assert_operators_match_the_checked_constructor(SuperPoly, 2, x, y, k)
+    # the product against its terms' products, summed by the checked constructor
+    p, q = SuperPoly(2, x), SuperPoly(2, y)
+    terms = {}
+    for ma, ca in x.items():
+        for mb, cb in y.items():
+            for mono, c in (SuperPoly.basis(ma, ca) * SuperPoly.basis(mb, cb)).items():
+                terms[mono] = terms.get(mono, 0) + c
+    assert _stored(p * q) == _stored(SuperPoly(2, terms))
+    assert _stored(p * k) == _stored(k * p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TERMS)
+def test_from_exact_keeps_the_dict_unless_a_coefficient_is_zero(terms):
+    passed = dict(terms)
+    element = Element._from_exact("V", passed)
+    assert passed == terms  # never changed
+    if all(terms.values()):
+        assert element._terms is passed
+    else:
+        assert element._terms is not passed
+        assert element._terms == {v: c for v, c in terms.items() if c}
+
+
+def test_arithmetic_on_checked_values_skips_the_checked_constructor(monkeypatch):
+    e = Element("V", {_VECTORS[0]: 2, _VECTORS[1]: Fraction(1, 3)})
+    f = Element("V", {_VECTORS[0]: -2})
+    p = SuperPoly(2, {SuperMonomial((1,), (1, 0)): 3, SuperMonomial((), (0, 1)): -1})
+    system = example1_system(max_arity=4).skew_system
+    v1, v2, w = system.space.generators
+    other = BracketSystem.from_entries(system.space, SKEW, [((v2,), Element("V", {w: 1}))], 4)
+    delta = example2_system(order=6, max_arity=4).delta_spec
+    inputs = tuple(delta.space.generators[:2])
+
+    checked = Element.__init__
+
+    def refuse(self, space_id, terms=None):
+        # a new system's empty value is the one exception
+        assert not terms, "the checked constructor ran on checked parts"
+        checked(self, space_id)
+
+    monkeypatch.setattr(Element, "__init__", refuse)
+    for value in (e + f, e - f, -e, 3 * e, p * p, p + p, -p, koszul_bracket(delta, inputs)):
+        _stored(value)
+    assert _stored(system.evaluate((w, v1))) == {w: -1}
+    assert first_difference(system, other, 4)[1] == (v1,)
+    assert first_difference(other, system, 4)[1] == (v1,)
+    desuspend_system(system)
+
+
+def test_cancelling_output_terms_store_no_entry():
+    doc = {
+        "version": "1",
+        "space": {"id": "V", "generators": [{"name": "u", "degree": 0},
+                                            {"name": "v", "degree": 0},
+                                            {"name": "w", "degree": 1}]},
+        "symmetry": "skew",
+        "max_arity": 2,
+        "brackets": [
+            {"inputs": ["v"], "output": [{"gen": "w", "coeff": "1/2"},
+                                         {"gen": "w", "coeff": "-1/2"}]},
+            {"inputs": ["v", "w"], "output": [{"gen": "w", "coeff": 3},
+                                              {"gen": "w", "coeff": "-3"}]},
+            {"inputs": ["u"], "output": [{"gen": "w", "coeff": "2"}]},
+        ],
+    }
+    system, _ = document_to_system(doc)
+    u, _, w = system.space.generators
+    assert system.tables == {1: {(u,): Element("V", {w: 2})}}
+
+
+def test_a_zeroed_builtin_coefficient_stores_no_entry():
+    examples = example1_system(max_arity=6, c_values={4: 0})
+    skew, symmetric = examples.skew_system, examples.symmetric_system
+    assert 4 not in skew.tables and 4 not in symmetric.tables
+    assert len(skew.tables[5]) == len(symmetric.tables[5]) == 1
+    for system in (skew, symmetric):
+        for table in system.tables.values():
+            for output in table.values():
+                assert _stored(output)

@@ -12,7 +12,7 @@ the modules that part needs, on its first access.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb, factorial
 from typing import TYPE_CHECKING, Callable, Mapping
@@ -70,18 +70,22 @@ def c1_closed(n: int) -> int:
     return sign * factorial(n - 3)
 
 
-@lru_cache(maxsize=None)
+_C1 = [1]  # c1_recursive's values from C_3 on, filled upward
+
+
 def c1_recursive(n: int) -> int:
     """Same sequence via C_n = (-1)^(n-1) (n-3) C_(n-1), seeded at n = 3."""
     if n < 3:
         raise ValueError("defined for n >= 3")
-    if n == 3:
-        return c1_closed(3)
-    sign = 1 if (n - 1) % 2 == 0 else -1
-    return sign * (n - 3) * c1_recursive(n - 1)
+    while len(_C1) <= n - 3:
+        m = len(_C1) + 3
+        _C1.append((1 if (m - 1) % 2 == 0 else -1) * (m - 3) * _C1[-1])
+    return _C1[n - 3]
 
 
-@lru_cache(maxsize=None)
+_C2 = [None, None, None, 1]  # c2_daily's values by n, filled upward
+
+
 def c2_daily(n: int) -> int:
     """Coefficients of the second example's arity-n bracket sector:
 
@@ -92,13 +96,14 @@ def c2_daily(n: int) -> int:
     """
     if n < 3:
         raise ValueError("defined for n >= 3")
-    if n == 3:
-        return 1
-    total = -2 * (n - 2) * c2_daily(n - 1)
-    for p in range(3, n - 1):
-        sign = -1 if (p * n + 1) % 2 else 1
-        total += sign * comb(n - 2, p - 1) * c2_daily(n - p + 1) * c2_daily(p)
-    return total if n % 2 == 0 else -total
+    while len(_C2) <= n:
+        m = len(_C2)
+        total = -2 * (m - 2) * _C2[m - 1]
+        for p in range(3, m - 1):
+            sign = -1 if (p * m + 1) % 2 else 1
+            total += sign * comb(m - 2, p - 1) * _C2[m - p + 1] * _C2[p]
+        _C2.append(total if m % 2 == 0 else -total)
+    return _C2[n]
 
 
 def b_closed(m: int) -> int:

@@ -340,9 +340,9 @@ def main(argv=None) -> int:
     try:
         report = args.fn(args)
         if "document" in report:  # an export to stdout prints it in both modes
-            from .document import indented_json
+            from .document import document_text
 
-            text = indented_json(report["document"])
+            text = document_text(report["document"])
         elif args.json:
             text = json.dumps(report, indent=2)
         else:

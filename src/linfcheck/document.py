@@ -30,7 +30,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -248,80 +247,35 @@ def load_document(path: str | Path) -> tuple[BracketSystem, DeltaSpec | None]:
     return document_to_system(doc)
 
 
-def indented_json(value: Any) -> str:
-    """Exactly ``json.dumps(value, indent=2)``, in well under half its time.
-
-    json's indented encoder is pure Python with a generator per nesting
-    level; this one appends to a single list, one stack frame per level.
-    """
-    parts: list[str] = []
-    _write_json(value, "\n", parts)
-    return "".join(parts)
+def document_text(doc: dict) -> str:
+    """``doc`` as JSON text, one line per member of the document object and
+    of the objects and arrays directly inside it, indented by two spaces:
+    one line per top-level field, per ``space`` and ``delta`` field and per
+    bracket entry.  Each deeper value is one ``json.dumps`` call."""
+    return _members(doc, "\n", lambda value: _members(value, "\n  ", json.dumps))
 
 
-def _write_json(value: Any, newline: str, parts: list[str]) -> None:
-    """Append ``value`` as json writes it at the depth whose line break and
-    indentation is ``newline``.  Dicts with str keys, lists, str, int, bool
-    and None are written here, the leaves of a container without a call of
-    their own; anything else (tuples, floats, other keys, subclasses) is
-    json's own text re-indented."""
-    put = parts.append
-    kind = type(value)
-    if kind is str:
-        put(_quote(value))
-    elif kind is int:
-        put(int.__repr__(value))
-    elif kind is bool or value is None:
-        put("null" if value is None else "true" if value else "false")
-    elif kind is list and value:
-        inner = newline + "  "
-        first, rest = "[" + inner, "," + inner
-        for item in value:
-            put(first)
-            first = rest
-            kind = type(item)
-            if kind is str:
-                put(_quote(item))
-            elif kind is int:
-                put(int.__repr__(item))
-            else:
-                _write_json(item, inner, parts)
-        put(newline)
-        put("]")
-    elif kind is dict and value:
-        start = len(parts)
-        inner = newline + "  "
-        first, rest = "{" + inner, "," + inner
-        for key, item in value.items():
-            if type(key) is not str:  # json converts such keys: it writes the dict
-                del parts[start:]
-                put(_reindented(value, newline))
-                return
-            put(first)
-            put(_quote(key))
-            put(": ")
-            first = rest
-            kind = type(item)
-            if kind is str:
-                put(_quote(item))
-            elif kind is int:
-                put(int.__repr__(item))
-            else:
-                _write_json(item, inner, parts)
-        put(newline)
-        put("}")
+def _members(value: Any, newline: str, write) -> str:
+    """A dict or list with each member on a line of its own, written by
+    ``write`` and indented two spaces past ``newline``; any other value is
+    ``json.dumps``'s.  A key that is not a str is a TypeError, not a bare
+    ``1`` or ``null`` key, which is not JSON."""
+    if isinstance(value, dict):
+        if bad := [key for key in value if type(key) is not str]:
+            raise TypeError(f"document keys must be str, got {bad[0]!r}")
+        members, ends = [f"{json.dumps(key)}: {write(item)}" for key, item in value.items()], "{}"
+    elif isinstance(value, list):
+        members, ends = list(map(write, value)), "[]"
     else:
-        put(_reindented(value, newline))
-
-
-def _reindented(value: Any, newline: str) -> str:
-    """json's indented text of ``value`` at the depth of ``newline``: exact,
-    since a JSON string never holds a raw newline."""
-    return json.dumps(value, indent=2).replace("\n", newline)
+        return json.dumps(value)
+    if not members:
+        return ends
+    inner = newline + "  "
+    return ends[0] + inner + ("," + inner).join(members) + newline + ends[1]
 
 
 def save_document(doc: dict, path: str | Path) -> None:
     try:
-        Path(path).write_text(indented_json(doc) + "\n")
+        Path(path).write_text(document_text(doc) + "\n")
     except OSError as exc:
         raise DocumentError(f"cannot write {path}: {exc}") from None

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations_with_replacement
 from math import comb
 from operator import add, itemgetter, sub
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
@@ -367,12 +368,11 @@ def brackets_from_delta(spec: DeltaSpec, max_arity: int) -> BracketSystem:
 # ---------------------------------------------------------------------------
 
 def _multi_indices(n_vars: int, max_total: int) -> Iterator[tuple[int, ...]]:
-    if n_vars == 0:
-        yield ()
-        return
-    for first in range(max_total + 1):
-        for rest in _multi_indices(n_vars - 1, max_total - first):
-            yield (first,) + rest
+    """Every tuple of ``n_vars`` exponents with sum at most ``max_total``, in
+    lexicographic order: the steps between the partial sums, a non-decreasing
+    tuple, so there is no recursion per variable."""
+    for sums in combinations_with_replacement(range(max_total + 1), n_vars):
+        yield tuple(map(sub, sums, (0, *sums)))
 
 
 class DeltaSquaredReport(NamedTuple):

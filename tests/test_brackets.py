@@ -31,8 +31,8 @@ from linfcheck.document import (
     SCHEMA_VERSION,
     _coeff_from_json,
     _require,
+    document_text,
     document_to_system,
-    indented_json,
     system_to_document,
 )
 from linfcheck.errors import DocumentError, TruncationError
@@ -835,11 +835,17 @@ def test_round_trip_through_the_shift_on_random_systems(system):
 
 
 def _assert_document_round_trip(system):
-    """The written document reads back as the system, with no operator."""
-    text = indented_json(system_to_document(system))
-    read, delta = document_to_system(json.loads(text))
-    assert (read, read.max_arity, delta) == (system, system.max_arity, None)
-    assert _typed_tables(read) == _typed_tables(system)
+    """The written document has one line per bracket entry and reads back as
+    the system, with no operator; so does the same document in json's
+    indent=2 layout, in which documents were once written."""
+    doc = system_to_document(system)
+    text = document_text(doc)
+    entries = [f"    {json.dumps(entry)}" for entry in doc["brackets"]]
+    assert text.splitlines()[9:-2] == [f"{line}," for line in entries[:-1]] + entries[-1:]
+    for text in (text, json.dumps(doc, indent=2)):
+        read, delta = document_to_system(json.loads(text))
+        assert (read, read.max_arity, delta) == (system, system.max_arity, None)
+        assert _typed_tables(read) == _typed_tables(system)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1194,7 +1200,7 @@ def test_shift_document_reader_and_writer_match_their_oracles(system):
     for source in systems:
         doc = system_to_document(source)
         assert doc == _system_to_document_oracle(source)
-        assert indented_json(doc) == indented_json(_system_to_document_oracle(source))
+        assert document_text(doc) == document_text(_system_to_document_oracle(source))
         read, _ = document_to_system(json.loads(json.dumps(doc)))
         _assert_same_tables(read, _document_to_system_oracle(doc)[0])
 

@@ -1,8 +1,11 @@
+import sys
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from math import comb, factorial
 
 import pytest
 
+from linfcheck import builtin
 from linfcheck.brackets import desuspend_system, first_difference
 from linfcheck.builtin import (
     b_closed,
@@ -45,6 +48,48 @@ def test_c2_values():
     assert c2_daily(7) == 3125
     with pytest.raises(ValueError):
         c2_daily(2)
+
+
+@cache
+def _c1_oracle(n):
+    """The recursion c1_recursive replaced, one frame per n."""
+    if n == 3:
+        return 1
+    return (1 if (n - 1) % 2 == 0 else -1) * (n - 3) * _c1_oracle(n - 1)
+
+
+@cache
+def _c2_oracle(n):
+    """The recursion c2_daily replaced, one frame per n and term."""
+    if n == 3:
+        return 1
+    total = -2 * (n - 2) * _c2_oracle(n - 1)
+    for p in range(3, n - 1):
+        sign = -1 if (p * n + 1) % 2 else 1
+        total += sign * comb(n - 2, p - 1) * _c2_oracle(n - p + 1) * _c2_oracle(p)
+    return total if n % 2 == 0 else -total
+
+
+def test_a_first_call_far_up_needs_no_recursion(monkeypatch):
+    """From empty memos, under a recursion limit 100 frames above the
+    caller's, on which the old recursions fail: the recursions' values, which
+    they reach here in ascending steps."""
+    monkeypatch.setattr(builtin, "_C1", builtin._C1[:1])
+    monkeypatch.setattr(builtin, "_C2", builtin._C2[:4])
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        got = c1_recursive(400), c2_daily(250)
+    finally:
+        sys.setrecursionlimit(limit)
+    expected = [_c1_oracle(n) for n in range(3, 401)][-1], \
+        [_c2_oracle(n) for n in range(3, 251)][-1]
+    assert got == expected
+    assert builtin._C1[:18] == [c1_closed(n) for n in range(3, 21)]
+    assert builtin._C2[3:] == [_c2_oracle(n) for n in range(3, 251)]
 
 
 def test_b_values():

@@ -331,6 +331,26 @@ def test_delta_check_shows_a_late_nonzero_residual_coefficient(capsys, tmp_path)
     assert residual.split(", ")[13] != "0"
 
 
+def test_delta_check_on_many_even_generators_matches_three(capsys, tmp_path):
+    """f^1 = g^1_1 = 1 + p and every other series zero, on 1,500 even
+    generators: the check enumerates exponent tuples of that length without
+    a recursion per generator, and reads the verdict, witness and residue it
+    reads on 3."""
+    reports = []
+    for n_bosons in (1500, 3):
+        zero, one = ["0", "0"], ["1", "1"]
+        doc = system_to_document(example1_system().symmetric_system)
+        doc["delta"] = {"bosons": n_bosons, "f": [one, zero], "h": [zero, zero],
+                        "g": [[one] + [zero] * (n_bosons - 1), [zero] * n_bosons]}
+        path = tmp_path / f"bosons{n_bosons}.json"
+        save_document(doc, path)
+        code, out, err = run(capsys, "delta-check", str(path), "--degree", "0", "--json")
+        report = json.loads(out)
+        reports.append((code, err, *(report[key] for key in (
+            "pass", "degree", "order", "monomials_checked", "witness", "residue"))))
+    assert reports[0] == reports[1] == (1, "", False, 0, 1, 4, "theta1*theta2", "-1*x1")
+
+
 def test_delta_check_requires_operator_data(capsys, tmp_path):
     ex = example1_system()
     path = tmp_path / "nodelta.json"

@@ -4,6 +4,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,8 +14,8 @@ from linfcheck.builtin import example1_system, example2_system
 from linfcheck.cli import main
 from linfcheck.document import (
     _coeff_from_json,
+    document_text,
     document_to_system,
-    indented_json,
     load_document,
     save_document,
     system_to_document,
@@ -247,13 +248,31 @@ def test_output_terms_off_the_generators_exit_2(capsys, tmp_path, ex1):
     assert capsys.readouterr().err == "error: no generator named 'ghost' in 'V'\n"
 
 
-# sha256 of the documents written by ``export <builtin> --formulation <f> -o``;
-# a change to how tables are built or stored must not move a byte
+def _indent_2(text):
+    """``text`` in the layout documents had before they were written one
+    line per entry: ``json.dumps(..., indent=2)``, which the content pins
+    below were taken on."""
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the documents written by ``export <builtin> --formulation <f> -o``
+# in json's indent=2 layout; a change to how tables are built or stored must
+# not move a byte.  Beside it, the sha256 of the bytes written
 EXPORTED = {
     ("example1", "jacobi"): "b9e137e512be2d14257d0a3eb7e7e2d28c26cb62ef0ddde687680f67e44a4c49",
     ("example1", "operator"): "9fbdebf6adee62999f4cfa6a77d323ea0e297eccc3ff1508e020c700a3006aa2",
     ("example2", "jacobi"): "de9e7cacd6b0f7225afbe4c3a5351146fcfc5803573b2c1f9a1bd9b7c1c129e9",
     ("example2", "operator"): "9f0634d85ffb7c6bc9db7bc41d5ae5fae9e0365a2edc118d370d1da0186a0f2a",
+}
+EXPORTED_BYTES = {
+    ("example1", "jacobi"): "e03513f025c08cead510e5979ad5ea9e76b41b36537fef542afe9cdd76d13d68",
+    ("example1", "operator"): "b618cfbd11cca14776e62d02d15c5fa145fecfae915a28620ee747ccc46e4e24",
+    ("example2", "jacobi"): "0a936c370e6d03e5e9bc0267b5d3988a131aae6ffeea0423826a16168d704076",
+    ("example2", "operator"): "d595deb2a64e5a75871ef9c792e74fd85a315dd06d6211e2bb8897ff1ae13f69",
 }
 
 
@@ -262,11 +281,14 @@ def test_exported_documents_are_pinned(capsys, tmp_path, builtin, formulation):
     path = tmp_path / "out.json"
     assert main(["export", builtin, "--formulation", formulation, "-o", str(path)]) == 0
     capsys.readouterr()
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORTED[builtin, formulation]
+    text = path.read_text()
+    assert _sha256(_indent_2(text)) == EXPORTED[builtin, formulation]
+    assert _sha256(text) == EXPORTED_BYTES[builtin, formulation]
 
 
-# sha256 of save_document's output for structures the exports do not cover:
-# example2 with B_3 replaced, and example1 with a Fraction C_5
+# sha256 of save_document's output, in json's indent=2 layout and as written,
+# for structures the exports do not cover: example2 with B_3 replaced, and
+# example1 with a Fraction C_5
 SAVED_STRUCTURES = {
     "example2-B3": lambda: example2_system(b_values={3: 5}),
     "example1-C5-fraction": lambda: example1_system(c_values={5: Fraction(-7, 3)}),
@@ -279,6 +301,14 @@ SAVED = {
     ("example1-C5-fraction", "operator"):
         "6cfd2bdc35f7039d4818e76dfca585ed8766b09cebcf755ce7d4f69d97fd8817",
 }
+SAVED_BYTES = {
+    ("example2-B3", "jacobi"): "0b85436d547c47db54426ae2952f99222d9b4f7dcd6fa002417bcb66522a684e",
+    ("example2-B3", "operator"): "a80408e317d2c140b7b7dd7c46070d9149c0fb96dad5f394369b884f38026cee",
+    ("example1-C5-fraction", "jacobi"):
+        "e1b175aa4c78695123c1af4ab36cf6cd20182ac82a22db45578c480ff531b2ee",
+    ("example1-C5-fraction", "operator"):
+        "4e5d380a7daf1cec891895747f3bfc047657c59e47a4ce40f94878479030a803",
+}
 
 
 @pytest.mark.parametrize("structure, formulation", sorted(SAVED))
@@ -288,7 +318,9 @@ def test_saved_documents_are_pinned(tmp_path, structure, formulation):
            else system_to_document(ex.symmetric_system, ex.delta_spec))
     path = tmp_path / "saved.json"
     save_document(doc, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED[structure, formulation]
+    text = path.read_text()
+    assert _sha256(_indent_2(text)) == SAVED[structure, formulation]
+    assert _sha256(text) == SAVED_BYTES[structure, formulation]
 
 
 # sha256 of ``delta-check --json`` on operator documents whose series have
@@ -364,36 +396,78 @@ _JSON_VALUES = st.recursive(
 
 # _JSON_VALUES widened with what a writer can get wrong: any text (non-ASCII,
 # quotes, backslashes, control characters), ints past 2**64, floats, nested
-# empty containers, tuples and keys that are not str
+# empty containers and tuples; keys are str, as in every document
 _ESCAPES = st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600a ', max_size=6)
 _WRITER_VALUES = st.recursive(
     _JSON_VALUES | st.text() | _ESCAPES | st.integers() | st.integers(2**64 - 2, 2**200)
     | st.integers(-2**200, -2**64) | st.floats()
     | st.sampled_from([[], {}, [[]], [{}], {"": []}, {"a": {"b": []}}, ()]),
     lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
-    | st.dictionaries(st.text(max_size=3) | _ESCAPES, inner, max_size=3)
-    | st.dictionaries(st.integers() | st.booleans() | st.none() | st.floats(), inner,
-                      max_size=3)
-    | st.dictionaries(st.text(max_size=2) | st.integers(0, 3), inner, max_size=3),
+    | st.dictionaries(st.text(max_size=3) | _ESCAPES, inner, max_size=3),
     max_leaves=12,
 )
 
 
+def _document_text_oracle(value, depth=0):
+    """The layout, written out by nesting depth: the members of a non-empty
+    dict or list at depth 0 or 1 on lines of their own, indented two spaces
+    a level; any other value as ``json.dumps`` writes it."""
+    if depth == 2 or not isinstance(value, (dict, list)) or not value:
+        return json.dumps(value)
+    if isinstance(value, dict):
+        members = [json.dumps(key) + ": " + _document_text_oracle(item, depth + 1)
+                   for key, item in value.items()]
+    else:
+        members = [_document_text_oracle(item, depth + 1) for item in value]
+    indent = "\n" + "  " * depth
+    ends = "{}" if isinstance(value, dict) else "[]"
+    return ends[0] + indent + "  " + f",{indent}  ".join(members) + indent + ends[1]
+
+
 @settings(max_examples=500, deadline=None)
 @given(_WRITER_VALUES)
-def test_indented_json_is_json_dumps_with_indent_2(value):
-    assert indented_json(value) == json.dumps(value, indent=2)
+def test_document_text_is_its_layout_of_json_dumps(value):
+    """Written in the layout, and the same value: re-indented, the text is
+    ``json.dumps(value, indent=2)`` exactly."""
+    text = document_text(value)
+    assert text == _document_text_oracle(value)
+    assert json.dumps(json.loads(text), indent=2) == json.dumps(value, indent=2)
 
 
-def test_indented_json_on_deep_and_exported_values():
-    """One frame per level: the 500-deep list is written.  An export to
-    stdout prints the bytes that ``-o`` writes."""
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": {None: []}}, [{"a": 1, True: 2}]])
+def test_document_text_rejects_keys_that_are_not_str(value):
+    """json.dumps writes such a key bare, as ``1``, ``null`` or ``true``,
+    which is not JSON."""
+    with pytest.raises(TypeError, match="document keys must be str"):
+        document_text(value)
+
+
+def test_document_text_on_deep_and_exported_values():
+    """The 500-deep list is one json.dumps call below the second level.  An
+    export to stdout prints the bytes that ``-o`` writes: one line per
+    top-level field, per ``space`` and ``delta`` field and per bracket entry."""
     deep = json.loads("[" * 500 + "]" * 500)
-    assert indented_json(deep) == json.dumps(deep, indent=2)
+    assert document_text(deep) == "[\n  [\n    " + json.dumps(deep[0][0]) + "\n  ]\n]"
     for (builtin, formulation), digest in EXPORTED.items():
         text = _exported(builtin, formulation)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
-        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert _sha256(text) == EXPORTED_BYTES[builtin, formulation]
+        assert _sha256(_indent_2(text)) == digest
+        doc = json.loads(text)
+        lines = [f"    {json.dumps(entry)}," for entry in doc["brackets"]]
+        lines[-1] = lines[-1][:-1]
+        assert lines == text.splitlines()[9:9 + len(lines)]
+        fields = len(doc) + len(doc["space"]) + len(doc.get("delta", ()))
+        # "{", a line per field and per entry, and the closing lines of
+        # space, brackets, delta (if present) and the document
+        closing = 3 + ("delta" in doc)
+        assert len(text.splitlines()) == 1 + fields + len(lines) + closing
+
+
+def test_readme_schema_example_is_in_the_written_layout():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme[readme.index("## Document schema"):]
+    example = section[section.index("```json\n") + 8:section.index("```\n")]
+    assert document_text(json.loads(example)) + "\n" == example
 
 
 @cache

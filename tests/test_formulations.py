@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 import linfcheck
 from linfcheck.brackets import first_difference, suspend_system, verify_jacobi
-from linfcheck.builtin import b_closed, example2_system
+from linfcheck.builtin import b_closed, example1_system, example2_system
 from linfcheck.cli import main
 from linfcheck.document import save_document, system_to_document
 from linfcheck.series import Series, solve_f1
@@ -131,8 +131,8 @@ def _first_unkilled_count(spec):
     return None
 
 
-def _first_jacobi_failure(skew):
-    checks = verify_jacobi(skew, MAX_ARITY).checks
+def _first_jacobi_failure(skew, max_arity=MAX_ARITY):
+    checks = verify_jacobi(skew, max_arity).checks
     failure = next((check for check in checks if not check.ok), None)
     return None if failure is None else failure.arity
 
@@ -160,6 +160,31 @@ def test_first_jacobi_failure_is_the_first_unkilled_monomial(drawn, through_cli)
         assert (code, report["pass"], failed[:1]) == (
             (0, True, []) if arity is None else (1, False, [arity])
         )
+
+
+# the seed-1 mutants of the benchmark's mutants workload, and the same
+# coefficients set to 0: (example, index, value) -> the arity at which both
+# formulations first fail
+_BUILTIN_MUTANTS = {
+    ("example1", 4, -22): 4, ("example1", 4, 0): 4,
+    ("example1", 5, 7): 5, ("example1", 5, 0): 5,
+    ("example1", 6, 25): 6, ("example1", 6, 0): 6,
+    ("example2", 2, 22): 3, ("example2", 2, 0): 3,
+    ("example2", 3, 19): 4, ("example2", 3, 0): 4,
+    ("example2", 4, -25): 5, ("example2", 4, 0): 5,
+}
+
+
+def test_both_formulations_of_a_builtin_mutant_fail_at_one_arity():
+    """verify's first failing arity is |T| + |m| for delta-check's witness
+    theta_T x^m: each formulation points at the same number of generators."""
+    for (example, index, value), arity in _BUILTIN_MUTANTS.items():
+        ex = (example1_system(c_values={index: value}) if example == "example1"
+              else example2_system(b_values={index: value}))
+        report = delta_squared_check(ex.delta_spec, 6)
+        fermions, bosons = report.witness
+        assert (_first_jacobi_failure(ex.skew_system, 6), len(fermions) + sum(bosons)) == \
+            (arity, arity), (example, index, value)
 
 
 def _first_failing_degree(spec, check=delta_squared_check):

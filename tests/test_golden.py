@@ -4,8 +4,9 @@ commands.
 The expected stdout of each case is stored in ``tests/golden/<case>.txt``,
 with the temporary directory written as ``{tmp}``. The files were produced
 by the CLI before its text output was rendered from the JSON report
-(``delta-check-curved`` before the operator was held as a table of pieces),
-so a difference here is a change in what users see.
+(``delta-check-curved`` before the operator was held as a table of pieces,
+``export-example1-jacobi`` when documents came to be written one line per
+bracket entry), so a difference here is a change in what users see.
 """
 
 from pathlib import Path
@@ -35,6 +36,8 @@ CASES = {
         for suffix, flags in (("", ()), ("-check", ("--check",)))
     },
     "export-example1": (("export", "example1", "-o", "{tmp}/example1.json"), 0),
+    # the layout of a document: one line per field and per bracket entry
+    "export-example1-jacobi": (("export", "example1", "--formulation", "jacobi"), 0),
 }
 
 

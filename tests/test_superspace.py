@@ -564,6 +564,27 @@ def _zero_operator_tables(draw, degree=5):
     return n_bosons, degree, tables, changed
 
 
+def _multi_indices_oracle(n_vars, max_total):
+    """The recursion ``_multi_indices`` replaced: one frame per variable."""
+    if n_vars == 0:
+        yield ()
+        return
+    for first in range(max_total + 1):
+        for rest in _multi_indices_oracle(n_vars - 1, max_total - first):
+            yield (first,) + rest
+
+
+def test_multi_indices_match_the_recursion():
+    """The same tuples in the same order, on which the witness and
+    ``monomials_checked`` of a failing check depend; and no recursion, so
+    1,500 variables enumerate."""
+    for n_vars in range(7):
+        for max_total in range(9):
+            assert list(_multi_indices(n_vars, max_total)) == \
+                list(_multi_indices_oracle(n_vars, max_total)), (n_vars, max_total)
+    assert len(list(_multi_indices(1500, 1))) == 1501
+
+
 @settings(max_examples=150, deadline=None)
 @given(_zero_operator_tables())
 def test_kills_reads_each_slice_off_its_order_two_lattice(drawn):

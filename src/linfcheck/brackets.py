@@ -29,9 +29,10 @@ so each system answers each input tuple once and keeps the value; the
 unshuffles and their signs come from caches too (see :mod:`linfcheck.grading`).
 The heads of the (i, n - i) unshuffles, in their order, are the
 i-combinations of a tuple and their tails its (n - i)-combinations in reverse
-order, so both come from ``itertools.combinations``.  On example2 to arity 7
-the scan reads 574 tuples, 38,822 unshuffles, 77,644 sign calls and 56,264
-evaluations.
+order, so both come from ``itertools.combinations``.  Each tuple is decided
+on plain coefficient dicts, and only a counterexample's defect and summands
+become ``Element``s.  On example2 to arity 7 the scan reads 574 tuples, 38,822
+unshuffles, 77,644 sign calls and 56,264 evaluations.
 """
 
 from __future__ import annotations
@@ -242,31 +243,38 @@ def jacobi_summands(
     """
     if system.symmetry != SKEW:
         raise ValueError("Jacobi identities are stated for skew systems")
-    return _summands(system, tuple(inputs))
+    return _summands(system, _split_sums(system, tuple(inputs)))
 
 
-def _summands(system: BracketSystem, inputs: tuple) -> dict[int, Element]:
-    """``jacobi_summands`` on a tuple.  The (i, n-i) unshuffles list their
-    heads in the order of ``combinations(inputs, i)`` and their tails in the
-    reverse order of ``combinations(inputs, n - i)``."""
+def _summands(system: BracketSystem, sums: list[dict]) -> dict[int, Element]:
+    """``_split_sums`` as ``jacobi_summands`` gives them: ``Element``s by i."""
+    space_id = system.space.space_id
+    return {i: Element._from_exact(space_id, acc) for i, acc in enumerate(sums, 1)}
+
+
+def _split_sums(system: BracketSystem, inputs: tuple) -> list[dict]:
+    """The coefficient dicts of the summands i = 1 .. n, in order, zeros not
+    dropped.  The (i, n-i) unshuffles list their heads in the order of
+    ``combinations(inputs, i)`` and their tails in the reverse order of
+    ``combinations(inputs, n - i)``."""
     n = len(inputs)
     degrees = tuple(v.degree for v in inputs)
     evaluate = system.evaluate
-    out: dict[int, Element] = {}
+    out = []
     for i in range(1, n + 1):
         tails = list(combinations(inputs, n - i))
         tails.reverse()
         acc: dict = {}  # coefficient of each output generator
         for sigma, head, tail in zip(unshuffles(i, n), combinations(inputs, i), tails):
             sign = perm_sign(sigma) * koszul_sign(sigma, degrees)
-            inner = evaluate(head)
-            if inner.is_zero():
+            inner = evaluate(head)._terms
+            if not inner:
                 continue
             for vector, coeff in inner.items():
                 coeff *= sign
-                for w, d in evaluate((vector, *tail)).items():
+                for w, d in evaluate((vector, *tail))._terms.items():
                     acc[w] = acc.get(w, 0) + coeff * d
-        out[i] = Element._from_exact(system.space.space_id, acc)
+        out.append(acc)
     return out
 
 
@@ -306,7 +314,9 @@ def verify_jacobi(system: BracketSystem, n_max: int) -> JacobiReport:
 
     At each arity the tuples are taken in canonical order, and the first
     with a nonzero defect is the counterexample.  Each tuple's unshuffle
-    heads and tails are its combinations (see ``_summands``).
+    heads and tails are its combinations (see ``_split_sums``).  A tuple is
+    decided on the weighted sum of its per-split coefficient dicts; only the
+    counterexample's defect and summands become ``Element``s.
     """
     if type(n_max) is not int or n_max < 1:
         raise ValueError(f"arity bound must be an int >= 1 (a bound below 1 checks "
@@ -326,9 +336,15 @@ def verify_jacobi(system: BracketSystem, n_max: int) -> JacobiReport:
         count = 0
         for tup in canonical_tuples(system.space, system.symmetry, n):
             count += 1
-            value, parts = _weighted(system, _summands(system, tup))
-            if not value.is_zero():
-                counterexample, defect, summands = tup, value, parts
+            sums = _split_sums(system, tup)
+            total: dict = {}  # the defect's coefficients, zeros not dropped
+            for i, acc in enumerate(sums, 1):
+                weight = -1 if (i * (n - i)) % 2 else 1
+                for w, c in acc.items():
+                    total[w] = total.get(w, 0) + weight * c
+            if any(total.values()):
+                counterexample = tup
+                defect, summands = _weighted(system, _summands(system, sums))
                 break
         checks.append(ArityCheck(n, count, counterexample, defect, summands))
     return JacobiReport(tuple(checks))

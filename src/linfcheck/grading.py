@@ -55,9 +55,31 @@ def check_permutation(sigma: Sequence[int]) -> tuple[int, ...]:
     return sigma
 
 
+# The Jacobi scan asks for the same few permutations over and over (2^n
+# unshuffles at arity n, on a handful of degree patterns).  The two signs
+# answer from dicts keyed on their arguments as given, so a hit costs one
+# lookup; a miss, or a list, is checked and keyed on tuples, and sorted with
+# its 1-based images as indices (index 0 is even and unused).  Each dict is
+# emptied when it reaches _SIGNS_KEPT entries, which bounds its memory.
+# ``unshuffles`` answers from a bounded lru_cache.
+
+_SIGNS_KEPT = 4096
+_perm_signs: dict = {}
+_koszul_signs: dict = {}
+
+
 def perm_sign(sigma: Sequence[int]) -> int:
     """Parity of a permutation: -1 raised to the number of inversions."""
-    return _perm_sign(tuple(sigma))
+    try:
+        return _perm_signs[sigma]
+    except (KeyError, TypeError):  # not seen yet, or a list
+        pass
+    sigma = check_permutation(sigma)
+    sign = sort_sign(list(sigma), (0,) * (len(sigma) + 1), skew=True)
+    if len(_perm_signs) >= _SIGNS_KEPT:
+        _perm_signs.clear()
+    _perm_signs[sigma] = sign
+    return sign
 
 
 def koszul_sign(sigma: Sequence[int], degrees: Sequence[int]) -> int:
@@ -67,7 +89,20 @@ def koszul_sign(sigma: Sequence[int], degrees: Sequence[int]) -> int:
     each inversion of ``sigma`` whose two elements both have odd degree
     contributes a factor of -1.
     """
-    return _koszul_sign(tuple(sigma), tuple(degrees))
+    try:
+        return _koszul_signs[sigma, degrees]
+    except (KeyError, TypeError):  # not seen yet, or a list
+        pass
+    sigma, degrees = check_permutation(sigma), tuple(degrees)
+    if len(sigma) != len(degrees):
+        raise ValueError(
+            f"permutation length {len(sigma)} != number of degrees {len(degrees)}"
+        )
+    sign = sort_sign(list(sigma), (0, *[d % 2 for d in degrees]), skew=False)
+    if len(_koszul_signs) >= _SIGNS_KEPT:
+        _koszul_signs.clear()
+    _koszul_signs[sigma, degrees] = sign
+    return sign
 
 
 def unshuffles(i: int, n: int) -> list[tuple[int, ...]]:
@@ -80,7 +115,8 @@ def unshuffles(i: int, n: int) -> list[tuple[int, ...]]:
 
 
 def sort_sign(position: list[int], odd: Sequence[int], skew: bool) -> int:
-    """Sort ``position`` in place by adjacent swaps; return the reordering sign.
+    """Sort ``position`` in place, each entry moving left past the larger ones
+    before it (adjacent swaps); return the reordering sign.
 
     ``odd[k]`` is the parity of index k.  Swapping adjacent inputs a, b flips
     the sign unless both are odd for skew inputs, and exactly when both are
@@ -89,34 +125,16 @@ def sort_sign(position: list[int], odd: Sequence[int], skew: bool) -> int:
     """
     sign = 1
     for k in range(1, len(position)):
+        b = position[k]
         j = k
-        while j and position[j - 1] > position[j]:
-            a, b = position[j - 1], position[j]
+        while j and position[j - 1] > b:  # b moves left past a
+            a = position[j - 1]
             if (odd[a] and odd[b]) != skew:
                 sign = -sign
-            position[j - 1], position[j] = b, a
+            position[j] = a
             j -= 1
+        position[j] = b
     return sign
-
-
-# The Jacobi scan asks for the same few permutations over and over (2^n
-# unshuffles at arity n, on a handful of degree patterns), so the three
-# functions above answer from bounded caches keyed on tuples.
-
-@lru_cache(maxsize=4096)
-def _perm_sign(sigma: tuple[int, ...]) -> int:
-    sigma = check_permutation(sigma)
-    return sort_sign([s - 1 for s in sigma], (0,) * len(sigma), skew=True)
-
-
-@lru_cache(maxsize=4096)
-def _koszul_sign(sigma: tuple[int, ...], degrees: tuple[int, ...]) -> int:
-    sigma = check_permutation(sigma)
-    if len(sigma) != len(degrees):
-        raise ValueError(
-            f"permutation length {len(sigma)} != number of degrees {len(degrees)}"
-        )
-    return sort_sign([s - 1 for s in sigma], [d % 2 for d in degrees], skew=False)
 
 
 @lru_cache(maxsize=256)

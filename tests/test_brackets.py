@@ -14,6 +14,7 @@ from linfcheck.brackets import (
     ArityCheck,
     BracketSystem,
     JacobiReport,
+    _split_sums,
     _summands,
     _vanishes,
     _weighted,
@@ -641,7 +642,7 @@ def _assert_summands_match_oracle(system, n_max):
         for tup in canonical_tuples(system.space, SKEW, n):
             expected = _jacobi_summands_oracle(system, tup)
             assert jacobi_summands(system, tup) == expected, tup
-            assert _summands(system, tup) == expected, tup
+            assert _summands(system, _split_sums(system, tup)) == expected, tup
 
 
 @settings(max_examples=100, deadline=None)
@@ -657,8 +658,10 @@ def test_mutants_give_the_oracles_counterexamples():
     arity, so the scan reached them past tuples that passed."""
     late = 0
     for system in (
-        *(example1_system(c_values={k: v}).skew_system for k, v in ((4, -22), (5, 7), (6, 25))),
-        *(example2_system(b_values={k: v}).skew_system for k, v in ((2, 22), (3, 19), (4, -25))),
+        *(example1_system(c_values={k: v}).skew_system
+          for k, v in ((4, -22), (5, 7), (6, 25), (4, 0), (5, 0), (6, 0))),
+        *(example2_system(b_values={k: v}).skew_system
+          for k, v in ((2, 22), (3, 19), (4, -25), (2, 0), (3, 0), (4, 0))),
     ):
         report = verify_jacobi(system, 6)
         assert not report.passed
@@ -667,6 +670,25 @@ def test_mutants_give_the_oracles_counterexamples():
         assert failure.summands and sum(failure.summands.values(), Element("V")) == failure.defect
         late += failure.inputs_checked > 1
     assert late
+
+
+def test_a_tuple_passes_on_the_weighted_sum_of_its_summands(ex2):
+    """The defect is the weighted sum over the splits i: on example2 some
+    passing tuples have nonzero summands that cancel, so a check that wanted
+    every split to vanish would fail there."""
+    system = ex2.skew_system
+    assert verify_jacobi(system, 6).passed
+    cancelling = []
+    for n in range(1, 7):
+        for tup in canonical_tuples(system.space, SKEW, n):
+            value, parts = _split_defect(system, tup)
+            assert value.is_zero()
+            if parts:
+                cancelling.append(tup)
+    v1, v2, w1, w2 = _gens(ex2.skew_system, "v1", "v2", "w1", "w2")
+    assert cancelling[0] == (v1, v2, w1)
+    difference = Element.basis(w1) - Element.basis(w2)
+    assert _split_defect(system, (v1, v2, w1))[1] == {1: difference, 2: -difference}
 
 
 @pytest.mark.parametrize("bound", [0, -3, True, False, 2.0, "3", None])

@@ -651,15 +651,19 @@ def test_mutated_documents_keep_the_exit_code_contract(exported, data):
     assert code != 1 or loaded
 
 
-@pytest.mark.parametrize("argv", [("coefficients", "b", "1000"), ("export", "example2")],
+@pytest.mark.parametrize("argv", [("coefficients", "b", "1000"),
+                                  ("export", "example2", "--order", "200")],
                          ids=["coefficients", "export"])
 def test_a_closed_stdout_is_a_usage_error(argv):
     # the reader takes 10 bytes of a report far larger than a pipe buffer
+    # (1.4 MB and 188 KB; example2's default export, 54 KB, fits in a 64 KiB
+    # pipe and could be written whole before the close), off the pipe itself,
+    # since a buffered read would take 8 KiB
     src = Path(linfcheck.__file__).resolve().parents[1]
     child = subprocess.Popen(
         [sys.executable, "-m", "linfcheck.cli", *argv], env=dict(os.environ, PYTHONPATH=str(src)),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    child.stdout.read(10)
+    os.read(child.stdout.fileno(), 10)
     child.stdout.close()
     err = child.stderr.read().decode()
     assert child.wait(timeout=60) == 2, err

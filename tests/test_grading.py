@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linfcheck.brackets import SKEW, BracketSystem, desuspend_system, first_difference
+from linfcheck import grading
+from linfcheck.brackets import (
+    SKEW,
+    BracketSystem,
+    desuspend_system,
+    first_difference,
+    verify_jacobi,
+)
 from linfcheck.builtin import example1_system, example2_system
 from linfcheck.document import document_to_system
 from linfcheck.grading import (
@@ -132,11 +139,34 @@ def test_cached_signs_and_unshuffles_behave_like_fresh_ones():
     assert unshuffles(2, 3) == [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
     assert perm_sign([2, 1]) == perm_sign((2, 1)) == -1
     assert koszul_sign([2, 1], [1, 1]) == koszul_sign((2, 1), (1, 1)) == -1
+    # a list, before and after its tuple is cached, gives the tuple's sign
+    assert perm_sign([3, 1, 2]) == perm_sign((3, 1, 2)) == perm_sign([3, 1, 2]) == 1
+    assert koszul_sign((3, 1, 2), [1, 0, 1]) == koszul_sign([3, 1, 2], (1, 0, 1)) == -1
     for _ in range(2):  # a rejected argument is rejected every time
         with pytest.raises(ValueError):
             perm_sign((1, 1))
         with pytest.raises(ValueError):
             koszul_sign((1, 2), (1,))
+    # also when it shares a part with a valid call that is cached
+    for _ in range(2):
+        for sigma, degrees in (((2, 1), (1,)), ((2, 1), [1, 1, 1]), ([2, 2], (1, 1))):
+            with pytest.raises(ValueError):
+                koszul_sign(sigma, degrees)
+        with pytest.raises(ValueError):
+            perm_sign([2, 2])
+    with pytest.raises(TypeError):
+        perm_sign(None)
+
+
+def test_sign_caches_stay_bounded():
+    # one tuple per arity: every unshuffle of (w, ..., w) is a new sigma, and
+    # arity 14 alone has 2^14 = 4 * 4,096 of them
+    w = BasisVector("V", "w", 1)
+    system = BracketSystem.from_entries(GradedSpace("V", [w]), SKEW, [], 14)
+    assert verify_jacobi(system, 14).passed
+    assert grading._SIGNS_KEPT == 4096
+    for signs in (grading._perm_signs, grading._koszul_signs):
+        assert 0 < len(signs) <= 4096
 
 
 def test_unshuffles_rejects_bad_block():

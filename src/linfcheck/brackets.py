@@ -30,8 +30,9 @@ unshuffles and their signs come from caches too (see :mod:`linfcheck.grading`).
 The heads of the (i, n - i) unshuffles, in their order, are the
 i-combinations of a tuple and their tails its (n - i)-combinations in reverse
 order, so both come from ``itertools.combinations``.  Each tuple is decided
-on plain coefficient dicts, and only a counterexample's defect and summands
-become ``Element``s.  On example2 to arity 7 the scan reads 574 tuples, 38,822
+on plain coefficient dicts, and the defect that decides it is the one
+reported: only a counterexample's defect and weighted summands become
+``Element``s.  On example2 to arity 7 the scan reads 574 tuples, 38,822
 unshuffles, 77,644 sign calls and 56,264 evaluations.
 """
 
@@ -239,17 +240,13 @@ def jacobi_summands(
 
     For each split i + j = n + 1 this is the sum over (i, n-i) unshuffles of
     koszul_sign * perm_sign * l_j(l_i(head), tail), without the alternating
-    prefactor; the full defect weights summand i by (-1)^(i * (n - i)).
+    prefactor; ``verify_jacobi`` weights summand i by (-1)^(i * (n - i)).
     """
     if system.symmetry != SKEW:
         raise ValueError("Jacobi identities are stated for skew systems")
-    return _summands(system, _split_sums(system, tuple(inputs)))
-
-
-def _summands(system: BracketSystem, sums: list[dict]) -> dict[int, Element]:
-    """``_split_sums`` as ``jacobi_summands`` gives them: ``Element``s by i."""
     space_id = system.space.space_id
-    return {i: Element._from_exact(space_id, acc) for i, acc in enumerate(sums, 1)}
+    return {i: Element._from_exact(space_id, acc)
+            for i, acc in enumerate(_split_sums(system, tuple(inputs)), 1)}
 
 
 def _split_sums(system: BracketSystem, inputs: tuple) -> list[dict]:
@@ -276,16 +273,6 @@ def _split_sums(system: BracketSystem, inputs: tuple) -> list[dict]:
                     acc[w] = acc.get(w, 0) + coeff * d
         out.append(acc)
     return out
-
-
-def _weighted(system: BracketSystem, summands: dict[int, Element]):
-    """The defect and its nonzero summands by inner arity i, each weighted by
-    (-1)^(i * (n - i)) as in the defect.  Most summands are zero, so only the
-    nonzero ones are weighted and summed."""
-    n = len(summands)  # one summand per inner arity 1 .. n
-    parts = {i: (-1 if (i * (n - i)) % 2 else 1) * summand
-             for i, summand in summands.items() if not summand.is_zero()}
-    return sum(parts.values(), system._zero), parts
 
 
 class ArityCheck(NamedTuple):
@@ -315,8 +302,9 @@ def verify_jacobi(system: BracketSystem, n_max: int) -> JacobiReport:
     At each arity the tuples are taken in canonical order, and the first
     with a nonzero defect is the counterexample.  Each tuple's unshuffle
     heads and tails are its combinations (see ``_split_sums``).  A tuple is
-    decided on the weighted sum of its per-split coefficient dicts; only the
-    counterexample's defect and summands become ``Element``s.
+    decided on the weighted sum of its per-split coefficient dicts, which is
+    the defect reported; only it and the counterexample's nonzero summands,
+    each times its weight, become ``Element``s.
     """
     if type(n_max) is not int or n_max < 1:
         raise ValueError(f"arity bound must be an int >= 1 (a bound below 1 checks "
@@ -330,21 +318,24 @@ def verify_jacobi(system: BracketSystem, n_max: int) -> JacobiReport:
                          f"nothing), got {system.space!r}")
     if system.symmetry != SKEW:
         raise ValueError("Jacobi identities are stated for skew systems")
-    checks = []
+    space_id, checks = system.space.space_id, []
     for n in range(1, n_max + 1):
+        weights = [-1 if (i * (n - i)) % 2 else 1 for i in range(1, n + 1)]
         counterexample = defect = summands = None
         count = 0
         for tup in canonical_tuples(system.space, system.symmetry, n):
             count += 1
             sums = _split_sums(system, tup)
             total: dict = {}  # the defect's coefficients, zeros not dropped
-            for i, acc in enumerate(sums, 1):
-                weight = -1 if (i * (n - i)) % 2 else 1
+            for weight, acc in zip(weights, sums):
                 for w, c in acc.items():
                     total[w] = total.get(w, 0) + weight * c
             if any(total.values()):
-                counterexample = tup
-                defect, summands = _weighted(system, _summands(system, sums))
+                counterexample, defect = tup, Element._from_exact(space_id, total)
+                summands = {
+                    i: Element._from_exact(space_id, {w: weight * c for w, c in acc.items()})
+                    for i, (weight, acc) in enumerate(zip(weights, sums), 1)
+                    if any(acc.values())}
                 break
         checks.append(ArityCheck(n, count, counterexample, defect, summands))
     return JacobiReport(tuple(checks))

@@ -139,8 +139,6 @@ def _flag(data: dict, key: str) -> bool:
 
 
 def document_to_system(doc: dict) -> tuple[BracketSystem, DeltaSpec | None]:
-    if not isinstance(doc, dict):
-        raise DocumentError("document must be a JSON object")
     version = _require(doc, "version", str)
     if version != SCHEMA_VERSION:
         raise DocumentError(f"unsupported schema version {version!r}")

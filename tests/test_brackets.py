@@ -14,10 +14,7 @@ from linfcheck.brackets import (
     ArityCheck,
     BracketSystem,
     JacobiReport,
-    _split_sums,
-    _summands,
     _vanishes,
-    _weighted,
     canonical_key,
     canonical_tuples,
     desuspend_system,
@@ -66,7 +63,11 @@ def _gens(system, *names):
 
 def _split_defect(system, inputs):
     """The defect on ``inputs`` and its weighted nonzero summands by inner arity."""
-    return _weighted(system, jacobi_summands(system, inputs))
+    n = len(inputs)
+    parts = {i: (-1) ** (i * (n - i)) * summand
+             for i, summand in jacobi_summands(system, inputs).items()
+             if not summand.is_zero()}
+    return sum(parts.values(), Element(system.space.space_id)), parts
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -115,6 +116,15 @@ def test_eval_guards(ex1):
         V.evaluate([v1] * (V.max_arity + 1))
     with pytest.raises(ValueError):
         V.evaluate([BasisVector("V", "nope", 0)])
+    bound = V.max_arity
+    with pytest.raises(TruncationError, match=f"^n_max {bound + 1} exceeds the system's "
+                                              f"bound {bound}$"):
+        verify_jacobi(V, bound + 1)
+    # the identities are stated on the skew side only
+    W = ex1.symmetric_system
+    for check in (lambda: verify_jacobi(W, 2), lambda: jacobi_summands(W, W.space.generators)):
+        with pytest.raises(ValueError, match="^Jacobi identities are stated for skew systems$"):
+            check()
 
 
 def test_degree_rule_enforced_at_construction():
@@ -636,13 +646,11 @@ def _verify_jacobi_oracle(system, n_max):
 
 
 def _assert_summands_match_oracle(system, n_max):
-    """The one summation path, as ``jacobi_summands`` and as ``verify_jacobi``
-    calls it, gives the oracle's summands on every canonical tuple."""
+    """The one summation path, ``_split_sums`` as ``jacobi_summands`` wraps
+    it, gives the oracle's summands on every canonical tuple."""
     for n in range(1, n_max + 1):
         for tup in canonical_tuples(system.space, SKEW, n):
-            expected = _jacobi_summands_oracle(system, tup)
-            assert jacobi_summands(system, tup) == expected, tup
-            assert _summands(system, _split_sums(system, tup)) == expected, tup
+            assert jacobi_summands(system, tup) == _jacobi_summands_oracle(system, tup), tup
 
 
 @settings(max_examples=100, deadline=None)

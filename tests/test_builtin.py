@@ -163,6 +163,8 @@ def test_example1_override_flows_everywhere():
     assert factorial(4) * g2[4] == theta_sector_sign(5) * Fraction(7, 2)
     with pytest.raises(ValueError):
         example1_system(c_values={2: 1})
+    with pytest.raises(ValueError, match="^the coordinate series needs order >= 1$"):
+        example1_system(order=-1)
 
 
 # -- second example ----------------------------------------------------------------
@@ -210,6 +212,10 @@ def test_example2_dimension_checks():
         example2_system(dim0=3, dim1=2)
     with pytest.raises(ValueError):
         example2_system(b_values={0: 2})
+    with pytest.raises(ValueError, match="^coefficients are indexed from 0$"):
+        example2_system(b_values={-1: 1})
+    with pytest.raises(ValueError, match="^a series needs at least the constant coefficient$"):
+        example2_system(order=-2)
     for n_bosons in (0, 1):
         with pytest.raises(ValueError, match="n_bosons >= 2"):
             example2_system(n_bosons=n_bosons)

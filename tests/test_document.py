@@ -128,6 +128,27 @@ def test_bad_documents_are_rejected(tmp_path, ex1):
     with pytest.raises(DocumentError, match="bad rational"):
         document_to_system(series_coeff)
 
+    # a generator name twice, and a delta section of the wrong shape
+    duplicate = json.loads(json.dumps(base))
+    duplicate["space"]["generators"][1]["name"] = duplicate["space"]["generators"][0]["name"]
+    with pytest.raises(DocumentError, match="^duplicate generator names$"):
+        document_to_system(duplicate)
+    for section, value in (("f", [["1"]]), ("h", [["1"], ["1"], ["1"]]), ("g", [[]])):
+        mangled = json.loads(json.dumps(with_delta))
+        mangled["delta"][section] = value
+        with pytest.raises(DocumentError, match="^delta needs two f series, two h series, "
+                                                "two g rows$"):
+            document_to_system(mangled)
+    g_row = json.loads(json.dumps(with_delta))
+    g_row["delta"]["g"][1] = "1"
+    with pytest.raises(DocumentError, match="^each g row must be an array of series$"):
+        document_to_system(g_row)
+
+    # the top level is an object, and the error names what it got
+    for value, kind in (([], "list"), ("{}", "str"), (3, "int"), (None, "NoneType")):
+        with pytest.raises(DocumentError, match=f"^document must be a JSON object, got {kind}$"):
+            document_to_system(value)
+
     missing = tmp_path / "missing.json"
     with pytest.raises(DocumentError):
         load_document(missing)

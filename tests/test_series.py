@@ -75,6 +75,8 @@ def test_argument_errors():
         from_coeffs([1]).derivative()
     with pytest.raises(IndexError):
         p[9]
+    with pytest.raises(ValueError, match="^a series needs at least the constant coefficient$"):
+        Series([])
 
 
 def test_repr_shows_the_first_nonzero_coefficient():

@@ -134,6 +134,7 @@ class BracketSystem:
             raise ValueError(f"unknown symmetry {symmetry!r}")
         space_id, skew, generators = space.space_id, symmetry == SKEW, space._index.keys()
         tables: dict[int, dict[tuple[BasisVector, ...], Element]] = {}
+        zeros = set()  # the keys of zero entries: stored nowhere, but entries all the same
         for inputs, output in entries:
             inputs = tuple(inputs)
             n = len(inputs)
@@ -150,6 +151,9 @@ class BracketSystem:
                     )
                 continue
             if not terms:
+                if key in zeros or key in tables.get(n, ()):
+                    raise ValueError(f"duplicate table entry for {key}")
+                zeros.add(key)
                 continue
             target = (2 - n if skew else 1) + sum(map(_degree, inputs))
             for vector in terms:
@@ -167,7 +171,7 @@ class BracketSystem:
             table = tables.get(n)
             if table is None:
                 table = tables[n] = {}
-            elif key in table:
+            if key in table or key in zeros:
                 raise ValueError(f"duplicate table entry for {key}")
             table[key] = output
         return cls(space, symmetry, max_arity, tables)

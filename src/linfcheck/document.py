@@ -162,30 +162,23 @@ def document_to_system(doc: dict) -> tuple[BracketSystem, DeltaSpec | None]:
         raise DocumentError(f"symmetry must be 'skew' or 'symmetric', got {symmetry!r}")
     max_arity = _require(doc, "max_arity", int)
 
-    generator = space._by_name.get
-
     def lookup(name) -> BasisVector:
-        """The generator named ``name``; only the error path calls this."""
+        """The generator named ``name``; a miss raises."""
+        try:
+            return space._by_name[name]
+        except (KeyError, TypeError):  # a TypeError is an unhashable name
+            pass
         if not isinstance(name, str):
             raise DocumentError(f"generator names must be strings, got {name!r}")
-        try:
-            return space.generator(name)
-        except ValueError as exc:
-            raise DocumentError(str(exc)) from None
+        raise DocumentError(f"no generator named {name!r} in {space_id!r}")
 
     entries = []
     for number, item in enumerate(_require(doc, "brackets", list), 1):
-        names = _require(item, "inputs", list, "bracket entry")
-        try:
-            inputs = tuple(map(generator, names))
-        except TypeError:  # an unhashable name
-            inputs = (None,)
-        if None in inputs:
-            inputs = tuple(map(lookup, names))  # raises on the first bad name
+        inputs = tuple(map(lookup, _require(item, "inputs", list, "bracket entry")))
         terms: dict[BasisVector, Rational] = {}
         for term, part in enumerate(_require(item, "output", list, "bracket entry"), 1):
             name = _require(part, "gen", str, "output term")
-            vector = generator(name) or lookup(name)
+            vector = lookup(name)
             coeff = _coeff_from_json(_require(part, "coeff", (str, int), "output term"),
                                      "bracket entry %d, output term %d", number, term)
             terms[vector] = terms.get(vector, 0) + coeff

@@ -20,9 +20,10 @@ one-variable coefficient times |m|!).  Entries of g may additionally carry
 the momentum-shift term + p_i, which the second bundled example uses.
 Theta derivatives act from the left: d/dtheta_a picks up (-1)^k when
 theta_a sits behind k other thetas.  A spec builds its operator once, as a
-table of pieces that each act on the theta block and apply one series.  A
-piece reads its series' stored Taylor coefficients, checked when the series
-was built, so the image of a monomial is built without re-checking them.
+table of pieces of one form, a theta action times x^l d^e S(P); the shift
+x_i d/dp_i is the piece with l = e = (i,) and S = 1.  A piece reads its
+series' stored Taylor coefficients, checked when the series was built, so
+the image of a monomial is built without re-checking them.
 
 The check that D squares to zero applies D to no monomial.  It composes the
 table of pieces with itself once, normal-ordering D o D in the Weyl algebra
@@ -229,11 +230,12 @@ class DeltaSpec(_SpecFields):
 
     @cached_property
     def _pieces(self) -> tuple:
-        """The operator as pieces (k, theta action, Taylor table, lifted
-        index) in emission order, k the number of thetas the piece
-        differentiates (D0: 0, D1: 1, D2: 2).  An action maps each theta block
-        the piece does not kill to (sign, new block); D1 lifts by x_i (index
-        i - 1), and the table ``None`` flags its shift x_i d/dp_i.  All-zero
+        """The operator as pieces (k, theta action, l, e, Taylor table) in
+        emission order, each the action times x^l d^e S(P), with k the number
+        of thetas the piece differentiates and l, e tuples of boson indices.
+        An action maps each theta block the piece does not kill to (sign, new
+        block).  D0 and D2 have l = e = (), D1 has l = (i,), and its shift
+        x_i d/dp_i has l = e = (i,) and the table of the series 1.  All-zero
         tables are left out."""
 
         def action(act) -> dict:
@@ -247,19 +249,19 @@ class DeltaSpec(_SpecFields):
                     total += eps * first[0] * second[0]
             return (int_if_integral(Fraction(total, 2)), (gamma,)) if total else None
 
+        one = (int(self.momentum_shift),) + (0,) * self.coefficient_order  # the shift's series
         # D0 = theta_a h^a(d/dx)
-        pieces = [(0, action(lambda block: _MERGED[(alpha,), block]),
-                   series.taylor_coeffs, None) for alpha, series in zip((1, 2), self.h)]
+        pieces = [(0, action(lambda block: _MERGED[(alpha,), block]), (), (),
+                   series.taylor_coeffs) for alpha, series in zip((1, 2), self.h)]
         for alpha, row in zip((1, 2), self.g):  # D1 = x_i g^i_a(d/dx) d/dtheta_a
             derive = action(lambda block: _theta_derivative(block, alpha))
             for i, series in enumerate(row):
-                pieces.append((1, derive, series.taylor_coeffs, i))
-                if self.momentum_shift:
-                    pieces.append((1, derive, None, i))
+                pieces += [(1, derive, (i,), (), series.taylor_coeffs),
+                           (1, derive, (i,), (i,), one)]
         # D2 = 1/2 theta_c f^c(d/dx) eps_{ab} d/dtheta_b d/dtheta_a
-        pieces += [(2, action(lambda block: contract(block, gamma)),
-                    series.taylor_coeffs, None) for gamma, series in zip((1, 2), self.f)]
-        return tuple(p for p in pieces if p[2] is None or any(p[2]))
+        pieces += [(2, action(lambda block: contract(block, gamma)), (), (),
+                    series.taylor_coeffs) for gamma, series in zip((1, 2), self.f)]
+        return tuple(p for p in pieces if any(p[-1]))
 
     def _check_degree(self, degree: int) -> None:
         """Raise unless the series reach the Taylor coefficient of ``degree``,
@@ -271,23 +273,24 @@ class DeltaSpec(_SpecFields):
             )
 
     def delta_monomial(self, mono: SuperMonomial) -> SuperPoly:
-        """Image of a single monomial under the operator."""
+        """Image of a single monomial under the operator: each piece
+        x^l d^e S(P) applies d^e, then S(P) term by term, then x^l."""
         if len(mono.bosons) != self.n_bosons:
             raise ValueError(f"monomial {mono!r} has {len(mono.bosons)} exponents, but "
                              f"the operator has {self.n_bosons} even generators")
         self._check_degree(sum(mono.bosons))
         out: dict[SuperMonomial, Rational] = {}
         fermions, bosons = mono
-        for _, action, table, lift in self._pieces:
+        for _, action, l, e, table in self._pieces:
             if fermions not in action:
                 continue
             sign, block = action[fermions]
-            if table is None:  # x_i d/dp_i: m_i times the same monomial
-                if bosons[lift]:
-                    key = SuperMonomial(block, bosons)
-                    out[key] = out.get(key, 0) + sign * bosons[lift]
+            rest = list(bosons)
+            for i in e:  # d^e: times m_i, and m_i lowered
+                sign, rest[i] = sign * rest[i], rest[i] - 1
+            if not sign:
                 continue
-            for weight, total, reduced in _derivative_terms(bosons, lift):
+            for weight, total, reduced in _derivative_terms(rest, l):
                 coeff = table[total]
                 if coeff:
                     key = SuperMonomial(block, reduced)
@@ -295,13 +298,13 @@ class DeltaSpec(_SpecFields):
         return SuperPoly._from_exact(self.n_bosons, out)
 
 
-def _derivative_terms(bosons: tuple[int, ...], lift: int | None = None) -> list:
+def _derivative_terms(bosons: Sequence[int], l: tuple[int, ...] = ()) -> list:
     """The derivatives d^mu x^m for every mu <= m, as the triples
-    (prod C(m_i, mu_i), |mu|, m - mu); with ``lift`` = i the exponents are
-    those of x_i d^mu x^m, as D1's pieces need."""
+    (prod C(m_i, mu_i), |mu|, m - mu); with ``l`` the exponents are those of
+    x^l d^mu x^m, as the pieces x^l d^e S(P) need."""
     terms = [(1, 0, ())]
     for k, m in enumerate(bosons):
-        bump = int(k == lift)
+        bump = l.count(k)
         level = [(comb(m, mu), mu, (m - mu + bump,)) for mu in range(m + 1)]
         terms = [(w * c, t + mu, r + e) for w, t, r in terms for c, mu, e in level]
     return terms
@@ -320,10 +323,12 @@ def koszul_bracket(spec: DeltaSpec, inputs: Sequence[BasisVector]) -> Element:
     commutators keep only the terms of a piece that differentiate every input
     once, so that bracket sums, over the pieces that differentiate |T| thetas
     and act on theta_T, the action's sign times the piece's Taylor
-    coefficient at |m| times its output: theta_a for D0, theta_c for D2 and
-    x_i for D1, whose shift x_i d/dp_i counts only when m = e_i.  A repeated
-    theta gives 0, but its monomial is still read off, so a truncated
-    operator raises as it would without the repeat.
+    coefficient at m times its output: theta_a for D0, theta_c for D2 and
+    x_i for D1.  For x^l d^e S(P) that coefficient is S_(|m| - |e|) times
+    m!/(m - e)!, which is 0 unless e <= m; the shift x_i d/dp_i, whose S is
+    1, counts only when m = e_i.  A repeated theta gives 0, but its monomial
+    is still read off, so a truncated operator raises as it would without the
+    repeat.
     """
     table, sign, block, m = spec.generators, 1, (), (0,) * spec.n_bosons
     for vector in inputs:
@@ -332,17 +337,14 @@ def koszul_bracket(spec: DeltaSpec, inputs: Sequence[BasisVector]) -> Element:
         fermions, bosons = table[vector]
         swap, block = _MERGED[block, fermions] or (0, block)
         sign, m = sign * swap, tuple(map(add, m, bosons))
-    degree, zero = sum(m), (0,) * spec.n_bosons
-    spec._check_degree(degree)
-    vectors = {mono: vector for vector, mono in table.items()}
+    spec._check_degree(sum(m))
+    vectors = spec.space.generators  # theta1, theta2, x1 .. xN
     terms: dict[BasisVector, Rational] = {}
-    for k, action, taylor, lift in spec._pieces:
+    for k, action, l, e, taylor in spec._pieces:
         if k == len(block) and block in action:
             s, out = action[block]
-            bosons = zero if lift is None else zero[:lift] + (1,) + zero[lift + 1:]
-            vector = vectors[out, bosons]  # theta_a, theta_c or x_i
-            coeff = int(m == bosons) if taylor is None else taylor[degree]
-            terms[vector] = terms.get(vector, 0) + sign * s * coeff
+            vector = vectors[2 + l[0] if l else out[0] - 1]  # x_i, theta_a or theta_c
+            terms[vector] = terms.get(vector, 0) + sign * s * _coefficient({e: taylor}, m)
     return Element._from_exact(spec.space.space_id, terms)
 
 
@@ -386,30 +388,25 @@ def _composed(spec: DeltaSpec, degree_bound: int) -> dict:
     """D o D normal-ordered, as {(fermions in, fermions out, alpha): {e:
     table}}: the operator theta_in -> theta_out times x^alpha sum_e d^e T_e(P),
     with alpha and e sorted tuples of boson indices (at most two each) and
-    P = d_1 + ... + d_N.  Every piece is a theta action times x^l d^e S(P):
-    D0 and D2 have l = e = 0, D1 has l = e_i and its shift l = e = e_i, S = 1.
-    A product p o q is normal-ordered in the Weyl algebra (Coutinho, "A
-    Primer of Algebraic D-modules", 1995) by [d^e S(P), x_j] = e_j d^(e - e_j)
-    S(P) + d^e S'(P); on Taylor tables S T is ``binomial_product`` and
-    S'_k = S_(k+1).  Tables are kept through index ``degree_bound``, which
-    reads the pieces' tables through ``degree_bound`` + 1; all-zero tables
-    are left out."""
+    P = d_1 + ... + d_N.  A product p o q of pieces x^l d^e S(P) is
+    normal-ordered in the Weyl algebra (Coutinho, "A Primer of Algebraic
+    D-modules", 1995) by [d^e S(P), x_j] = e_j d^(e - e_j) S(P) + d^e S'(P),
+    where p's e and q's l hold at most one index each; on Taylor tables S T
+    is ``binomial_product`` and S'_k = S_(k+1).  Tables are kept through
+    index ``degree_bound``, which reads the pieces' tables through
+    ``degree_bound`` + 1; all-zero tables are left out."""
     size = degree_bound + 1
-    one = [1] + [0] * size  # the shift's series
     groups: dict = {}
-    for _, act_p, table_p, lift_p in spec._pieces:
-        l_p = () if lift_p is None else (lift_p,)
-        e_p, table_p = (l_p, one) if table_p is None else ((), table_p)
-        for _, act_q, table_q, lift_q in spec._pieces:
-            e_q, table_q = ((lift_q,), one) if table_q is None else ((), table_q)
+    for _, act_p, l_p, e_p, table_p in spec._pieces:
+        for _, act_q, l_q, e_q, table_q in spec._pieces:
             hits = [(block, s * act_p[mid][0], act_p[mid][1])
                     for block, (s, mid) in act_q.items() if mid in act_p]
             if not hits:
                 continue
             terms = [(l_p, e_p + e_q, table_p)]
-            if lift_q is not None:  # d^e S(P) x_j = x_j d^e S(P) + [d^e S(P), x_j]
-                terms = [(l_p + (lift_q,), e_p + e_q, table_p), (l_p, e_p + e_q, table_p[1:])]
-                if e_p == (lift_q,):
+            if l_q:  # d^e S(P) x_j = x_j d^e S(P) + [d^e S(P), x_j]
+                terms = [(l_p + l_q, e_p + e_q, table_p), (l_p, e_p + e_q, table_p[1:])]
+                if e_p == l_q:
                     terms.append((l_p, e_q, table_p))
             for alpha, e, table in terms:
                 product = binomial_product(table, table_q, size)

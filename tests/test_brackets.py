@@ -174,6 +174,10 @@ def test_from_entries_messages():
         (SKEW, [((a,), Element("V", {b: 1, ghost: 1}))], "ghost is not a generator of space 'V'"),
         (SKEW, [((a, b), Element.basis(b)), ((b, a), Element.basis(b, 2))],
          "duplicate table entry for (a, b)"),
+        (SKEW, [((a, b), Element("V", {})), ((b, a), Element.basis(b))],
+         "duplicate table entry for (a, b)"),
+        (SKEW, [((b, a), Element.basis(b)), ((a, b), Element("V", {}))],
+         "duplicate table entry for (a, b)"),
     ]
     for symmetry, entries, message in cases:
         with pytest.raises(ValueError) as caught:
@@ -949,7 +953,7 @@ def _from_entries_oracle(space, symmetry, entries, max_arity=DEFAULT_MAX_ARITY):
     if symmetry not in (SKEW, SYMMETRIC):
         raise ValueError(f"unknown symmetry {symmetry!r}")
     space_id, skew = space.space_id, symmetry == SKEW
-    tables = {}
+    tables, zeros = {}, set()
     for inputs, output in entries:
         inputs = tuple(inputs)
         n = len(inputs)
@@ -963,6 +967,9 @@ def _from_entries_oracle(space, symmetry, entries, max_arity=DEFAULT_MAX_ARITY):
                 raise ValueError(f"symmetry forces the bracket of {inputs} to vanish")
             continue
         if output.is_zero():
+            if key in zeros or key in tables.get(n, {}):
+                raise ValueError(f"duplicate table entry for {key}")
+            zeros.add(key)
             continue
         target = (2 - n if skew else 1) + sum(v.degree for v in inputs)
         terms = {}
@@ -975,7 +982,7 @@ def _from_entries_oracle(space, symmetry, entries, max_arity=DEFAULT_MAX_ARITY):
             terms[vector] = int_if_integral(sign * coeff)
         space.indices(terms)  # ValueError on a non-generator
         table = tables.setdefault(n, {})
-        if key in table:
+        if key in table or key in zeros:
             raise ValueError(f"duplicate table entry for {key}")
         table[key] = Element._from_exact(space_id, terms)
     return BracketSystem(space, symmetry, max_arity, tables)

@@ -248,8 +248,22 @@ def test_operator_series_and_pieces_hold_ints(build):
     spec = build().delta_spec
     series = [*spec.f, *spec.h, *(s for row in spec.g for s in row)]
     assert all(type(t) is int for s in series for t in s.taylor_coeffs)
-    tables = [table for _, _, table, _ in spec._pieces if table is not None]
+    tables = [table for *_, table in spec._pieces]
     assert tables and all(type(t) is int for table in tables for t in table)
+
+
+def test_operator_pieces_have_one_form():
+    # every piece is (k, theta action, l, e, Taylor table), the action times
+    # x^l d^e S(P); only the shift x_i d/dp_i has an e, with e == l and the
+    # table of the series 1
+    for build, count, shifts in ((example1_system, 3, 0), (example2_system, 8, 6)):
+        spec = build().delta_spec
+        one = [1] + [0] * spec.coefficient_order
+        assert len(spec._pieces) == count
+        for *_, l, e, table in spec._pieces:
+            assert all(type(t) is int for t in table)
+            assert not e or (e == l and len(l) == 1 and list(table) == one)
+        assert sum(1 for *_, e, _ in spec._pieces if e) == shifts
 
 
 def test_example2_override_flows_everywhere():

@@ -7,6 +7,7 @@ import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -364,6 +365,32 @@ def test_compare_builtins(capsys):
     assert code == 0
     code, out, _ = run(capsys, "compare", "example2", "--max-arity", "6")
     assert code == 0
+
+
+@pytest.mark.parametrize("max_arity, pinned", [(8, 489), (10, 891)])
+def test_compare_reads_one_bracket_per_canonical_tuple(capsys, monkeypatch, max_arity, pinned):
+    # example2's operator space has 2 odd generators, which a graded
+    # symmetric tuple holds at most once each, and 3 even ones, which it may
+    # repeat: C(2, j) C(n - j + 2, 2) canonical tuples of arity n hold j odd
+    # ones. compare reads one bracket per tuple and applies D to no monomial
+    tuples = sum(comb(2, j) * comb(n - j + 2, 2)
+                 for n in range(max_arity + 1) for j in range(min(n, 2) + 1))
+    assert tuples == pinned
+    calls = Counter()
+
+    def counting(*args, _original=superspace.koszul_bracket):
+        calls["koszul_bracket"] += 1
+        return _original(*args)
+
+    def image(*args, _original=DeltaSpec.delta_monomial):
+        calls["delta_monomial"] += 1
+        return _original(*args)
+
+    monkeypatch.setattr(superspace, "koszul_bracket", counting)
+    monkeypatch.setattr(DeltaSpec, "delta_monomial", image)
+    code, out, _ = run(capsys, "compare", "example2", "--max-arity", str(max_arity))
+    assert code == 0 and "PASS" in out
+    assert calls == {"koszul_bracket": tuples}
 
 
 def test_compare_zeroed_delta_fails(capsys, tmp_path):

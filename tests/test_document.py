@@ -128,6 +128,14 @@ def test_bad_documents_are_rejected(tmp_path, ex1):
     with pytest.raises(DocumentError, match="bad rational"):
         document_to_system(series_coeff)
 
+    # one bracket entry twice, one copy with no terms, in either order
+    first = base["brackets"][0]
+    for pair in ([dict(first, output=[]), first], [first, dict(first, output=[])]):
+        twice = json.loads(json.dumps(base))
+        twice["brackets"][:1] = pair
+        with pytest.raises(DocumentError, match=r"^duplicate table entry for \(v1,\)$"):
+            document_to_system(twice)
+
     # a generator name twice, and a delta section of the wrong shape
     duplicate = json.loads(json.dumps(base))
     duplicate["space"]["generators"][1]["name"] = duplicate["space"]["generators"][0]["name"]

@@ -48,6 +48,7 @@ from .grading import (
     BasisVector,
     Element,
     GradedSpace,
+    check_bound,
     desuspension_sign,
     int_if_integral,
     koszul_sign,
@@ -310,9 +311,7 @@ def verify_jacobi(system: BracketSystem, n_max: int) -> JacobiReport:
     the defect reported; only it and the counterexample's nonzero summands,
     each times its weight, become ``Element``s.
     """
-    if type(n_max) is not int or n_max < 1:
-        raise ValueError(f"arity bound must be an int >= 1 (a bound below 1 checks "
-                         f"nothing), got {n_max!r}")
+    check_bound(n_max, 1, "arity")
     if n_max > system.max_arity:
         raise TruncationError(
             f"n_max {n_max} exceeds the system's bound {system.max_arity}"

@@ -162,29 +162,34 @@ def document_to_system(doc: dict) -> tuple[BracketSystem, DeltaSpec | None]:
         raise DocumentError(f"symmetry must be 'skew' or 'symmetric', got {symmetry!r}")
     max_arity = _require(doc, "max_arity", int)
 
+    by_name = space._by_name.__getitem__
+
     def lookup(name) -> BasisVector:
-        """The generator named ``name``; a miss raises."""
-        try:
-            return space._by_name[name]
-        except (KeyError, TypeError):  # a TypeError is an unhashable name
-            pass
+        """The generator named ``name``, which ``by_name`` missed; a miss raises."""
         if not isinstance(name, str):
             raise DocumentError(f"generator names must be strings, got {name!r}")
-        raise DocumentError(f"no generator named {name!r} in {space_id!r}")
+        return space.generator(name)  # its ValueError becomes a DocumentError below
 
     entries = []
-    for number, item in enumerate(_require(doc, "brackets", list), 1):
-        inputs = tuple(map(lookup, _require(item, "inputs", list, "bracket entry")))
-        terms: dict[BasisVector, Rational] = {}
-        for term, part in enumerate(_require(item, "output", list, "bracket entry"), 1):
-            name = _require(part, "gen", str, "output term")
-            vector = lookup(name)
-            coeff = _coeff_from_json(_require(part, "coeff", (str, int), "output term"),
-                                     "bracket entry %d, output term %d", number, term)
-            terms[vector] = terms.get(vector, 0) + coeff
-        # names and coefficients are checked above, the rest by from_entries
-        entries.append((inputs, Element._from_exact(space_id, terms)))
     try:
+        for number, item in enumerate(_require(doc, "brackets", list), 1):
+            names = _require(item, "inputs", list, "bracket entry")
+            try:
+                inputs = tuple(map(by_name, names))
+            except (KeyError, TypeError):  # a TypeError is an unhashable name
+                inputs = tuple(map(lookup, names))
+            terms: dict[BasisVector, Rational] = {}
+            for term, part in enumerate(_require(item, "output", list, "bracket entry"), 1):
+                name = _require(part, "gen", str, "output term")
+                try:
+                    vector = by_name(name)
+                except KeyError:
+                    vector = lookup(name)
+                coeff = _coeff_from_json(_require(part, "coeff", (str, int), "output term"),
+                                         "bracket entry %d, output term %d", number, term)
+                terms[vector] = terms.get(vector, 0) + coeff
+            # names and coefficients are checked above, the rest by from_entries
+            entries.append((inputs, Element._from_exact(space_id, terms)))
         system = BracketSystem.from_entries(space, symmetry, entries, max_arity)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None

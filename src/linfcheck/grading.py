@@ -43,6 +43,13 @@ def int_if_integral(value: Rational) -> Rational:
     return value
 
 
+def check_bound(value, least: int, what: str) -> None:
+    """Raise unless the ``what`` bound ``value`` is an int >= ``least``."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{what} bound must be an int >= {least} (a bound below {least} "
+                         f"checks nothing), got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # permutations
 # ---------------------------------------------------------------------------

@@ -19,25 +19,26 @@ mixed Taylor coefficient at the multi-index m is F_{|m|} (the |m|-th
 one-variable coefficient times |m|!).  Entries of g may additionally carry
 the momentum-shift term + p_i, which the second bundled example uses.
 Theta derivatives act from the left: d/dtheta_a picks up (-1)^k when
-theta_a sits behind k other thetas.  A spec builds its operator once, as a
-table of pieces of one form, a theta action times x^l d^e S(P); the shift
-x_i d/dp_i is the piece with l = e = (i,) and S = 1.  A piece reads its
-series' stored Taylor coefficients, checked when the series was built, so
-the image of a monomial is built without re-checking them.
+theta_a sits behind k other thetas.  D and D o D share one table form,
+{(theta block in, theta block out, l): {e: Taylor table}}, each entry the
+operator theta_in -> theta_out times x^l sum_e d^e S_e(P) with the theta
+sign folded into S_e, and ``_image`` applies either to a monomial.  A spec
+builds D once, the shift x_i d/dp_i as the series 1 at e = (i,), from its
+series' stored Taylor coefficients, checked when each series was built.
 
-The check that D squares to zero applies D to no monomial.  It composes the
-table of pieces with itself once, normal-ordering D o D in the Weyl algebra
-into a short table of terms theta action times x^alpha d^e T(P), and reads
-the verdict off their Taylor coefficients; only a failure evaluates that
-table on monomials, to find the first one D o D does not kill.
+The check that D squares to zero applies D to no monomial.  It composes D
+with itself once, normal-ordering D o D in the Weyl algebra into a short
+table of the same form, and reads the verdict off its Taylor coefficients;
+only a failure applies that table to monomials, to find the first one
+D o D does not kill.
 
 The brackets of the operator are its nested graded commutators with the
 multiplications by their inputs (Koszul's higher derived brackets).  They are
 graded symmetric, so each is a sign times the bracket of the inputs' product
-theta_T x^m.  For the normal-ordered pieces, those commutators keep only the
-terms that differentiate every input once: the bracket of theta_T x^m is read
-off the pieces that differentiate |T| thetas, each one Taylor coefficient
-times its output theta or x, and it applies D to no monomial either.
+theta_T x^m.  Those commutators keep only the terms of D that differentiate
+every input once: the bracket of theta_T x^m is read off the entries on
+theta_T with one generator out, each one Taylor coefficient times that
+theta or x, and it applies D to no monomial either.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from operator import add, itemgetter, sub
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import TruncationError
-from .grading import BasisVector, Element, GradedSpace, Rational, int_if_integral
+from .grading import BasisVector, Element, GradedSpace, Rational, check_bound, int_if_integral
 from .series import Series, binomial_product
 
 if TYPE_CHECKING:
@@ -229,17 +230,20 @@ class DeltaSpec(_SpecFields):
         return min(orders)
 
     @cached_property
-    def _pieces(self) -> tuple:
-        """The operator as pieces (k, theta action, l, e, Taylor table) in
-        emission order, each the action times x^l d^e S(P), with k the number
-        of thetas the piece differentiates and l, e tuples of boson indices.
-        An action maps each theta block the piece does not kill to (sign, new
-        block).  D0 and D2 have l = e = (), D1 has l = (i,), and its shift
-        x_i d/dp_i has l = e = (i,) and the table of the series 1.  All-zero
-        tables are left out."""
+    def _pieces(self) -> dict:
+        """D in the table form it shares with ``_composed``'s D o D: {(fermions
+        in, fermions out, l): {e: Taylor table}}, the theta sign folded into
+        each table.  D0 and D2 have l = e = (), D1 has l = (i,), and its shift
+        x_i d/dp_i is the table of the series 1 at e = (i,).  Each piece owns
+        its keys; all-zero tables, and keys left with none, are left out."""
+        pieces: dict = {}
 
-        def action(act) -> dict:
-            return {block: hit for block in _THETA_BLOCKS if (hit := act(block))}
+        def put(act, l, tables) -> None:  # act: block -> (sign, block out) or None
+            tables = {e: table for e, table in tables.items() if any(table)}
+            for block in _THETA_BLOCKS:
+                if tables and (hit := act(block)):
+                    pieces[block, hit[1], l] = {e: [hit[0] * t for t in table]
+                                                for e, table in tables.items()}
 
         def contract(block, gamma):  # the theta action of D2 for f^gamma
             total = 0
@@ -250,18 +254,16 @@ class DeltaSpec(_SpecFields):
             return (int_if_integral(Fraction(total, 2)), (gamma,)) if total else None
 
         one = (int(self.momentum_shift),) + (0,) * self.coefficient_order  # the shift's series
-        # D0 = theta_a h^a(d/dx)
-        pieces = [(0, action(lambda block: _MERGED[(alpha,), block]), (), (),
-                   series.taylor_coeffs) for alpha, series in zip((1, 2), self.h)]
+        for alpha, series in zip((1, 2), self.h):  # D0 = theta_a h^a(d/dx)
+            put(lambda block: _MERGED[(alpha,), block], (), {(): series.taylor_coeffs})
         for alpha, row in zip((1, 2), self.g):  # D1 = x_i g^i_a(d/dx) d/dtheta_a
-            derive = action(lambda block: _theta_derivative(block, alpha))
             for i, series in enumerate(row):
-                pieces += [(1, derive, (i,), (), series.taylor_coeffs),
-                           (1, derive, (i,), (i,), one)]
+                put(lambda block: _theta_derivative(block, alpha), (i,),
+                    {(): series.taylor_coeffs, (i,): one})
         # D2 = 1/2 theta_c f^c(d/dx) eps_{ab} d/dtheta_b d/dtheta_a
-        pieces += [(2, action(lambda block: contract(block, gamma)), (), (),
-                    series.taylor_coeffs) for gamma, series in zip((1, 2), self.f)]
-        return tuple(p for p in pieces if any(p[-1]))
+        for gamma, series in zip((1, 2), self.f):
+            put(lambda block: contract(block, gamma), (), {(): series.taylor_coeffs})
+        return pieces
 
     def _check_degree(self, degree: int) -> None:
         """Raise unless the series reach the Taylor coefficient of ``degree``,
@@ -273,41 +275,56 @@ class DeltaSpec(_SpecFields):
             )
 
     def delta_monomial(self, mono: SuperMonomial) -> SuperPoly:
-        """Image of a single monomial under the operator: each piece
-        x^l d^e S(P) applies d^e, then S(P) term by term, then x^l."""
+        """Image of a single monomial under the operator: ``_image`` applies
+        the pieces to it."""
         if len(mono.bosons) != self.n_bosons:
             raise ValueError(f"monomial {mono!r} has {len(mono.bosons)} exponents, but "
                              f"the operator has {self.n_bosons} even generators")
         self._check_degree(sum(mono.bosons))
-        out: dict[SuperMonomial, Rational] = {}
-        fermions, bosons = mono
-        for _, action, l, e, table in self._pieces:
-            if fermions not in action:
-                continue
-            sign, block = action[fermions]
-            rest = list(bosons)
-            for i in e:  # d^e: times m_i, and m_i lowered
-                sign, rest[i] = sign * rest[i], rest[i] - 1
-            if not sign:
-                continue
-            for weight, total, reduced in _derivative_terms(rest, l):
-                coeff = table[total]
-                if coeff:
-                    key = SuperMonomial(block, reduced)
-                    out[key] = out.get(key, 0) + sign * (weight * coeff)
-        return SuperPoly._from_exact(self.n_bosons, out)
+        return SuperPoly._from_exact(self.n_bosons, _image(self._pieces, *mono))
 
 
-def _derivative_terms(bosons: Sequence[int], l: tuple[int, ...] = ()) -> list:
-    """The derivatives d^mu x^m for every mu <= m, as the triples
-    (prod C(m_i, mu_i), |mu|, m - mu); with ``l`` the exponents are those of
-    x^l d^mu x^m, as the pieces x^l d^e S(P) need."""
-    terms = [(1, 0, ())]
-    for k, m in enumerate(bosons):
-        bump = l.count(k)
-        level = [(comb(m, mu), mu, (m - mu + bump,)) for mu in range(m + 1)]
-        terms = [(w * c, t + mu, r + e) for w, t, r in terms for c, mu, e in level]
+def _derivative_terms(bosons: Sequence[int]) -> list:
+    """The derivatives d^mu x^m for every mu <= m, as the pairs
+    (prod C(m_i, mu_i), m - mu)."""
+    terms = [(1, ())]
+    for m in bosons:
+        level = [(comb(m, mu), (m - mu,)) for mu in range(m + 1)]
+        terms = [(w * c, r + e) for w, r in terms for c, e in level]
     return terms
+
+
+def _coefficient(tables: dict, beta: tuple):
+    """beta! times the coefficient of d^beta in sum_e d^e T_e(P), the sum over
+    e <= beta of T_e[|beta| - |e|] beta!/(beta - e)!."""
+    total, k = 0, sum(beta)
+    for e, table in tables.items():
+        falling = 1
+        for n, i in enumerate(e):
+            falling *= beta[i] - e[:n].count(i)
+        if falling:
+            total += table[k - len(e)] * falling
+    return total
+
+
+def _image(groups: dict, fermions: tuple[int, ...], bosons: Sequence[int]) -> dict:
+    """The nonzero terms of an operator {(fermions in, fermions out, alpha):
+    {e: table}} (``DeltaSpec._pieces`` or ``_composed``) applied to theta_fermions
+    x^bosons: the sum over beta <= m = bosons of C(m, beta) times
+    ``_coefficient(tables, beta)`` times theta_out x^(alpha + m - beta)."""
+    sector = [(out, alpha, tables) for (block, out, alpha), tables in groups.items()
+              if block == fermions]
+    out_terms: dict[SuperMonomial, Rational] = {}
+    for weight, rest in _derivative_terms(bosons):
+        beta = tuple(map(sub, bosons, rest))
+        for out, alpha, tables in sector:
+            if value := _coefficient(tables, beta):
+                exponents = list(rest)
+                for i in alpha:
+                    exponents[i] += 1
+                mono = SuperMonomial(out, exponents)
+                out_terms[mono] = out_terms.get(mono, 0) + weight * value
+    return {mono: c for mono, c in out_terms.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +337,13 @@ def koszul_bracket(spec: DeltaSpec, inputs: Sequence[BasisVector]) -> Element:
 
     The bracket is graded symmetric, so it is read off the product of the
     inputs: their sign times the bracket of the monomial theta_T x^m.  The
-    commutators keep only the terms of a piece that differentiate every input
-    once, so that bracket sums, over the pieces that differentiate |T| thetas
-    and act on theta_T, the action's sign times the piece's Taylor
-    coefficient at m times its output: theta_a for D0, theta_c for D2 and
-    x_i for D1.  For x^l d^e S(P) that coefficient is S_(|m| - |e|) times
-    m!/(m - e)!, which is 0 unless e <= m; the shift x_i d/dp_i, whose S is
-    1, counts only when m = e_i.  A repeated theta gives 0, but its monomial
-    is still read off, so a truncated operator raises as it would without the
-    repeat.
+    commutators keep only the terms of D that differentiate every input once:
+    the keys of ``DeltaSpec._pieces`` on theta_T with one generator out (x_i
+    for D1, theta_a for D0, theta_c for D2), each ``_coefficient`` of its
+    tables at m times that generator.  That is 0 unless e <= m, so the shift
+    x_i d/dp_i counts only when m = e_i.  A repeated theta gives 0, but its
+    monomial is still read off, so a truncated operator raises as it would
+    without the repeat.
     """
     table, sign, block, m = spec.generators, 1, (), (0,) * spec.n_bosons
     for vector in inputs:
@@ -340,11 +355,10 @@ def koszul_bracket(spec: DeltaSpec, inputs: Sequence[BasisVector]) -> Element:
     spec._check_degree(sum(m))
     vectors = spec.space.generators  # theta1, theta2, x1 .. xN
     terms: dict[BasisVector, Rational] = {}
-    for k, action, l, e, taylor in spec._pieces:
-        if k == len(block) and block in action:
-            s, out = action[block]
+    for (fermions, out, l), tables in spec._pieces.items():
+        if fermions == block and len(out) + len(l) == 1:
             vector = vectors[2 + l[0] if l else out[0] - 1]  # x_i, theta_a or theta_c
-            terms[vector] = terms.get(vector, 0) + sign * s * _coefficient({e: taylor}, m)
+            terms[vector] = terms.get(vector, 0) + sign * _coefficient(tables, m)
     return Element._from_exact(spec.space.space_id, terms)
 
 
@@ -353,9 +367,7 @@ def brackets_from_delta(spec: DeltaSpec, max_arity: int) -> BracketSystem:
     ``max_arity`` into a symmetric system on the operator's space."""
     from .brackets import SYMMETRIC, BracketSystem, canonical_tuples
 
-    if type(max_arity) is not int or max_arity < 0:
-        raise ValueError(f"arity bound must be an int >= 0 (a bound below 0 checks "
-                         f"nothing), got {max_arity!r}")
+    check_bound(max_arity, 0, "arity")
     entries = []
     for n in range(0, max_arity + 1):
         for tup in canonical_tuples(spec.space, SYMMETRIC, n):
@@ -385,10 +397,11 @@ class DeltaSquaredReport(NamedTuple):
 
 
 def _composed(spec: DeltaSpec, degree_bound: int) -> dict:
-    """D o D normal-ordered, as {(fermions in, fermions out, alpha): {e:
-    table}}: the operator theta_in -> theta_out times x^alpha sum_e d^e T_e(P),
-    with alpha and e sorted tuples of boson indices (at most two each) and
-    P = d_1 + ... + d_N.  A product p o q of pieces x^l d^e S(P) is
+    """D o D normal-ordered, in the table form of ``DeltaSpec._pieces``:
+    {(fermions in, fermions out, alpha): {e: table}}, the operator theta_in ->
+    theta_out times x^alpha sum_e d^e T_e(P), with alpha and e sorted tuples
+    of boson indices (at most two each) and P = d_1 + ... + d_N.  A product
+    p o q of pieces x^l d^e S(P), p's input block q's output block, is
     normal-ordered in the Weyl algebra (Coutinho, "A Primer of Algebraic
     D-modules", 1995) by [d^e S(P), x_j] = e_j d^(e - e_j) S(P) + d^e S'(P),
     where p's e and q's l hold at most one index each; on Taylor tables S T
@@ -397,38 +410,24 @@ def _composed(spec: DeltaSpec, degree_bound: int) -> dict:
     ``degree_bound`` + 1; all-zero tables are left out."""
     size = degree_bound + 1
     groups: dict = {}
-    for _, act_p, l_p, e_p, table_p in spec._pieces:
-        for _, act_q, l_q, e_q, table_q in spec._pieces:
-            hits = [(block, s * act_p[mid][0], act_p[mid][1])
-                    for block, (s, mid) in act_q.items() if mid in act_p]
-            if not hits:
+    for (block, mid, l_q), tables_q in spec._pieces.items():
+        for (fermions, out, l_p), tables_p in spec._pieces.items():
+            if fermions != mid:
                 continue
-            terms = [(l_p, e_p + e_q, table_p)]
-            if l_q:  # d^e S(P) x_j = x_j d^e S(P) + [d^e S(P), x_j]
-                terms = [(l_p + l_q, e_p + e_q, table_p), (l_p, e_p + e_q, table_p[1:])]
-                if e_p == l_q:
-                    terms.append((l_p, e_q, table_p))
-            for alpha, e, table in terms:
-                product = binomial_product(table, table_q, size)
-                alpha, e = tuple(sorted(alpha)), tuple(sorted(e))
-                for block, sign, out in hits:
-                    tables = groups.setdefault((block, out, alpha), {})
-                    tables[e] = [a + sign * b for a, b in zip(tables.get(e, [0] * size), product)]
+            for e_q, table_q in tables_q.items():
+                for e_p, table_p in tables_p.items():
+                    terms = [(l_p, e_p + e_q, table_p)]
+                    if l_q:  # d^e S(P) x_j = x_j d^e S(P) + [d^e S(P), x_j]
+                        terms = [(l_p + l_q, e_p + e_q, table_p), (l_p, e_p + e_q, table_p[1:])]
+                        if e_p == l_q:
+                            terms.append((l_p, e_q, table_p))
+                    for alpha, e, table in terms:
+                        product = binomial_product(table, table_q, size)
+                        alpha, e = tuple(sorted(alpha)), tuple(sorted(e))
+                        tables = groups.setdefault((block, out, alpha), {})
+                        tables[e] = [a + b for a, b in zip(tables.get(e, [0] * size), product)]
     return {key: kept for key, tables in groups.items()
             if (kept := {e: table for e, table in tables.items() if any(table)})}
-
-
-def _coefficient(tables: dict, beta: tuple):
-    """beta! times the coefficient of d^beta in sum_e d^e T_e(P), the sum over
-    e <= beta of T_e[|beta| - |e|] beta!/(beta - e)!."""
-    total, k = 0, sum(beta)
-    for e, table in tables.items():
-        falling = 1
-        for n, i in enumerate(e):
-            falling *= beta[i] - e[:n].count(i)
-        if falling:
-            total += table[k - len(e)] * falling
-    return total
 
 
 def _kills(tables: dict, n_bosons: int, degree_bound: int) -> bool:
@@ -464,10 +463,8 @@ def delta_squared_check(spec: DeltaSpec, degree_bound: int) -> DeltaSquaredRepor
     counts every monomial up to and including that witness.  In the first
     sector with a nonzero term, the monomials are scanned in that order, and
     D o D (theta_T x^m) = sum C(m, beta) beta! c_(alpha beta) theta_out
-    x^(alpha + m - beta) is read off the composed table until it is nonzero."""
-    if type(degree_bound) is not int or degree_bound < 0:
-        raise ValueError(f"degree bound must be an int >= 0 (a bound below 0 checks "
-                         f"nothing), got {degree_bound!r}")
+    x^(alpha + m - beta) is the composed table's ``_image``, until it is nonzero."""
+    check_bound(degree_bound, 0, "degree")
     if degree_bound + 1 > spec.coefficient_order:
         raise TruncationError(
             f"degree bound {degree_bound} needs coefficients through order "
@@ -475,24 +472,13 @@ def delta_squared_check(spec: DeltaSpec, degree_bound: int) -> DeltaSquaredRepor
         )
     composed, checked = _composed(spec, degree_bound), 0
     for fermions in ((), (1,), (2,), (1, 2)):
-        sector = [(out, alpha, tables) for (block, out, alpha), tables in composed.items()
-                  if block == fermions]
-        if all(_kills(tables, spec.n_bosons, degree_bound) for _, _, tables in sector):
+        if all(_kills(tables, spec.n_bosons, degree_bound)
+               for (block, _, _), tables in composed.items() if block == fermions):
             checked += comb(degree_bound + spec.n_bosons, spec.n_bosons)
             continue
         for bosons in _multi_indices(spec.n_bosons, degree_bound):
             checked += 1
-            residue: dict[SuperMonomial, Rational] = {}
-            for weight, _, rest in _derivative_terms(bosons):
-                beta = tuple(map(sub, bosons, rest))
-                for out, alpha, tables in sector:
-                    if value := _coefficient(tables, beta):
-                        exponents = list(rest)
-                        for i in alpha:
-                            exponents[i] += 1
-                        mono = SuperMonomial(out, exponents)
-                        residue[mono] = residue.get(mono, 0) + weight * value
-            if residue := {mono: c for mono, c in residue.items() if c}:
+            if residue := _image(composed, fermions, bosons):
                 return DeltaSquaredReport(False, checked, SuperMonomial(fermions, bosons),
                                           SuperPoly._from_exact(spec.n_bosons, residue))
     return DeltaSquaredReport(True, checked, None, None)

@@ -248,22 +248,34 @@ def test_operator_series_and_pieces_hold_ints(build):
     spec = build().delta_spec
     series = [*spec.f, *spec.h, *(s for row in spec.g for s in row)]
     assert all(type(t) is int for s in series for t in s.taylor_coeffs)
-    tables = [table for *_, table in spec._pieces]
+    tables = [table for tables in spec._pieces.values() for table in tables.values()]
     assert tables and all(type(t) is int for table in tables for t in table)
 
 
 def test_operator_pieces_have_one_form():
-    # every piece is (k, theta action, l, e, Taylor table), the action times
-    # x^l d^e S(P); only the shift x_i d/dp_i has an e, with e == l and the
-    # table of the series 1
-    for build, count, shifts in ((example1_system, 3, 0), (example2_system, 8, 6)):
+    # the pieces are {(block in, block out, l): {e: Taylor table}}, the theta
+    # sign folded into each table: the action times x^l d^e S(P); only the
+    # shift x_i d/dp_i has an e, with e == l and the table of the series 1.
+    # example1 (one boson, f^2 = h = 0, g^1_a != 0): D1 for a in {1, 2} on the
+    # two blocks holding theta_a, 4 keys, and D2 for f^1 on theta1 theta2, 1
+    # key; 5 tables, no shift.  example2 (three bosons, f = h = 0, only g^1_1
+    # and g^2_2 != 0, shifted): D1 for a in {1, 2} and i in {0, 1, 2}, on two
+    # blocks each, 12 keys, each with its shift table, 12 shifts, and the two
+    # nonzero g series on two blocks each, 4 more tables: 16
+    for build, keys, count, shifts in ((example1_system, 5, 5, 0),
+                                       (example2_system, 12, 16, 12)):
         spec = build().delta_spec
         one = [1] + [0] * spec.coefficient_order
-        assert len(spec._pieces) == count
-        for *_, l, e, table in spec._pieces:
+        assert len(spec._pieces) == keys
+        pieces = [(block, out, l, e, table) for (block, out, l), tables in spec._pieces.items()
+                  for e, table in tables.items()]
+        assert len(pieces) == count
+        for block, out, l, e, table in pieces:
             assert all(type(t) is int for t in table)
-            assert not e or (e == l and len(l) == 1 and list(table) == one)
-        assert sum(1 for *_, e, _ in spec._pieces if e) == shifts
+            if e:  # d/dtheta_a's sign times the series 1
+                sign = -1 if block.index(*set(block) - set(out)) % 2 else 1
+                assert e == l and len(l) == 1 and list(table) == [sign * t for t in one]
+        assert sum(1 for *_, e, _ in pieces if e) == shifts
 
 
 def test_example2_override_flows_everywhere():

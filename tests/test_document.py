@@ -86,10 +86,23 @@ def test_bad_documents_are_rejected(tmp_path, ex1):
         with pytest.raises(DocumentError, match="bad rational"):
             document_to_system(odd_coeff)
 
-    unknown_gen = json.loads(json.dumps(base))
-    unknown_gen["brackets"][0]["inputs"] = ["bogus"]
-    with pytest.raises(DocumentError):
-        document_to_system(unknown_gen)
+    # an input name after a good one that names no generator, or is not a
+    # str (an unhashable one too), and an output name that names none
+    for where, name, message in (
+        ("inputs", "bogus", "no generator named 'bogus' in 'V'"),
+        ("inputs", 1, "generator names must be strings, got 1"),
+        ("inputs", ["v1"], r"generator names must be strings, got \['v1'\]"),
+        ("inputs", {"v1": 1}, r"generator names must be strings, got \{'v1': 1\}"),
+        ("output", "bogus", "no generator named 'bogus' in 'V'"),
+    ):
+        unknown_gen = json.loads(json.dumps(base))
+        entry = unknown_gen["brackets"][0]
+        if where == "inputs":
+            entry["inputs"] = entry["inputs"][:1] + [name]
+        else:
+            entry["output"][0]["gen"] = name
+        with pytest.raises(DocumentError, match=rf"^{message}$"):
+            document_to_system(unknown_gen)
 
     bad_symmetry = dict(base, symmetry="both")
     with pytest.raises(DocumentError):

@@ -761,8 +761,8 @@ def _oracle_operator_terms(table, bosons):
 
 
 def _oracle_image(spec, fermions, bosons):
-    """Image of one monomial as ordered ``((fermions, bosons), coeff)`` pairs,
-    computed term by term from the spec's series with no cache."""
+    """Image of one monomial as a dict ``{(fermions, bosons): coeff}`` of its
+    nonzero terms, computed term by term from the spec's series with no cache."""
 
     def taylor(series):
         return [factorial(m) * c for m, c in enumerate(series.coeffs)]
@@ -801,7 +801,7 @@ def _oracle_image(spec, fermions, bosons):
         table = taylor(spec.f[gamma - 1])
         for weight, reduced in _oracle_operator_terms(table, bosons):
             put((gamma,), reduced, Fraction(contraction, 2) * weight)
-    return [((m.fermions, m.bosons), c) for m, c in out.items() if c]
+    return {(m.fermions, m.bosons): c for m, c in out.items() if c}
 
 
 @settings(max_examples=80, deadline=None)
@@ -814,7 +814,7 @@ def test_delta_monomial_matches_the_dataclass_oracle(spec, data):
                                    min_size=1, max_size=4))
     for fermions, bosons in monomials:  # one spec, several monomials
         image = spec.delta_monomial(SuperMonomial(fermions, bosons))
-        assert [((m.fermions, m.bosons), c) for m, c in image.items()] == (
+        assert {(m.fermions, m.bosons): c for m, c in image.items()} == (
             _oracle_image(spec, fermions, bosons)
         )
         for mono, _ in image.items():
@@ -1205,7 +1205,7 @@ def _relation_bracket(spec, fermions, bosons, splits, brackets):
     key = (fermions, bosons)
     if key not in brackets:
         out = dict(spec.delta_monomial(SuperMonomial(fermions, bosons)).items())
-        for weight, _, rest in _derivative_terms(bosons):
+        for weight, rest in _derivative_terms(bosons):
             mu = tuple(map(sub, bosons, rest))
             for inner, outer, eps in splits[fermions]:
                 if (inner, mu) == key:  # the top term itself

@@ -7,9 +7,10 @@ Two symmetry types are supported:
 * ``symmetric`` -- graded symmetric n-ary maps of degree +1 (the hierarchy
                    on the degree-shifted space).
 
-Tables are keyed by canonically ordered input tuples; evaluation on any
-input order multiplies by the sign the declared symmetry dictates.  Swapping
-two adjacent inputs a, b contributes (``grading.sort_sign``)
+A system's table is one dict keyed by canonical key, the canonically ordered
+input tuple, whose length is its arity; evaluation on any input order
+multiplies by the sign the declared symmetry dictates.  Swapping two adjacent
+inputs a, b contributes (``grading.sort_sign``)
 
     skew:       -(-1)^(parity(a) * parity(b))
     symmetric:   (-1)^(parity(a) * parity(b))
@@ -102,15 +103,22 @@ def canonical_tuples(
             yield tuple(map(generators.__getitem__, position))
 
 
+def canonical_order(
+    space: GradedSpace, keys: Iterable[tuple[BasisVector, ...]]
+) -> list[tuple[BasisVector, ...]]:
+    """Keys in the canonical entry order: by arity, then by generator positions."""
+    return sorted(keys, key=lambda key: (len(key), space.indices(key)))
+
+
 class BracketSystem:
-    """Arity-indexed sparse tables defining a bracket hierarchy."""
+    """A bracket hierarchy as one sparse table, ``{canonical key: Element}``."""
 
     def __init__(
         self,
         space: GradedSpace,
         symmetry: str,
         max_arity: int,
-        tables: Mapping[int, Mapping[tuple[BasisVector, ...], Element]],
+        tables: Mapping[tuple[BasisVector, ...], Element],
     ):
         self.space = space
         self.symmetry = symmetry
@@ -134,7 +142,7 @@ class BracketSystem:
         if symmetry not in (SKEW, SYMMETRIC):
             raise ValueError(f"unknown symmetry {symmetry!r}")
         space_id, skew, generators = space.space_id, symmetry == SKEW, space._index.keys()
-        tables: dict[int, dict[tuple[BasisVector, ...], Element]] = {}
+        tables: dict[tuple[BasisVector, ...], Element] = {}
         zeros = set()  # the keys of zero entries: stored nowhere, but entries all the same
         for inputs, output in entries:
             inputs = tuple(inputs)
@@ -152,7 +160,7 @@ class BracketSystem:
                     )
                 continue
             if not terms:
-                if key in zeros or key in tables.get(n, ()):
+                if key in zeros or key in tables:
                     raise ValueError(f"duplicate table entry for {key}")
                 zeros.add(key)
                 continue
@@ -169,12 +177,9 @@ class BracketSystem:
                     not _INT.issuperset(map(type, terms.values())):
                 output = Element._from_exact(
                     space_id, {v: int_if_integral(sign * c) for v, c in terms.items()})
-            table = tables.get(n)
-            if table is None:
-                table = tables[n] = {}
-            if key in table or key in zeros:
+            if key in tables or key in zeros:
                 raise ValueError(f"duplicate table entry for {key}")
-            table[key] = output
+            tables[key] = output
         return cls(space, symmetry, max_arity, tables)
 
     def evaluate(self, inputs: Sequence[BasisVector]) -> Element:
@@ -187,9 +192,9 @@ class BracketSystem:
             if len(inputs) > self.max_arity:
                 raise TruncationError(
                     f"arity {len(inputs)} exceeds the system's bound {self.max_arity}")
-            # a key the symmetry kills is None, and no table holds it
+            # a key the symmetry kills is None, and the table does not hold it
             key, sign = canonical_key(self.space, self.symmetry, inputs)
-            value = self.tables.get(len(inputs), {}).get(key)
+            value = self.tables.get(key)
             if value is None:
                 value = self._zero
             elif sign == -1:
@@ -198,23 +203,20 @@ class BracketSystem:
         return value
 
     def entry_count(self) -> int:
-        return sum(len(t) for t in self.tables.values())
+        return len(self.tables)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BracketSystem):
             return NotImplemented
-        return (
-            self.space == other.space
-            and self.symmetry == other.symmetry
-            and {n: dict(t) for n, t in self.tables.items() if t}
-            == {n: dict(t) for n, t in other.tables.items() if t}
-        )
+        return (self.space == other.space and self.symmetry == other.symmetry
+                and self.tables == other.tables)
 
 
 def first_difference(
     a: BracketSystem, b: BracketSystem, max_arity: int
 ) -> tuple | None:
-    """First discrepancy between two systems through the given arity.
+    """First discrepancy between two systems through the given arity, in
+    the canonical entry order (see ``canonical_order``).
 
     Returns ``None`` when they agree, otherwise a tuple
     ``(arity, key, value_a, value_b)``.  Systems on different spaces or of
@@ -223,14 +225,11 @@ def first_difference(
     if a.space != b.space or a.symmetry != b.symmetry:
         raise ValueError(f"cannot compare a {a.symmetry} system on {a.space!r} "
                          f"with a {b.symmetry} system on {b.space!r}")
-    for n in range(0, max_arity + 1):
-        ta = a.tables.get(n, {})
-        tb = b.tables.get(n, {})
-        for key in sorted(set(ta) | set(tb), key=a.space.indices):
-            va = ta.get(key, a._zero)
-            vb = tb.get(key, b._zero)
-            if va != vb:
-                return (n, key, va, vb)
+    keys = [key for key in a.tables.keys() | b.tables.keys() if len(key) <= max_arity]
+    for key in canonical_order(a.space, keys):
+        va, vb = a.tables.get(key, a._zero), b.tables.get(key, b._zero)
+        if va != vb:
+            return (len(key), key, va, vb)
     return None
 
 
@@ -368,16 +367,14 @@ def _shift_system(system: BracketSystem) -> BracketSystem:
     # order (a canonical key stays canonical, sign +1), a key repeats only the
     # parity the other symmetry allows, and every degree rule shifts alike.
     tables, signs = {}, {}  # signs: desuspension_sign by degree pattern
-    for n, table in system.tables.items():
-        shifted = tables[n] = {}
-        for key, output in table.items():
-            new_key = tuple(map(mapping.__getitem__, key))
-            pattern = tuple(map(_degree, new_key if down else key))
-            sign = signs.get(pattern)
-            if sign is None:
-                sign = signs[pattern] = desuspension_sign(pattern)
-            shifted[new_key] = Element._from_exact(
-                target_id, {mapping[v]: sign * c for v, c in output._terms.items()})
+    for key, output in system.tables.items():
+        new_key = tuple(map(mapping.__getitem__, key))
+        pattern = tuple(map(_degree, new_key if down else key))
+        sign = signs.get(pattern)
+        if sign is None:
+            sign = signs[pattern] = desuspension_sign(pattern)
+        tables[new_key] = Element._from_exact(
+            target_id, {mapping[v]: sign * c for v, c in output._terms.items()})
     return BracketSystem(GradedSpace(target_id, mapping.values()),
                          SYMMETRIC if down else SKEW, system.max_arity, tables)
 

@@ -34,7 +34,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from .brackets import SKEW, SYMMETRIC, BracketSystem
+from .brackets import SKEW, SYMMETRIC, BracketSystem, canonical_order
 from .errors import DocumentError
 from .grading import BasisVector, Element, GradedSpace, Rational, int_if_integral
 
@@ -98,15 +98,13 @@ def system_to_document(
         "max_arity": system.max_arity,
         "brackets": [],
     }
-    brackets = doc["brackets"]
-    for n in sorted(system.tables):
-        table = system.tables[n]
-        for key in sorted(table, key=system.space.indices):
-            terms = table[key].items()
-            if len(terms) > 1:
-                terms = sorted(terms, key=lambda vc: vc[0].name)
-            brackets.append({"inputs": list(map(_name, key)),
-                             "output": [{"gen": v.name, "coeff": str(c)} for v, c in terms]})
+    brackets, tables = doc["brackets"], system.tables
+    for key in canonical_order(system.space, tables):
+        terms = tables[key].items()
+        if len(terms) > 1:
+            terms = sorted(terms, key=lambda vc: vc[0].name)
+        brackets.append({"inputs": list(map(_name, key)),
+                         "output": [{"gen": v.name, "coeff": str(c)} for v, c in terms]})
     if delta is not None:
         doc["delta"] = {
             "bosons": delta.n_bosons,

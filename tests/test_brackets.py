@@ -377,8 +377,7 @@ def _pair_defects(system, n_max):
     odd = [g.parity for g in system.space.generators]
     entries = [
         (tuple(index(v) for v in key), [(index(v), c) for v, c in output.items()])
-        for n, table in system.tables.items() if 0 < n <= n_max
-        for key, output in table.items()
+        for key, output in system.tables.items() if 0 < len(key) <= n_max
     ]
     # by generator g: each entry B with g among its inputs, as (t, s_move,
     # output), where t is B's key less one g and s_move the sign of moving
@@ -470,7 +469,7 @@ def _assert_evaluate_follows_canonical_key(system, n_max):
     odd = [g.degree % 2 for g in space.generators]
     for n in range(n_max + 1):
         for tup in canonical_tuples(space, system.symmetry, n):
-            entry = system.tables.get(n, {}).get(tup)
+            entry = system.tables.get(tup)
             for order in set(permutations(tup)):
                 sign = _pair_sign(space.indices(order), odd, skew)
                 assert canonical_key(space, system.symmetry, order) == (tup, sign)
@@ -587,9 +586,8 @@ def test_a_basis_changed_example_passes_both_scans_and_a_mutant_fails_both():
     # defect of (v1, v2, w1, ..., w1)
     v1, v2, _, w1 = system.space.generators[:4]
     key = (v2,) + (w1,) * 5
-    changed = system.tables[6][key] + Element("V", {w1: 1})
-    entries = [(k, changed if k == key else value)
-               for table in system.tables.values() for k, value in table.items()]
+    changed = system.tables[key] + Element("V", {w1: 1})
+    entries = [(k, changed if k == key else value) for k, value in system.tables.items()]
     mutant = BracketSystem.from_entries(system.space, SKEW, entries, 6)
     report = _assert_matches_oracle(mutant, 6)
     assert [check.ok for check in report.checks] == [True] * 5 + [False]
@@ -729,8 +727,7 @@ def _evaluate_oracle(system, inputs):
     if len(inputs) > system.max_arity:
         raise TruncationError(
             f"arity {len(inputs)} exceeds the system's bound {system.max_arity}")
-    by_index = {system.space.indices(key): entry
-                for table in system.tables.values() for key, entry in table.items()}
+    by_index = {system.space.indices(key): entry for key, entry in system.tables.items()}
     position = system.space.indices(inputs)
     entry = by_index.get(tuple(sorted(position)))
     if entry is None:
@@ -748,7 +745,7 @@ def _systems_and_calls(draw):
         system = desuspend_system(system)
     generators = st.sampled_from(system.space.generators)
     ghost = BasisVector(system.space.space_id, "ghost", 0)
-    stored = [key for table in system.tables.values() for key in table]
+    stored = list(system.tables)
     kinds = [
         # repeats and every arity up to the bound
         st.lists(generators, max_size=system.max_arity),
@@ -836,11 +833,8 @@ def _by_position(system):
     """A system with its generators replaced by their positions: the degrees,
     and each table entry keyed by index tuple with coefficients by index."""
     index = system.space.generators.index
-    tables = {
-        n: {tuple(map(index, key)): {index(v): c for v, c in output.items()}
-            for key, output in table.items()}
-        for n, table in system.tables.items() if table
-    }
+    tables = {tuple(map(index, key)): {index(v): c for v, c in output.items()}
+              for key, output in system.tables.items()}
     return [g.degree for g in system.space.generators], system.symmetry, tables
 
 
@@ -901,22 +895,20 @@ def _shift_oracle(system):
         number = 1 + sum(h.degree == g.degree for h in mapping)
         mapping[g] = BasisVector(target_id, f"{prefixes[g.degree]}{number}", g.degree + shift)
     entries = []
-    for table in system.tables.values():
-        for key, output in table.items():
-            new_key = tuple(mapping[v] for v in key)
-            sign = desuspension_sign([v.degree for v in (new_key if down else key)])
-            entries.append((new_key, Element(
-                target_id, {mapping[v]: sign * c for v, c in output.items()})))
+    for key, output in system.tables.items():
+        new_key = tuple(mapping[v] for v in key)
+        sign = desuspension_sign([v.degree for v in (new_key if down else key)])
+        entries.append((new_key, Element(
+            target_id, {mapping[v]: sign * c for v, c in output.items()})))
     return BracketSystem.from_entries(GradedSpace(target_id, mapping.values()),
                                       SYMMETRIC if down else SKEW, entries,
                                       max_arity=system.max_arity)
 
 
 def _typed_tables(system):
-    """Each table entry's coefficients with their types, by arity and key."""
-    return {n: {key: {v: (c, type(c)) for v, c in output.items()}
-                for key, output in table.items()}
-            for n, table in system.tables.items()}
+    """Each table entry's coefficients with their types, by key."""
+    return {key: {v: (c, type(c)) for v, c in output.items()}
+            for key, output in system.tables.items()}
 
 
 def _assert_shift_matches_oracle(system):
@@ -967,7 +959,7 @@ def _from_entries_oracle(space, symmetry, entries, max_arity=DEFAULT_MAX_ARITY):
                 raise ValueError(f"symmetry forces the bracket of {inputs} to vanish")
             continue
         if output.is_zero():
-            if key in zeros or key in tables.get(n, {}):
+            if key in zeros or key in tables:
                 raise ValueError(f"duplicate table entry for {key}")
             zeros.add(key)
             continue
@@ -981,10 +973,9 @@ def _from_entries_oracle(space, symmetry, entries, max_arity=DEFAULT_MAX_ARITY):
                 )
             terms[vector] = int_if_integral(sign * coeff)
         space.indices(terms)  # ValueError on a non-generator
-        table = tables.setdefault(n, {})
-        if key in table or key in zeros:
+        if key in tables or key in zeros:
             raise ValueError(f"duplicate table entry for {key}")
-        table[key] = Element._from_exact(space_id, terms)
+        tables[key] = Element._from_exact(space_id, terms)
     return BracketSystem(space, symmetry, max_arity, tables)
 
 
@@ -1005,13 +996,11 @@ def _shift_system_oracle(system):
         number = 1 + sum(h.degree == g.degree for h in mapping)
         mapping[g] = BasisVector(target_id, f"{prefixes[g.degree]}{number}", g.degree + shift)
     tables = {}
-    for n, table in system.tables.items():
-        shifted = tables[n] = {}
-        for key, output in table.items():
-            new_key = tuple(map(mapping.__getitem__, key))
-            sign = desuspension_sign(tuple(v.degree for v in (new_key if down else key)))
-            shifted[new_key] = Element._from_exact(
-                target_id, {mapping[v]: sign * c for v, c in output.items()})
+    for key, output in system.tables.items():
+        new_key = tuple(map(mapping.__getitem__, key))
+        sign = desuspension_sign(tuple(v.degree for v in (new_key if down else key)))
+        tables[new_key] = Element._from_exact(
+            target_id, {mapping[v]: sign * c for v, c in output.items()})
     return BracketSystem(GradedSpace(target_id, mapping.values()),
                          SYMMETRIC if down else SKEW, system.max_arity, tables)
 
@@ -1031,10 +1020,10 @@ def _system_to_document_oracle(system):
         "max_arity": system.max_arity,
         "brackets": [],
     }
-    for n in sorted(system.tables):
-        table = system.tables[n]
-        for key in sorted(table, key=system.space.indices):
-            output = table[key]
+    for n in sorted({len(key) for key in system.tables}):
+        keys = [key for key in system.tables if len(key) == n]
+        for key in sorted(keys, key=system.space.indices):
+            output = system.tables[key]
             doc["brackets"].append(
                 {
                     "inputs": [v.name for v in key],
@@ -1115,8 +1104,7 @@ def _assert_same_tables(got, expected):
     assert (got.space, got.symmetry, got.max_arity) == \
         (expected.space, expected.symmetry, expected.max_arity)
     assert _typed_tables(got) == _typed_tables(expected)
-    assert all(type(value) is Element for table in got.tables.values()
-               for value in table.values())
+    assert all(type(value) is Element for value in got.tables.values())
 
 
 class _Tagged(Element):
@@ -1189,12 +1177,12 @@ def test_from_entries_keeps_only_plain_int_elements_in_canonical_order():
     halves = Element("V", {b: Fraction(4, 2)})
     system = BracketSystem.from_entries(
         space, SKEW, [((a, b), plain), ((a,), tagged), ((b, b, a), halves)])
-    assert system.tables[2][(a, b)] is plain
-    stored = [system.tables[1][(a,)], system.tables[3][(a, b, b)]]
+    assert system.tables[(a, b)] is plain
+    stored = [system.tables[(a,)], system.tables[(a, b, b)]]
     assert [(type(value), value) for value in stored] == [(Element, plain)] * 2
     assert [type(c) for value in stored for _, c in value.items()] == [int, int]
     swapped = BracketSystem.from_entries(space, SKEW, [((b, a), plain)])
-    assert swapped.tables[2][(a, b)] == Element("V", {b: -2})
+    assert swapped.tables[(a, b)] == Element("V", {b: -2})
     assert plain == Element("V", {b: 2})
 
 
@@ -1204,12 +1192,12 @@ def test_from_entries_keeps_or_rebuilds_the_entries_of_random_systems(system, da
     """Stored entries with int coefficients come back as the same objects;
     shuffled, every entry is rebuilt with its sign, and the stored ones stay
     as they were."""
-    entries = [(key, value) for table in system.tables.values() for key, value in table.items()]
+    entries = list(system.tables.items())
     kept = BracketSystem.from_entries(system.space, SKEW, entries, system.max_arity)
     _assert_same_tables(kept, system)
     for key, value in entries:
         if all(type(c) is int for _, c in value.items()):
-            assert kept.tables[len(key)][key] is value
+            assert kept.tables[key] is value
     before = _typed_tables(system)
     shuffled = [(data.draw(st.permutations(key)), value) for key, value in entries]
     _assert_same_tables(
@@ -1288,11 +1276,10 @@ def test_document_reader_matches_its_oracle_on_drawn_documents(drawn, data):
 def _assert_ints_where_integral(system):
     """Integral coefficients are stored as ints, the others as Fractions, and
     evaluate hands out the stored entries themselves."""
-    for table in system.tables.values():
-        for key, output in table.items():
-            for _, c in output.items():
-                assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), (key, c)
-            assert system.evaluate(key) is output
+    for key, output in system.tables.items():
+        for _, c in output.items():
+            assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), (key, c)
+        assert system.evaluate(key) is output
 
 
 @settings(max_examples=100, deadline=None)
@@ -1309,8 +1296,16 @@ def test_builtin_tables_hold_ints(ex1, ex2):
     for example in (ex1, ex2):
         for system in (example.skew_system, example.symmetric_system):
             _assert_ints_where_integral(system)
-            assert all(type(c) is int for table in system.tables.values()
-                       for output in table.values() for _, c in output.items())
+            assert all(type(c) is int for output in system.tables.values()
+                       for _, c in output.items())
+
+
+def test_entry_count_is_the_number_of_written_entries(ex1, ex2):
+    """One entry per stored key, as in the written document: example2's two
+    formulations are two structures, with tables of different sizes."""
+    for system, count in ((ex1.skew_system, 12), (ex1.symmetric_system, 12),
+                          (ex2.skew_system, 660), (ex2.symmetric_system, 440)):
+        assert system.entry_count() == len(system_to_document(system)["brackets"]) == count
 
 
 def test_shift_requires_the_two_band_grading():
@@ -1336,12 +1331,7 @@ def test_shift_direction_follows_the_symmetry(ex1):
 def test_first_difference_reports_location(ex1):
     W = ex1.symmetric_system
     t2, x = _gens(W, "theta2", "x1")
-    entries = [
-        (key, value)
-        for n, table in W.tables.items()
-        for key, value in table.items()
-        if n != 3
-    ]
+    entries = [(key, value) for key, value in W.tables.items() if len(key) != 3]
     pruned = BracketSystem.from_entries(W.space, SYMMETRIC, entries, W.max_arity)
     diff = first_difference(W, pruned, 8)
     assert diff is not None
@@ -1349,6 +1339,10 @@ def test_first_difference_reports_location(ex1):
     assert arity == 3
     assert key == (t2, x, x)
     assert right.is_zero() and not left.is_zero()
+    # the bound is the last arity compared: below the first differing one,
+    # the systems agree, and at it the same discrepancy shows
+    assert first_difference(W, pruned, 2) is None
+    assert first_difference(W, pruned, 3) == (3, (t2, x, x), left, right)
     assert first_difference(W, W, 10) is None
     # systems on different spaces or of different symmetry have nothing to compare
     for other in (ex1.skew_system, BracketSystem.from_entries(W.space, SKEW, [])):

@@ -219,14 +219,12 @@ def test_loaded_tables_hold_ints_where_integral(tmp_path, ex1):
     path = tmp_path / "mixed.json"
     save_document(doc, path)
     system, _ = load_document(path)
-    coeffs = [c for table in system.tables.values()
-              for output in table.values() for _, c in output.items()]
+    coeffs = [c for output in system.tables.values() for _, c in output.items()]
     assert Fraction(5, 3) in coeffs and 2 in coeffs
     for c in coeffs:
         assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), c
-    for table in system.tables.values():
-        for key, output in table.items():
-            assert system.evaluate(key) is output
+    for key, output in system.tables.items():
+        assert system.evaluate(key) is output
 
 
 def test_coefficients_keep_to_the_digit_limit(capsys, tmp_path, ex1):

@@ -300,11 +300,10 @@ def test_brackets_from_delta_zero_spec_is_zero():
 def test_bracket_outputs_satisfy_the_parity_rule(ex1, ex2):
     for system in (brackets_from_delta(ex1.delta_spec, 4),
                    brackets_from_delta(ex2.delta_spec, 4)):
-        for n, table in system.tables.items():
-            for key, value in table.items():
-                parity = (1 + sum(v.degree for v in key)) % 2
-                for vector, _ in value.items():
-                    assert vector.parity == parity
+        for key, value in system.tables.items():
+            parity = (1 + sum(v.degree for v in key)) % 2
+            for vector, _ in value.items():
+                assert vector.parity == parity
 
 
 def test_rebuilt_systems_follow_the_symmetric_sign_rule(ex1, ex2):

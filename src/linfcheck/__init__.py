@@ -15,8 +15,7 @@ _HOME = {
     name: module
     for module, names in {
         "brackets": ("SKEW", "SYMMETRIC", "BracketSystem", "JacobiReport",
-                     "desuspend_system", "first_difference", "jacobi_summands",
-                     "suspend_system", "verify_jacobi"),
+                     "desuspend_system", "first_difference", "verify_jacobi"),
         "builtin": ("ExampleSystems", "b_closed", "c1_closed", "c1_recursive",
                     "c2_daily", "example1_system", "example2_system",
                     "theta_sector_sign"),

@@ -111,7 +111,12 @@ def canonical_order(
 
 
 class BracketSystem:
-    """A bracket hierarchy as one sparse table, ``{canonical key: Element}``."""
+    """A bracket hierarchy as one sparse table, ``{canonical key: Element}``.
+
+    Every stored entry on n inputs has degree sum(input degrees) + 2 - n
+    (skew) or sum(input degrees) + 1 (symmetric).  ``from_entries`` is the
+    one check of this rule and ``desuspend_system`` keeps it; a system built
+    directly with ``BracketSystem(...)`` must obey it too."""
 
     def __init__(
         self,
@@ -237,27 +242,13 @@ def first_difference(
 # generalized Jacobi identities
 # ---------------------------------------------------------------------------
 
-def jacobi_summands(
-    system: BracketSystem, inputs: Sequence[BasisVector]
-) -> dict[int, Element]:
-    """Per-inner-arity aggregates of the Jacobi expression on ``inputs``.
-
-    For each split i + j = n + 1 this is the sum over (i, n-i) unshuffles of
-    koszul_sign * perm_sign * l_j(l_i(head), tail), without the alternating
-    prefactor; ``verify_jacobi`` weights summand i by (-1)^(i * (n - i)).
-    """
-    if system.symmetry != SKEW:
-        raise ValueError("Jacobi identities are stated for skew systems")
-    space_id = system.space.space_id
-    return {i: Element._from_exact(space_id, acc)
-            for i, acc in enumerate(_split_sums(system, tuple(inputs)), 1)}
-
-
 def _split_sums(system: BracketSystem, inputs: tuple) -> list[dict]:
-    """The coefficient dicts of the summands i = 1 .. n, in order, zeros not
-    dropped.  The (i, n-i) unshuffles list their heads in the order of
-    ``combinations(inputs, i)`` and their tails in the reverse order of
-    ``combinations(inputs, n - i)``."""
+    """The Jacobi summands on ``inputs``, i = 1 .. n in order, as coefficient
+    dicts, zeros not dropped: summand i sums koszul_sign * perm_sign *
+    l_j(l_i(head), tail) over the (i, n-i) unshuffles, without the weight
+    (-1)^(i * (n - i)) that ``verify_jacobi`` applies.  Their heads come in
+    the order of ``combinations(inputs, i)`` and their tails in the reverse
+    order of ``combinations(inputs, n - i)``."""
     n = len(inputs)
     degrees = tuple(v.degree for v in inputs)
     evaluate = system.evaluate
@@ -347,38 +338,6 @@ def verify_jacobi(system: BracketSystem, n_max: int) -> JacobiReport:
 # the degree-shift functor between the two symmetries
 # ---------------------------------------------------------------------------
 
-def _shift_system(system: BracketSystem) -> BracketSystem:
-    """The system on the shifted space, generators mapped in order.  The
-    symmetry sets the direction: skew goes down to "W", symmetric up to "V"."""
-    down = system.symmetry == SKEW
-    prefixes = {0: "theta", 1: "x"} if down else {-1: "v", 0: "w"}  # by degree
-    degrees = {g.degree for g in system.space.generators}
-    if not degrees <= prefixes.keys():
-        raise ValueError(
-            f"degree shift is implemented for spaces concentrated in degrees "
-            f"{sorted(prefixes)}, got {sorted(degrees)}"
-        )
-    target_id, shift = ("W", -1) if down else ("V", 1)
-    mapping = {}
-    for g in system.space.generators:
-        number = 1 + sum(h.degree == g.degree for h in mapping)
-        mapping[g] = BasisVector(target_id, f"{prefixes[g.degree]}{number}", g.degree + shift)
-    # Valid by construction, so from_entries is skipped: generators map in
-    # order (a canonical key stays canonical, sign +1), a key repeats only the
-    # parity the other symmetry allows, and every degree rule shifts alike.
-    tables, signs = {}, {}  # signs: desuspension_sign by degree pattern
-    for key, output in system.tables.items():
-        new_key = tuple(map(mapping.__getitem__, key))
-        pattern = tuple(map(_degree, new_key if down else key))
-        sign = signs.get(pattern)
-        if sign is None:
-            sign = signs[pattern] = desuspension_sign(pattern)
-        tables[new_key] = Element._from_exact(
-            target_id, {mapping[v]: sign * c for v, c in output._terms.items()})
-    return BracketSystem(GradedSpace(target_id, mapping.values()),
-                         SYMMETRIC if down else SKEW, system.max_arity, tables)
-
-
 def desuspend_system(system: BracketSystem) -> BracketSystem:
     """Convert a skew hierarchy on degrees {0, 1} into the symmetric
     degree-+1 hierarchy on the shifted space (degrees {-1, 0}).
@@ -389,12 +348,28 @@ def desuspend_system(system: BracketSystem) -> BracketSystem:
     """
     if system.symmetry != SKEW:
         raise ValueError("can only desuspend a skew system")
-    return _shift_system(system)
-
-
-def suspend_system(system: BracketSystem) -> BracketSystem:
-    """Inverse of :func:`desuspend_system` up to generator names, onto a space
-    with id "V": v1, v2, ... (degree -1) and w1, w2, ... (degree 0), in order."""
-    if system.symmetry != SYMMETRIC:
-        raise ValueError("can only suspend a symmetric system")
-    return _shift_system(system)
+    prefixes = {0: "theta", 1: "x"}  # by degree
+    degrees = {g.degree for g in system.space.generators}
+    if not degrees <= prefixes.keys():
+        raise ValueError(
+            f"degree shift is implemented for spaces concentrated in degrees "
+            f"{sorted(prefixes)}, got {sorted(degrees)}"
+        )
+    mapping = {}
+    for g in system.space.generators:
+        number = 1 + sum(h.degree == g.degree for h in mapping)
+        mapping[g] = BasisVector("W", f"{prefixes[g.degree]}{number}", g.degree - 1)
+    # Valid by construction, so from_entries is skipped: generators map in
+    # order (a canonical key stays canonical, sign +1), a key repeats only the
+    # parity the symmetric side allows, and every degree rule shifts alike.
+    tables, signs = {}, {}  # signs: desuspension_sign by degree pattern
+    for key, output in system.tables.items():
+        new_key = tuple(map(mapping.__getitem__, key))
+        pattern = tuple(map(_degree, new_key))
+        sign = signs.get(pattern)
+        if sign is None:
+            sign = signs[pattern] = desuspension_sign(pattern)
+        tables[new_key] = Element._from_exact(
+            "W", {mapping[v]: sign * c for v, c in output._terms.items()})
+    return BracketSystem(GradedSpace("W", mapping.values()), SYMMETRIC,
+                         system.max_arity, tables)

@@ -14,14 +14,13 @@ from linfcheck.brackets import (
     ArityCheck,
     BracketSystem,
     JacobiReport,
+    _split_sums,
     _vanishes,
     canonical_key,
     canonical_tuples,
     desuspend_system,
     desuspension_sign,
     first_difference,
-    jacobi_summands,
-    suspend_system,
     verify_jacobi,
 )
 from linfcheck.builtin import c1_closed, example1_system, example2_system
@@ -61,11 +60,17 @@ def _gens(system, *names):
     return tuple(system.space.generator(n) for n in names)
 
 
+def _summands(system, inputs):
+    """``_split_sums`` as ``Element``s by inner arity, without the weights."""
+    return {i: Element._from_exact(system.space.space_id, acc)
+            for i, acc in enumerate(_split_sums(system, tuple(inputs)), 1)}
+
+
 def _split_defect(system, inputs):
     """The defect on ``inputs`` and its weighted nonzero summands by inner arity."""
     n = len(inputs)
     parts = {i: (-1) ** (i * (n - i)) * summand
-             for i, summand in jacobi_summands(system, inputs).items()
+             for i, summand in _summands(system, inputs).items()
              if not summand.is_zero()}
     return sum(parts.values(), Element(system.space.space_id)), parts
 
@@ -122,9 +127,8 @@ def test_eval_guards(ex1):
         verify_jacobi(V, bound + 1)
     # the identities are stated on the skew side only
     W = ex1.symmetric_system
-    for check in (lambda: verify_jacobi(W, 2), lambda: jacobi_summands(W, W.space.generators)):
-        with pytest.raises(ValueError, match="^Jacobi identities are stated for skew systems$"):
-            check()
+    with pytest.raises(ValueError, match="^Jacobi identities are stated for skew systems$"):
+        verify_jacobi(W, 2)
 
 
 def test_degree_rule_enforced_at_construction():
@@ -349,7 +353,7 @@ def test_summands_match_the_compact_per_split_values(ex1):
     v1, v2, w = _gens(V, "v1", "v2", "w")
     for n in range(4, 9):
         inputs = (v1, v2) + (w,) * (n - 2)
-        summands = jacobi_summands(V, inputs)
+        summands = _summands(V, inputs)
         assert summands[1] == -c1_closed(n) * Element.basis(w)
         assert summands[2] == (n - 2) * c1_closed(n - 1) * Element.basis(w)
         expected = (-1) ** n * c1_closed(n - 1) * Element.basis(w)
@@ -648,11 +652,11 @@ def _verify_jacobi_oracle(system, n_max):
 
 
 def _assert_summands_match_oracle(system, n_max):
-    """The one summation path, ``_split_sums`` as ``jacobi_summands`` wraps
-    it, gives the oracle's summands on every canonical tuple."""
+    """The one summation path, ``_split_sums``, gives the oracle's summands
+    on every canonical tuple."""
     for n in range(1, n_max + 1):
         for tup in canonical_tuples(system.space, SKEW, n):
-            assert jacobi_summands(system, tup) == _jacobi_summands_oracle(system, tup), tup
+            assert _summands(system, tup) == _jacobi_summands_oracle(system, tup), tup
 
 
 @settings(max_examples=100, deadline=None)
@@ -842,7 +846,7 @@ def _assert_round_trip(system):
     """Raising the lowered system gives the system back up to generator
     names, and lowering it again gives exactly the first lowered system."""
     lowered = desuspend_system(system)
-    raised = suspend_system(lowered)
+    raised = _shift_oracle(lowered)
     assert _by_position(raised) == _by_position(system)
     assert desuspend_system(raised) == lowered
 
@@ -852,7 +856,7 @@ def test_round_trip_through_the_shift(ex1, ex2):
         _assert_round_trip(system)
     # and the symmetric side round-trips too
     lowered = ex1.symmetric_system
-    raised = suspend_system(lowered)
+    raised = _shift_oracle(lowered)
     assert desuspend_system(raised) == lowered
 
 
@@ -886,7 +890,9 @@ def test_documents_round_trip_on_random_systems(system):
 
 def _shift_oracle(system):
     """The degree shift as it was written before the tables were mapped
-    directly: shifted entries, checked again by ``from_entries``."""
+    directly: shifted entries, checked again by ``from_entries``.  The
+    symmetry sets the direction: skew down to "W", as ``desuspend_system``
+    goes, and symmetric up to "V", the tests' one route back to the skew side."""
     down = system.symmetry == SKEW
     prefixes = {0: "theta", 1: "x"} if down else {-1: "v", 0: "w"}
     target_id, shift = ("W", -1) if down else ("V", 1)
@@ -912,12 +918,10 @@ def _typed_tables(system):
 
 
 def _assert_shift_matches_oracle(system):
-    lowered = desuspend_system(system)
-    for shifted, source in ((lowered, system), (suspend_system(lowered), lowered)):
-        expected = _shift_oracle(source)
-        assert (shifted.space, shifted.symmetry, shifted.max_arity) == \
-            (expected.space, expected.symmetry, expected.max_arity)
-        assert _typed_tables(shifted) == _typed_tables(expected)
+    lowered, expected = desuspend_system(system), _shift_oracle(system)
+    assert (lowered.space, lowered.symmetry, lowered.max_arity) == \
+        (expected.space, expected.symmetry, expected.max_arity)
+    assert _typed_tables(lowered) == _typed_tables(expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -934,7 +938,7 @@ def test_shift_matches_the_checked_oracle_on_the_builtins(ex1, ex2):
 # -- the table layer against its earlier bodies -------------------------------------
 #
 # ``from_entries`` keeps an entry's ``Element`` when it is already what it would
-# build, ``_shift_system`` memoises its sign per degree pattern, the document
+# build, ``desuspend_system`` memoises its sign per degree pattern, the document
 # reader finds generators by name in one dict and the writer sorts only
 # outputs of more than one term. The oracles below are the bodies these
 # replaced, kept to check them against.
@@ -980,29 +984,27 @@ def _from_entries_oracle(space, symmetry, entries, max_arity=DEFAULT_MAX_ARITY):
 
 
 def _shift_system_oracle(system):
-    """``_shift_system`` as it was written before it memoised the sign: one
+    """``desuspend_system`` as it was written before it memoised the sign: one
     ``desuspension_sign`` call per entry."""
-    down = system.symmetry == SKEW
-    prefixes = {0: "theta", 1: "x"} if down else {-1: "v", 0: "w"}
+    prefixes = {0: "theta", 1: "x"}
     degrees = {g.degree for g in system.space.generators}
     if not degrees <= prefixes.keys():
         raise ValueError(
             f"degree shift is implemented for spaces concentrated in degrees "
             f"{sorted(prefixes)}, got {sorted(degrees)}"
         )
-    target_id, shift = ("W", -1) if down else ("V", 1)
     mapping = {}
     for g in system.space.generators:
         number = 1 + sum(h.degree == g.degree for h in mapping)
-        mapping[g] = BasisVector(target_id, f"{prefixes[g.degree]}{number}", g.degree + shift)
+        mapping[g] = BasisVector("W", f"{prefixes[g.degree]}{number}", g.degree - 1)
     tables = {}
     for key, output in system.tables.items():
         new_key = tuple(map(mapping.__getitem__, key))
-        sign = desuspension_sign(tuple(v.degree for v in (new_key if down else key)))
+        sign = desuspension_sign(tuple(v.degree for v in new_key))
         tables[new_key] = Element._from_exact(
-            target_id, {mapping[v]: sign * c for v, c in output.items()})
-    return BracketSystem(GradedSpace(target_id, mapping.values()),
-                         SYMMETRIC if down else SKEW, system.max_arity, tables)
+            "W", {mapping[v]: sign * c for v, c in output.items()})
+    return BracketSystem(GradedSpace("W", mapping.values()), SYMMETRIC,
+                         system.max_arity, tables)
 
 
 def _system_to_document_oracle(system):
@@ -1218,7 +1220,6 @@ def test_shift_document_reader_and_writer_match_their_oracles(system):
     assert got[0] == expected[0]
     if got[0] == "ok":
         _assert_same_tables(got[1], expected[1])
-        _assert_same_tables(suspend_system(got[1]), _shift_system_oracle(got[1]))
         systems.append(got[1])
     else:
         assert got == expected
@@ -1289,7 +1290,7 @@ def test_tables_hold_ints_where_integral(system):
     if {g.degree for g in system.space.generators} <= {0, 1}:
         lowered = desuspend_system(system)
         _assert_ints_where_integral(lowered)
-        _assert_ints_where_integral(suspend_system(lowered))
+        _assert_ints_where_integral(_shift_oracle(lowered))
 
 
 def test_builtin_tables_hold_ints(ex1, ex2):
@@ -1314,18 +1315,11 @@ def test_shift_requires_the_two_band_grading():
     system = BracketSystem.from_entries(space, SKEW, [])
     with pytest.raises(ValueError):
         desuspend_system(system)
-    # a symmetric space must sit in degrees -1 and 0 to be raised
-    b = BasisVector("W", "b", 1)
-    system = BracketSystem.from_entries(GradedSpace("W", (b,)), SYMMETRIC, [])
-    with pytest.raises(ValueError, match=r"concentrated in degrees \[-1, 0\], got \[1\]"):
-        suspend_system(system)
 
 
 def test_shift_direction_follows_the_symmetry(ex1):
     with pytest.raises(ValueError, match="can only desuspend a skew system"):
         desuspend_system(ex1.symmetric_system)
-    with pytest.raises(ValueError, match="can only suspend a symmetric system"):
-        suspend_system(ex1.skew_system)
 
 
 def test_first_difference_reports_location(ex1):

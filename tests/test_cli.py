@@ -103,18 +103,24 @@ def test_verify_zero_system_passes(capsys, tmp_path):
     assert code == 0
 
 
-def test_verify_one_odd_generator_passes_with_one_tuple_per_arity(capsys, tmp_path):
-    # (w, ..., w) is the only tuple of each arity, and every nested term of its
-    # 2^n unshuffles is zero; the scan is exponential in the arity here, so
-    # keep such documents at or below arity 16
-    doc = {"version": "1", "space": {"id": "V", "generators": [{"name": "w", "degree": 1}]},
-           "symmetry": "skew", "max_arity": 12, "brackets": []}
-    path = tmp_path / "one.json"
+@pytest.mark.parametrize("degrees, tuples", [((1,), [1] * 12), ((1, 3), list(range(2, 12)))],
+                         ids=["one", "two"])
+def test_verify_odd_generators_without_brackets_pass(capsys, tmp_path, degrees, tuples):
+    # every tuple of odd generators is canonical: (w1, ..., w1) alone on one,
+    # n + 1 tuples of arity n on two; every nested term of a tuple's 2^n
+    # unshuffles is zero, and the scan is exponential in the arity here, so
+    # keep such documents at or below arity 16 on one generator, 14 on two
+    max_arity = len(tuples)
+    generators = [{"name": f"w{k}", "degree": d} for k, d in enumerate(degrees, 1)]
+    doc = {"version": "1", "space": {"id": "V", "generators": generators},
+           "symmetry": "skew", "max_arity": max_arity, "brackets": []}
+    path = tmp_path / "odd.json"
     path.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "verify", str(path), "--max-arity", "12", "--json")
+    code, out, _ = run(capsys, "verify", str(path), "--max-arity", str(max_arity), "--json")
     report = json.loads(out)
-    assert (code, report["pass"], report["max_arity"]) == (0, True, 12)
-    assert report["arities"] == [{"arity": n, "ok": True, "tuples": 1} for n in range(1, 13)]
+    assert (code, report["pass"], report["max_arity"]) == (0, True, max_arity)
+    assert report["arities"] == [{"arity": n, "ok": True, "tuples": count}
+                                 for n, count in enumerate(tuples, 1)]
 
 
 def test_verify_on_a_space_without_generators_is_a_usage_error(capsys, tmp_path):
@@ -752,5 +758,7 @@ def test_package_names_resolve_on_first_access():
     exec("from linfcheck import *", namespace)
     assert set(linfcheck.__all__) <= set(namespace) & set(dir(linfcheck))
     assert namespace["g_series"] is series.g_series
-    with pytest.raises(AttributeError):
-        linfcheck.no_such_name
+    # a made-up name does not resolve, nor do the names that left the package
+    for name in ("no_such_name", "suspend_system", "jacobi_summands"):
+        with pytest.raises(AttributeError):
+            getattr(linfcheck, name)

@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linfcheck
-from linfcheck.brackets import first_difference, suspend_system, verify_jacobi
+from linfcheck.brackets import first_difference, verify_jacobi
 from linfcheck.builtin import b_closed, example1_system, example2_system
 from linfcheck.cli import main
 from linfcheck.document import save_document, system_to_document
@@ -43,6 +43,7 @@ from linfcheck.superspace import (
     nilpotency_conditions,
 )
 from series_ops import from_coeffs
+from test_brackets import _shift_oracle
 from test_superspace import _orbit_scan, apply_delta
 
 MAX_ARITY = 5
@@ -141,7 +142,7 @@ def _first_jacobi_failure(skew, max_arity=MAX_ARITY):
 @given(st.one_of(_solved(), _second_family(), _constant_g(), _mutant()), st.booleans())
 def test_first_jacobi_failure_is_the_first_unkilled_monomial(drawn, through_cli):
     spec, holds, declared = drawn  # holds: the known verdict, None when unknown
-    skew = suspend_system(brackets_from_delta(spec, MAX_ARITY))
+    skew = _shift_oracle(brackets_from_delta(spec, MAX_ARITY))
     arity = _first_jacobi_failure(skew)
     assert arity == _first_unkilled_count(spec)
     if holds is not None:

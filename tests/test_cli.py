@@ -720,8 +720,15 @@ _MODULES_SCRIPT = ("import sys; from linfcheck.cli import main; code = main(sys.
      {"dataclasses", "inspect"}),
     (("compare", "{operator}"), {"linfcheck.superspace", "linfcheck.document"},
      {"linfcheck.builtin", "dataclasses", "inspect"}),
+    (("coefficients", "lambert", "10", "--check"), {"linfcheck.series"},
+     {"linfcheck.builtin", "linfcheck.brackets", "linfcheck.superspace", "linfcheck.document"}),
+    (("delta-check", "{operator}"), {"linfcheck.document", "linfcheck.superspace"},
+     {"linfcheck.builtin"}),
+    (("export", "example2", "-o", "{out}"),
+     {"linfcheck.builtin", "linfcheck.brackets", "linfcheck.superspace", "linfcheck.series",
+      "linfcheck.document"}, {"dataclasses", "inspect"}),
 ], ids=["coefficients", "verify-document", "verify-builtin", "delta-check-builtin",
-        "compare-document"])
+        "compare-document", "coefficients-lambert", "delta-check-document", "export"])
 def test_a_command_imports_only_what_it_runs(tmp_path, argv, needed, unused):
     ex = example1_system()
     skew, operator = tmp_path / "skew.json", tmp_path / "operator.json"
@@ -730,7 +737,7 @@ def test_a_command_imports_only_what_it_runs(tmp_path, argv, needed, unused):
     src = Path(linfcheck.__file__).resolve().parents[1]
     done = subprocess.run(
         [sys.executable, "-c", _MODULES_SCRIPT,
-         *(a.format(skew=skew, operator=operator) for a in argv)],
+         *(a.format(skew=skew, operator=operator, out=tmp_path / "out.json") for a in argv)],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
         timeout=60)
     assert done.returncode == 0, done.stderr

@@ -1,6 +1,7 @@
 """Deep checks of linfcheck against counts from closed forms: ``PYTHONPATH=src python3
-tests/deep_checks.py DIR`` writes into DIR, prints one ``ok`` or ``FAILED`` line per check
-and exits 1 if any fails. ``tests/test_deep_checks.py`` runs ``main`` at small bounds."""
+tests/deep_checks.py DIR`` writes into DIR, which it creates if it is missing, prints one
+``ok`` or ``FAILED`` line per check and exits 1 if any fails, 2 without DIR.
+``tests/test_deep_checks.py`` runs ``main`` at small bounds."""
 
 import json
 import os
@@ -10,14 +11,8 @@ import time
 from math import comb
 from pathlib import Path
 
-import linfcheck
-from linfcheck.document import save_document, system_to_document
-
-# the structures of the benchmark's mutants workload at seed 1
-STRUCTURES = {"example1-intact": {}, "example1-C4": {"c_values": {4: -22}},
-              "example1-C5": {"c_values": {5: 7}}, "example1-C6": {"c_values": {6: 25}},
-              "example2-intact": {}, "example2-B2": {"b_values": {2: 22}},
-              "example2-B3": {"b_values": {3: 19}}, "example2-B4": {"b_values": {4: -25}}}
+from linfcheck.document import save_document
+from structures import STRUCTURES, write_seed1
 
 COUNTS = {"export": ("wrote", lambda r: r["wrote"]),
           "verify": ("tuples", lambda r: sum(a["tuples"] for a in r["arities"])),
@@ -67,22 +62,19 @@ def check(args: list[str], want, label: str = "", peak: bool = False) -> bool:
     return got == want
 
 
-def check_structure(tmp: str, label: str, values: dict, degree: int, arity: int) -> bool:
+def check_structure(stem: Path, intact: bool, degree: int, arity: int) -> bool:
     """Intact ones pass both checks; mutants fail both, the witness of the failing arity's size."""
-    ex, doc = getattr(linfcheck, label.split("-")[0] + "_system")(**values), f"{tmp}/{label}"
-    save_document(system_to_document(ex.skew_system), f"{doc}.jacobi.json")
-    save_document(system_to_document(ex.symmetric_system, ex.delta_spec), f"{doc}.operator.json")
     (d_code, delta, d_wall, _, d_err), (v_code, verify, v_wall, _, v_err) = (
-        run("delta-check", f"{doc}.operator.json", "--degree", str(degree)),
-        run("verify", f"{doc}.jacobi.json", "--max-arity", str(arity)))
-    want, codes, note = 1 if values else 0, (d_code, v_code), ""
+        run("delta-check", f"{stem}.operator.json", "--degree", str(degree)),
+        run("verify", f"{stem}.jacobi.json", "--max-arity", str(arity)))
+    want, codes, note = 0 if intact else 1, (d_code, v_code), ""
     ok = codes == (want, want)
     if ok and want:
         size = witness_size(delta["witness"])
         first = next(a["arity"] for a in verify["arities"] if not a["ok"])
         ok = size == first
         note = f", witness {delta['witness']} (size {size}), first failing arity {first}"
-    print(label, "ok" if ok else "FAILED", f"exits {codes} (want {want}, {want}){note},",
+    print(stem.name, "ok" if ok else "FAILED", f"exits {codes} (want {want}, {want}){note},",
           f"{d_wall + v_wall:.2f} s wall", d_err, v_err)
     return ok
 
@@ -90,6 +82,7 @@ def check_structure(tmp: str, label: str, values: dict, degree: int, arity: int)
 def main(tmp: str, arity: int = 10, degrees=((18, 24), (30, 32)), structure_bounds=(18, 6),
          odd_arities=(16, 14)) -> int:
     """Every check at the given bounds, CI's by default: 0 if all pass, else 1."""
+    Path(tmp).mkdir(parents=True, exist_ok=True)
     checks = []
     # no brackets, 2^n unshuffles per tuple; run first, since a child's peak RSS starts at ours
     for label, degs, top in zip(("one-generator", "two-generator"), ([1], [1, 3]), odd_arities):
@@ -113,10 +106,13 @@ def main(tmp: str, arity: int = 10, degrees=((18, 24), (30, 32)), structure_boun
     for path in filter(os.path.exists, (jacobi, operator)):  # one line per field and entry
         data = Path(path).read_bytes()
         print(f"{path.replace(tmp, 'DIR')}: {len(data):,} bytes,", data.count(b"\n"), "lines")
-    checks += [check_structure(tmp, label, values, *structure_bounds)
-               for label, values in STRUCTURES.items()]
+    checks += [check_structure(stem, index is None, *structure_bounds)
+               for stem, (_, index, _) in zip(write_seed1(tmp), STRUCTURES)]
     return 0 if all(checks) else 1
 
 
 if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        print("usage: PYTHONPATH=src python3 tests/deep_checks.py DIR", file=sys.stderr)
+        sys.exit(2)
     sys.exit(main(sys.argv[1]))

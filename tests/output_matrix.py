@@ -11,8 +11,10 @@ that writes a file also hashes the file's bytes. The rows cover:
 * ``export`` of both builtins in both formulations, to stdout and to a file;
 * the commands of ``tests/test_golden.py`` on its documents, and the bytes
   of those documents;
-* the 16 seed-1 ``mutants`` commands of ``perfbench/workloads.py`` on the
-  documents it writes, and the bytes of those documents.
+* ``verify`` to arity 6 and ``delta-check`` to degree 6 on both formulations
+  of each seed-1 structure of ``tests/structures.py`` (the documents and
+  commands of the benchmark's ``mutants`` workload), and the bytes of those
+  documents.
 
 Every command runs in text and with ``--json``. Rows whose text depends on
 the Python version (argparse usage errors, int's digit limit) are left out.
@@ -25,28 +27,17 @@ intended output change. Regenerate them with
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import io
 import json
-import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from linfcheck.cli import main
+from structures import write_seed1
 
 HERE = Path(__file__).parent
 HASHES = HERE / "output_matrix.sha256"
-MUTANTS_SEED = 1
-
-
-def _workloads():
-    """``perfbench/workloads.py``, loaded from its file."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", HERE.parent / "perfbench" / "workloads.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for dataclass
-    spec.loader.exec_module(module)
-    return module
 
 
 def _commands(tmp: Path) -> list[tuple[str, ...]]:
@@ -68,10 +59,9 @@ def _commands(tmp: Path) -> list[tuple[str, ...]]:
     documents = _documents(tmp)
     commands += [tuple(arg.format(**documents) for arg in argv)
                  for argv, _ in (CASES[case] for case in sorted(CASES))]
-    workloads = _workloads()
-    workloads.write_documents(MUTANTS_SEED, tmp)
-    for command in workloads.commands("mutants", MUTANTS_SEED, tmp):
-        commands.append(tuple(arg for arg in command.args if arg != "--json"))
+    for stem in write_seed1(tmp):
+        commands += [("verify", f"{stem}.jacobi.json", "--max-arity", "6"),
+                     ("delta-check", f"{stem}.operator.json", "--degree", "6")]
     return [tuple(arg.replace(str(tmp), "{tmp}") for arg in argv) for argv in commands]
 
 

@@ -28,20 +28,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linfcheck.brackets import SYMMETRIC, canonical_tuples
-from linfcheck.builtin import example1_system, example2_system
 from linfcheck.grading import Element
 from linfcheck.series import Series
 from linfcheck.superspace import (
-    DeltaSpec,
     SuperMonomial,
     SuperPoly,
     brackets_from_delta,
     delta_squared_check,
     nilpotency_conditions,
 )
-from series_ops import from_coeffs
-
-_SECTORS = ((), (1,), (2,), (1, 2))
+from structures import SECTORS, STRUCTURES, apply_delta, build, operator_specs
 
 # theta1 <-> theta2 on each theta block: phi(theta1 theta2) = theta2 theta1 = -theta1 theta2
 _SWAPPED = {(): (1, ()), (1,): (1, (2,)), (2,): (1, (1,)), (1, 2): (-1, (1, 2))}
@@ -125,31 +121,11 @@ def _assert_same_verdicts(spec, transformed, degree):
     return report.passed
 
 
-@st.composite
-def _specs(draw, order=4, curved=True):
-    n_bosons = draw(st.integers(1, 3))
-
-    def series():
-        return from_coeffs(draw(st.lists(st.integers(-2, 2), min_size=order + 1,
-                                         max_size=order + 1)))
-
-    zero = Series.zero(order)
-    return DeltaSpec(
-        n_bosons=n_bosons,
-        f=(series(), series()),
-        g=tuple(tuple(series() for _ in range(n_bosons)) for _ in (1, 2)),
-        h=(series(), series()) if curved and draw(st.booleans()) else (zero, zero),
-        momentum_shift=draw(st.booleans()),
-    )
-
-
 @settings(max_examples=40, deadline=None)
-@given(_specs(), st.sampled_from(("swap", "permute", "rescale")))
+@given(operator_specs(3), st.sampled_from(("swap", "permute", "rescale")))
 def test_each_rule_conjugates_the_operator(spec, name):
-    from test_superspace import apply_delta  # which imports this module's rules
-
     transformed, phi = _rules(spec.n_bosons)[name](spec)
-    for fermions in _SECTORS:
+    for fermions in SECTORS:
         for bosons in product(range(3), repeat=spec.n_bosons):
             if sum(bosons) > 2:
                 continue
@@ -159,25 +135,10 @@ def test_each_rule_conjugates_the_operator(spec, name):
     _assert_same_verdicts(spec, transformed, spec.coefficient_order - 1)
 
 
-_BUNDLED = [
-    ("example1", None, None), ("example2", None, None),
-    # the seed-1 mutants of the benchmark's mutants workload
-    ("example1", 4, -22), ("example1", 5, 7), ("example1", 6, 25),
-    ("example2", 2, 22), ("example2", 3, 19), ("example2", 4, -25),
-]
-
-
-def _bundled_spec(example, index, value):
-    changes = {} if index is None else {index: value}
-    if example == "example1":
-        return example1_system(c_values=changes).delta_spec
-    return example2_system(b_values=changes).delta_spec
-
-
 @pytest.mark.parametrize("name", ["swap", "permute", "rescale"])
-@pytest.mark.parametrize("example, index, value", _BUNDLED)
+@pytest.mark.parametrize("example, index, value", STRUCTURES)
 def test_bundled_verdicts_survive_each_rule(example, index, value, name):
-    spec = _bundled_spec(example, index, value)
+    spec = build(example, index, value).delta_spec
     transformed, _ = _rules(spec.n_bosons)[name](spec)
     assert transformed != spec or (name == "permute" and spec.n_bosons == 1)
     assert _assert_same_verdicts(spec, transformed, 6) == (index is None)
@@ -216,13 +177,13 @@ def _assert_brackets_are_natural(spec, rule, max_arity=4):
 
 
 @settings(max_examples=30, deadline=None)
-@given(_specs(curved=False), st.sampled_from(("swap", "permute", "rescale")))
+@given(operator_specs(3, curved=False), st.sampled_from(("swap", "permute", "rescale")))
 def test_rebuilt_brackets_transform_with_each_rule(spec, name):
     _assert_brackets_are_natural(spec, _rules(spec.n_bosons)[name])
 
 
 @pytest.mark.parametrize("name", ["swap", "permute", "rescale"])
-@pytest.mark.parametrize("example, index, value", _BUNDLED)
+@pytest.mark.parametrize("example, index, value", STRUCTURES)
 def test_bundled_brackets_transform_with_each_rule(example, index, value, name):
-    spec = _bundled_spec(example, index, value)
+    spec = build(example, index, value).delta_spec
     _assert_brackets_are_natural(spec, _rules(spec.n_bosons)[name])

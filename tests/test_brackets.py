@@ -44,16 +44,7 @@ from linfcheck.grading import (
     sort_sign,
     unshuffles,
 )
-
-
-@pytest.fixture(scope="module")
-def ex1():
-    return example1_system()
-
-
-@pytest.fixture(scope="module")
-def ex2():
-    return example2_system()
+from structures import MUTANTS, build
 
 
 def _gens(system, *names):
@@ -567,17 +558,9 @@ def test_pair_scan_matches_the_tuple_scan_on_random_systems(system):
     _assert_matches_oracle(system, 5)
 
 
-@pytest.mark.parametrize("example, index, value", [
-    # the seed-1 mutants of the benchmark's mutants workload
-    ("example1", 4, -22), ("example1", 5, 7), ("example1", 6, 25),
-    ("example2", 2, 22), ("example2", 3, 19), ("example2", 4, -25),
-])
+@pytest.mark.parametrize("example, index, value", MUTANTS)
 def test_pair_scan_matches_the_tuple_scan_on_mutants(example, index, value):
-    if example == "example1":
-        system = example1_system(c_values={index: value}).skew_system
-    else:
-        system = example2_system(b_values={index: value}).skew_system
-    assert not _assert_matches_oracle(system, 6).passed
+    assert not _assert_matches_oracle(build(example, index, value).skew_system, 6).passed
 
 
 def test_a_basis_changed_example_passes_both_scans_and_a_mutant_fails_both():
@@ -671,12 +654,8 @@ def test_mutants_give_the_oracles_counterexamples():
     oracle's, and some counterexamples come after the first tuple of their
     arity, so the scan reached them past tuples that passed."""
     late = 0
-    for system in (
-        *(example1_system(c_values={k: v}).skew_system
-          for k, v in ((4, -22), (5, 7), (6, 25), (4, 0), (5, 0), (6, 0))),
-        *(example2_system(b_values={k: v}).skew_system
-          for k, v in ((2, 22), (3, 19), (4, -25), (2, 0), (3, 0), (4, 0))),
-    ):
+    for system in (build(example, index, v).skew_system
+                   for example, index, value in MUTANTS for v in (value, 0)):
         report = verify_jacobi(system, 6)
         assert not report.passed
         assert report == _verify_jacobi_oracle(system, 6)

@@ -21,6 +21,7 @@ from linfcheck.cli import main
 from linfcheck.document import load_document, save_document, system_to_document
 from linfcheck.errors import DocumentError
 from linfcheck.superspace import DeltaSpec
+from structures import STRUCTURES, build
 
 
 def run(capsys, *argv):
@@ -57,24 +58,14 @@ def _arity_results(capsys, path):
         {check["arity"]: check["tuples"] for check in arities if check["ok"]}
 
 
-@pytest.mark.parametrize("example, index, value", [
-    ("example1", None, None), ("example2", None, None),
-    # the seed-1 mutants of the benchmark's mutants workload
-    ("example1", 4, -22), ("example1", 5, 7), ("example1", 6, 25),
-    ("example2", 2, 22), ("example2", 3, 19), ("example2", 4, -25),
-])
+@pytest.mark.parametrize("example, index, value", STRUCTURES)
 def test_verify_does_not_depend_on_the_generator_order(capsys, tmp_path, example, index, value):
     """Listing the generators of a skew document in another order is a change
     of basis, and changes no verdict.  The entries stay as written, so most
     keys are out of order in the new basis and are sorted, with their signs,
     on loading.  A passing arity checks the same number of canonical tuples,
     which depends only on the degrees; a failing one may stop at another."""
-    changes = {} if index is None else {index: value}
-    if example == "example1":
-        system = example1_system(c_values=changes).skew_system
-    else:
-        system = example2_system(b_values=changes).skew_system
-    doc = system_to_document(system)
+    doc = system_to_document(build(example, index, value).skew_system)
     path = tmp_path / "doc.json"
     save_document(doc, path)
     expected = _arity_results(capsys, path)

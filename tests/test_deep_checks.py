@@ -1,7 +1,9 @@
 """``tests/deep_checks.py``, CI's deep checks: its parts, and all of it at small bounds."""
 
-import ast
+import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,11 +12,16 @@ import deep_checks
 import linfcheck
 
 
-def test_every_check_passes_at_small_bounds(tmp_path, monkeypatch, capsys):
-    # the children import linfcheck from the same tree as this process
+@pytest.fixture
+def children_import_this_tree(monkeypatch):
+    """Children import linfcheck from the same tree as this process."""
     monkeypatch.setenv("PYTHONPATH", str(Path(linfcheck.__file__).resolve().parents[1]))
-    code = deep_checks.main(str(tmp_path), arity=6, degrees=[(8, 8)], structure_bounds=(8, 6),
-                            odd_arities=(8, 8))
+
+
+def test_every_check_passes_at_small_bounds(tmp_path, children_import_this_tree, capsys):
+    # a directory that does not exist yet: main creates it
+    code = deep_checks.main(str(tmp_path / "deep"), arity=6, degrees=[(8, 8)],
+                            structure_bounds=(8, 6), odd_arities=(8, 8))
     lines = capsys.readouterr().out.splitlines()
     checks = [line for line in lines if not line.startswith("DIR/")]
     # 2 odd-generator, 2 export, 6 example2 (3 on the builtin, 3 on its exports) and 8 structures
@@ -39,9 +46,19 @@ def test_closed_forms_give_the_counts_ci_pins():
     assert deep_checks.tuples(0, 1, 16) == 16 and deep_checks.tuples(0, 2, 14) == 119
 
 
-def test_deep_checks_import_nothing_from_perfbench():
-    tree = ast.parse(Path(deep_checks.__file__).read_text())
-    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                for alias in node.names]
-    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    assert "linfcheck" in imported and not [name for name in imported if "perfbench" in name]
+def test_without_a_directory_it_prints_its_usage_and_exits_2(children_import_this_tree):
+    done = subprocess.run([sys.executable, deep_checks.__file__], capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("usage: ") and done.stderr.count("\n") == 1, done.stderr
+
+
+def test_no_module_under_tests_imports_or_names_perfbench():
+    """The suite's pins do not hang on the benchmark's code, which a rewrite of
+    the benchmark may change: no module under tests/ names its directory, so
+    none imports it or reads a file of it.  This test's own source, which
+    names it to look for it, is left out of its module."""
+    own = inspect.getsource(test_no_module_under_tests_imports_or_names_perfbench)
+    modules = sorted(Path(__file__).parent.rglob("*.py"))
+    assert Path(deep_checks.__file__) in modules and Path(__file__) in modules
+    named = [path.name for path in modules if "perfbench" in path.read_text().replace(own, "")]
+    assert named == []

@@ -23,11 +23,6 @@ from linfcheck.document import (
 from linfcheck.errors import DocumentError
 
 
-@pytest.fixture(scope="module")
-def ex1():
-    return example1_system()
-
-
 def test_round_trip_skew(ex1):
     doc = system_to_document(ex1.skew_system)
     system, delta = document_to_system(doc)

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 import linfcheck
 from linfcheck.brackets import first_difference, verify_jacobi
-from linfcheck.builtin import b_closed, example1_system, example2_system
+from linfcheck.builtin import b_closed, example2_system
 from linfcheck.cli import main
 from linfcheck.document import save_document, system_to_document
 from linfcheck.series import Series, solve_f1
@@ -43,12 +43,12 @@ from linfcheck.superspace import (
     nilpotency_conditions,
 )
 from series_ops import from_coeffs
+from structures import MUTANTS, SECTORS, apply_delta, build
 from test_brackets import _shift_oracle
-from test_superspace import _orbit_scan, apply_delta
+from test_superspace import _orbit_scan
 
 MAX_ARITY = 5
 ORDER = MAX_ARITY + 1  # D^2 on degree n needs coefficients through n + 1
-_SECTORS = ((), (1,), (2,), (1, 2))
 
 
 def _series(draw, constant=None):
@@ -121,7 +121,7 @@ def _mutant(draw):
 def _first_unkilled_count(spec):
     """Smallest generator count of a monomial on which D^2 is nonzero."""
     for count in range(MAX_ARITY + 1):
-        for fermions in _SECTORS:
+        for fermions in SECTORS:
             degree = count - len(fermions)
             for bosons in product(range(degree + 1), repeat=spec.n_bosons):
                 if sum(bosons) != degree:
@@ -163,29 +163,25 @@ def test_first_jacobi_failure_is_the_first_unkilled_monomial(drawn, through_cli)
         )
 
 
-# the seed-1 mutants of the benchmark's mutants workload, and the same
-# coefficients set to 0: (example, index, value) -> the arity at which both
-# formulations first fail
-_BUILTIN_MUTANTS = {
-    ("example1", 4, -22): 4, ("example1", 4, 0): 4,
-    ("example1", 5, 7): 5, ("example1", 5, 0): 5,
-    ("example1", 6, 25): 6, ("example1", 6, 0): 6,
-    ("example2", 2, 22): 3, ("example2", 2, 0): 3,
-    ("example2", 3, 19): 4, ("example2", 3, 0): 4,
-    ("example2", 4, -25): 5, ("example2", 4, 0): 5,
+# (example, index) -> the arity at which both formulations first fail, with
+# the seed-1 value of the coefficient and with 0
+_FIRST_FAILING_ARITY = {
+    ("example1", 4): 4, ("example1", 5): 5, ("example1", 6): 6,
+    ("example2", 2): 3, ("example2", 3): 4, ("example2", 4): 5,
 }
 
 
 def test_both_formulations_of_a_builtin_mutant_fail_at_one_arity():
     """verify's first failing arity is |T| + |m| for delta-check's witness
     theta_T x^m: each formulation points at the same number of generators."""
-    for (example, index, value), arity in _BUILTIN_MUTANTS.items():
-        ex = (example1_system(c_values={index: value}) if example == "example1"
-              else example2_system(b_values={index: value}))
-        report = delta_squared_check(ex.delta_spec, 6)
-        fermions, bosons = report.witness
-        assert (_first_jacobi_failure(ex.skew_system, 6), len(fermions) + sum(bosons)) == \
-            (arity, arity), (example, index, value)
+    for example, index, seed1 in MUTANTS:
+        arity = _FIRST_FAILING_ARITY[example, index]
+        for value in (seed1, 0):
+            ex = build(example, index, value)
+            report = delta_squared_check(ex.delta_spec, 6)
+            fermions, bosons = report.witness
+            assert (_first_jacobi_failure(ex.skew_system, 6), len(fermions) + sum(bosons)) == \
+                (arity, arity), (example, index, value)
 
 
 def _first_failing_degree(spec, check=delta_squared_check):

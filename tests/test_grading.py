@@ -27,6 +27,7 @@ from linfcheck.grading import (
     unshuffles,
 )
 from linfcheck.superspace import SuperMonomial, SuperPoly, koszul_bracket
+from structures import SECTORS
 
 
 def _permute(seq, sigma):
@@ -259,8 +260,7 @@ def test_every_constructor_and_operator_prunes_zeros_as_the_checked_one(x, y, k)
     _assert_operators_match_the_checked_constructor(Element, "V", x, y, k)
 
 
-_SUPER_MONOS = [SuperMonomial(f, (i, j)) for f in ((), (1,), (2,), (1, 2))
-                for i in range(2) for j in range(2)]
+_SUPER_MONOS = [SuperMonomial(f, (i, j)) for f in SECTORS for i in range(2) for j in range(2)]
 _SUPER_TERMS = st.dictionaries(st.sampled_from(_SUPER_MONOS), _EXACT, max_size=4)
 
 

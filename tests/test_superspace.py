@@ -40,17 +40,8 @@ from linfcheck.superspace import (
     nilpotency_conditions,
 )
 from series_ops import from_coeffs, one, truncate
+from structures import MUTANTS, SECTORS, STRUCTURES, apply_delta, build, operator_specs
 from test_basis_change import permute_bosons, swap_thetas
-
-
-@pytest.fixture(scope="module")
-def ex1():
-    return example1_system()
-
-
-@pytest.fixture(scope="module")
-def ex2():
-    return example2_system()
 
 
 def _one_boson_spec(f1=0, f2=0, g1=0, g2=0, h1=0, h2=0, order=8, **kw):
@@ -119,9 +110,8 @@ def test_supercommutative_product():
             make()
 
 
-_SECTORS = ((), (1,), (2,), (1, 2))
 _TWO_BOSON_MONOS = [
-    SuperMonomial(f, (i, j)) for f in _SECTORS for i in range(3) for j in range(3)
+    SuperMonomial(f, (i, j)) for f in SECTORS for i in range(3) for j in range(3)
 ]
 _COEFFS = st.one_of(
     st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=3)
@@ -165,7 +155,7 @@ def test_left_theta_derivative_signs():
 
 def test_three_theta_derivatives_annihilate_everything():
     # with two odd generators, any triple derivative kills every theta block
-    for fermions in ((), (1,), (2,), (1, 2)):
+    for fermions in SECTORS:
         for order in product((1, 2), repeat=3):
             hit = (1, fermions)
             for alpha in order:
@@ -174,18 +164,6 @@ def test_three_theta_derivatives_annihilate_everything():
 
 
 # -- applying the operator -------------------------------------------------------
-
-def apply_delta(spec, poly):
-    """Image of a polynomial under the operator, one ``delta_monomial`` per
-    term: the monomial-level oracle the composed routes are checked against."""
-    if poly.n_bosons != spec.n_bosons:
-        raise ValueError("polynomial and operator disagree on the even generators")
-    out = {}
-    for mono, coeff in poly.items():
-        for image, value in spec.delta_monomial(mono).items():
-            out[image] = out.get(image, 0) + coeff * value
-    return SuperPoly(spec.n_bosons, out)
-
 
 def _linear_element(spec, poly):
     """A polynomial that is linear in the generators, read back as an element
@@ -227,11 +205,7 @@ def test_apply_delta_example1_theta1(ex1):
 def test_apply_delta_is_linear(ex1):
     spec = ex1.delta_spec
     rng = random.Random(7)
-    monos = [
-        SuperMonomial(f, (m,))
-        for f in ((), (1,), (2,), (1, 2))
-        for m in range(4)
-    ]
+    monos = [SuperMonomial(f, (m,)) for f in SECTORS for m in range(4)]
     for _ in range(10):
         p = SuperPoly(1, {m: rng.randint(-3, 3) for m in rng.sample(monos, 5)})
         q = SuperPoly(1, {m: rng.randint(-3, 3) for m in rng.sample(monos, 5)})
@@ -350,7 +324,7 @@ def _delta_squared_oracle(spec, degree_bound):
     """The double loop over ``delta_monomial`` that composed the operator
     with itself before ``delta_squared_check`` went through ``apply_delta``."""
     checked = 0
-    for fermions in _SECTORS:
+    for fermions in SECTORS:
         for bosons in product(range(degree_bound + 1), repeat=spec.n_bosons):
             if sum(bosons) > degree_bound:
                 continue
@@ -454,7 +428,7 @@ def _orbit_scan(spec, degree_bound):
 
     leads = _orbit_leader(spec)
     checked = 0
-    for rank, fermions in enumerate(_SECTORS):
+    for rank, fermions in enumerate(SECTORS):
         for bosons in _multi_indices(spec.n_bosons, degree_bound):
             checked += 1
             if leads and not leads(rank, bosons):
@@ -490,48 +464,15 @@ def _assert_matches_the_oracles(spec, degree_bound):
     return report
 
 
-@st.composite
-def _small_specs(draw, order=4):
-    n_bosons = draw(st.integers(1, 2))
-
-    def series():
-        return from_coeffs(draw(st.lists(st.integers(-2, 2),
-                                                min_size=order + 1,
-                                                max_size=order + 1)))
-
-    zero = Series.zero(order)
-    return DeltaSpec(
-        n_bosons=n_bosons,
-        f=(series(), series()),
-        g=tuple(tuple(series() for _ in range(n_bosons)) for _ in (1, 2)),
-        h=(series(), series()) if draw(st.booleans()) else (zero, zero),
-        momentum_shift=draw(st.booleans()),
-    )
-
-
 @settings(max_examples=60, deadline=None)
-@given(_small_specs(), st.integers(0, 3))
+@given(operator_specs(2), st.integers(0, 3))
 def test_delta_squared_check_matches_the_double_loop(spec, degree_bound):
     _assert_matches_the_oracles(spec, degree_bound)
 
 
-# the seed-1 mutants of the benchmark's mutants workload
-_SEED1_MUTANTS = [
-    ("example1", 4, -22), ("example1", 5, 7), ("example1", 6, 25),
-    ("example2", 2, 22), ("example2", 3, 19), ("example2", 4, -25),
-]
-
-
-def _example(example, index=None, value=None):
-    changes = {} if index is None else {index: value}
-    if example == "example1":
-        return example1_system(c_values=changes)
-    return example2_system(b_values=changes)
-
-
-@pytest.mark.parametrize("example, index, value", _SEED1_MUTANTS)
+@pytest.mark.parametrize("example, index, value", MUTANTS)
 def test_delta_squared_check_matches_the_double_loop_on_mutants(example, index, value):
-    spec = _example(example, index, value).delta_spec
+    spec = build(example, index, value).delta_spec
     assert not _assert_matches_the_oracles(spec, 6).passed
 
 
@@ -653,7 +594,7 @@ def test_delta_squared_check_matches_the_double_loop_on_example2(n_bosons, degre
     assert _assert_matches_the_oracles(spec, degree).passed == (not changes)
 
 
-_RANK = {block: rank for rank, block in enumerate(_SECTORS)}  # the scan order of the sectors
+_RANK = {block: rank for rank, block in enumerate(SECTORS)}  # the scan order of the sectors
 
 
 def _brute_force_group(spec):
@@ -697,7 +638,7 @@ def _assert_detector_matches_brute_force(spec):
     assert detected == set(group)
     leads = _orbit_leader(spec)
     assert (leads is None) == (len(group) == 1)
-    for rank, fermions in enumerate(_SECTORS):
+    for rank, fermions in enumerate(SECTORS):
         for bosons in product(range(4), repeat=spec.n_bosons):
             if sum(bosons) <= 3:
                 expected = _is_orbit_minimum(group, fermions, bosons)
@@ -804,12 +745,12 @@ def _oracle_image(spec, fermions, bosons):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_small_specs(), st.data())
+@given(operator_specs(2), st.data())
 def test_delta_monomial_matches_the_dataclass_oracle(spec, data):
     exponents = st.lists(st.integers(0, 3), min_size=spec.n_bosons,
                          max_size=spec.n_bosons)
     exponents = exponents.filter(lambda b: sum(b) <= 3).map(tuple)
-    monomials = data.draw(st.lists(st.tuples(st.sampled_from(_SECTORS), exponents),
+    monomials = data.draw(st.lists(st.tuples(st.sampled_from(SECTORS), exponents),
                                    min_size=1, max_size=4))
     for fermions, bosons in monomials:  # one spec, several monomials
         image = spec.delta_monomial(SuperMonomial(fermions, bosons))
@@ -818,7 +759,7 @@ def test_delta_monomial_matches_the_dataclass_oracle(spec, data):
         )
         for mono, _ in image.items():
             assert type(mono) is SuperMonomial
-            assert mono.fermions in _SECTORS
+            assert mono.fermions in SECTORS
             assert len(mono.bosons) == spec.n_bosons and min(mono.bosons) >= 0
 
 
@@ -842,7 +783,7 @@ def _assert_images_are_exact(spec, degree_bound):
     """What ``delta_monomial`` builds its images on without checking them, on
     every monomial through the bound: every coefficient a nonzero int or
     Fraction, every key a :class:`SuperMonomial` on ``n_bosons`` exponents."""
-    images = [spec.delta_monomial(SuperMonomial(fermions, bosons)) for fermions in _SECTORS
+    images = [spec.delta_monomial(SuperMonomial(fermions, bosons)) for fermions in SECTORS
               for bosons in _multi_indices(spec.n_bosons, degree_bound)]
     assert len(images) == 4 * comb(degree_bound + spec.n_bosons, spec.n_bosons)
     for image in images:
@@ -856,7 +797,7 @@ def _assert_images_are_exact(spec, degree_bound):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_small_specs(), st.integers(0, 3))
+@given(operator_specs(2), st.integers(0, 3))
 def test_images_hold_exact_nonzero_terms_on_interned_keys(spec, degree_bound):
     _assert_images_are_exact(spec, degree_bound)
 
@@ -1036,12 +977,11 @@ def test_nilpotency_conditions_match_the_term_by_term_oracle(spec):
         _nilpotency_oracle(spec))
 
 
-@pytest.mark.parametrize("example, index, value",
-                         [("example1", None, None), ("example2", None, None), *_SEED1_MUTANTS])
+@pytest.mark.parametrize("example, index, value", STRUCTURES)
 def test_nilpotency_conditions_match_the_oracle_on_the_seed1_documents(example, index, value):
     """The operator documents of the benchmark's seed-1 mutants workload,
     through a save and a load."""
-    ex = _example(example, index, value)
+    ex = build(example, index, value)
     _, spec = document_to_system(json.loads(json.dumps(
         system_to_document(ex.symmetric_system, ex.delta_spec))))
     assert spec == ex.delta_spec
@@ -1226,7 +1166,7 @@ def _outcome(bracket, spec, inputs):
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.integers(2, 4).flatmap(lambda order: _small_specs(order=order)), st.data())
+@given(st.integers(2, 4).flatmap(lambda order: operator_specs(2, order=order)), st.data())
 def test_koszul_bracket_matches_the_commutator_recursion(spec, data):
     # any order, repeats (repeated thetas too), now and then a foreign vector;
     # more even inputs than the stored order hit the truncation guard
@@ -1238,7 +1178,7 @@ def test_koszul_bracket_matches_the_commutator_recursion(spec, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_small_specs(), st.data())
+@given(operator_specs(2), st.data())
 def test_koszul_relation_rebuilds_the_operator(spec, data):
     """Koszul's relation D(a_1 ... a_n) = sum over the subsets I of the input
     positions of eps_I bracket(a_I) a_(I^c), with a_I a_(I^c) = eps_I a_1 ...
@@ -1247,13 +1187,13 @@ def test_koszul_relation_rebuilds_the_operator(spec, data):
     relation solved for its top term."""
     unit = SuperPoly.basis(SuperMonomial((), (0,) * spec.n_bosons))
     splits = {block: [(a, b, merged[0]) for (a, b), merged in _MERGED.items()
-                      if merged and merged[1] == block] for block in _SECTORS}
+                      if merged and merged[1] == block] for block in SECTORS}
     relation = {}
 
     def times(vectors):
         return reduce(mul, (SuperPoly.basis(spec.generators[v]) for v in vectors), unit)
 
-    for fermions in _SECTORS:
+    for fermions in SECTORS:
         for bosons in product(range(5), repeat=spec.n_bosons):
             if len(fermions) + sum(bosons) > 4:
                 continue

@@ -6,7 +6,7 @@ symmetric hierarchies on the degree-shifted space encoded by an odd
 differential operator whose square must vanish.
 """
 
-from importlib import import_module
+import sys
 
 # each public name and the module that defines it; the module is imported on
 # the first access of one of its names (PEP 562), so importing the package,
@@ -35,7 +35,8 @@ _HOME = {
 def __getattr__(name: str):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{_HOME[name]}", __name__), name)
+    __import__(module := f"{__name__}.{_HOME[name]}")
+    return getattr(sys.modules[module], name)
 
 
 def __dir__() -> list[str]:

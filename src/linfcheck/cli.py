@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from importlib import import_module
 from types import SimpleNamespace
 
 from .errors import DocumentError, TruncationError
@@ -28,8 +27,11 @@ from .grading import DEFAULT_ORDER
 
 
 def _module(name: str):
-    """The package's module ``name``, imported by the first route that needs it."""
-    return import_module(f"{__package__}.{name}")
+    """The package's module ``name``, imported by the first route that needs it
+    through ``__import__``, as an ``import`` statement is, so that ``-X importtime``
+    logs it; that log leaves out what ``importlib.import_module`` imports."""
+    __import__(f"{__package__}.{name}")
+    return sys.modules[f"{__package__}.{name}"]
 
 
 BUILTINS = {

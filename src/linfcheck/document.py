@@ -71,8 +71,15 @@ def _coeff_from_json(value: Any, where: str, *at) -> Rational:
                             "on a side of the '/'") from None
 
 
-def _series_to_json(series: Series) -> list[str]:
-    return [str(c) for c in series.coeffs]
+def _series_to_json(series: Series, where: str) -> list[str]:
+    coeffs: list[str] = []
+    try:
+        for c in series.coeffs:
+            coeffs.append(str(c))
+    except ValueError:  # int's digit limit on printing: name the first value past it
+        raise ValueError(f"{where}, coefficient {len(coeffs)}, has more than "
+                         f"{sys.get_int_max_str_digits():,} digits on a side of the '/'") from None
+    return coeffs
 
 
 def _series_from_json(data: Any, where: str) -> Series:
@@ -110,9 +117,10 @@ def system_to_document(
             "bosons": delta.n_bosons,
             "momentum_shift": delta.momentum_shift,
             "selection_rule": delta.selection_rule,
-            "f": [_series_to_json(s) for s in delta.f],
-            "g": [[_series_to_json(s) for s in row] for row in delta.g],
-            "h": [_series_to_json(s) for s in delta.h],
+            "f": [_series_to_json(s, f"delta f[{a}]") for a, s in enumerate(delta.f)],
+            "g": [[_series_to_json(s, f"delta g[{a}][{i}]") for i, s in enumerate(row)]
+                  for a, row in enumerate(delta.g)],
+            "h": [_series_to_json(s, f"delta h[{a}]") for a, s in enumerate(delta.h)],
         }
     return doc
 

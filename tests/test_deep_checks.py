@@ -1,4 +1,5 @@
-"""``tests/deep_checks.py``, CI's deep checks: its parts, and all of it at small bounds."""
+"""CI's tooling: ``tests/deep_checks.py``, its parts and all of it at small bounds, and
+``tests/startup.py`` at small bounds."""
 
 import inspect
 import re
@@ -10,6 +11,7 @@ import pytest
 
 import deep_checks
 import linfcheck
+import startup
 
 
 @pytest.fixture
@@ -32,6 +34,24 @@ def test_every_check_passes_at_small_bounds(tmp_path, children_import_this_tree,
     assert "tuples 8 (want 8)" in checks[0] and "tuples 44 (want 44)" in checks[1]
     assert "tuples 376 (want 376)" in checks[4] and "monomials 660 (want 660)" in checks[5]
     assert "witness theta1*theta2*x1^4 (size 6), first failing arity 6" in lines[-5]
+
+
+def test_startup_counts_what_each_command_loads_at_small_bounds(tmp_path, monkeypatch, capsys,
+                                                                children_import_this_tree):
+    logged, run = {}, startup.run  # each child's arguments, and what it returned
+    monkeypatch.setattr(startup, "run", lambda *a, **kw: logged.setdefault(a, run(*a, **kw)))
+    assert startup.main(str(tmp_path / "startup"), arity=3, degree=2, n_max=6) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "verify", "delta-check", "compare", "coefficients", "coefficients", "verify",
+        "delta-check", "export", "import"], lines
+    assert all(line.endswith(" ms of imports (exit 0)") for line in lines), lines
+    # two exports write the documents, then a child per line; each counts every linfcheck
+    # module it loads, builtin too where it reads example2
+    assert len(logged) == 2 + 9 and all(
+        {name for name in modules if name.startswith("linfcheck")} <= set(self_us)
+        and ("example2" not in args or "linfcheck.builtin" in self_us)
+        for args, (_, modules, self_us) in logged.items())
 
 
 @pytest.mark.parametrize("witness, size", [("1", 0), ("x1", 1), ("theta1*theta2", 2),

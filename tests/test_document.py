@@ -422,7 +422,9 @@ def _json_paths(node, path=()):
 
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 12) | st.text(max_size=3)
-    | st.sampled_from(["0", "1", "-1/2", "3/0", "theta1", "x1", "v1", "w1", "skew"]),
+    | st.floats(allow_nan=False, allow_infinity=False) | st.just([]) | st.just({})
+    | st.sampled_from(["", "0", "1", "-1/2", "1/0", "3/0", "theta1", "x1", "v1", "w", "w1",
+                       "skew"]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
                                                                  max_size=2),
     max_leaves=4,
@@ -506,22 +508,25 @@ def test_readme_schema_example_is_in_the_written_layout():
 
 
 @cache
-def _exported(builtin, formulation):
+def _exported(builtin, formulation, *flags):
     out = io.StringIO()
     with redirect_stdout(out):
-        assert main(["export", builtin, "--formulation", formulation]) == 0
+        assert main(["export", builtin, "--formulation", formulation, *flags]) == 0
     return out.getvalue()
 
 
 @pytest.mark.parametrize("builtin, formulation", sorted(EXPORTED))
-@settings(max_examples=25, deadline=None,
+@settings(max_examples=75, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_one_changed_node_gives_a_verdict_or_exit_2(tmp_path, builtin, formulation, data):
-    """Replace, delete or duplicate one node of an exported document: every
-    command gives a verdict (exit 0 or 1) or one error line with exit 2,
-    never an internal error."""
-    doc = json.loads(_exported(builtin, formulation))
+    """Replace, delete or duplicate one node of an exported document, the
+    default export or example1's at order 6: every command gives a verdict
+    (exit 0 or 1, and exit 1 only on a document that loads) or one error line
+    with exit 2, never a traceback or an internal error."""
+    source = data.draw(st.sampled_from([(builtin, formulation),
+                                        ("example1", formulation, "--order", "6")]))
+    doc = json.loads(_exported(*source))
     *where, last = data.draw(st.sampled_from(list(_json_paths(doc))[1:]))
     parent = doc
     for step in where:
@@ -537,14 +542,19 @@ def test_one_changed_node_gives_a_verdict_or_exit_2(tmp_path, builtin, formulati
         parent[last + "_"] = parent[last]
     path = tmp_path / "changed.json"
     save_document(doc, path)
+    try:
+        loaded = bool(load_document(path))
+    except DocumentError:
+        loaded = False
     for argv in (["verify", "--max-arity", "4"], ["delta-check", "--degree", "3"],
                  ["compare", "--max-arity", "4"]):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main([argv[0], str(path), *argv[1:]])
         message = err.getvalue()
-        assert "internal error" not in message, (argv, message)
+        assert "Traceback" not in message and "internal error" not in message, (argv, message)
         if code == 2:
             assert message.startswith("error: ") and message.count("\n") == 1, message
         else:
             assert code in (0, 1) and ("PASS" if code == 0 else "FAIL") in out.getvalue()
+            assert code == 0 or loaded, (argv, message)

@@ -31,7 +31,6 @@ from linfcheck.superspace import (
     EPS_LOWER,
     _MERGED,
     _coefficient,
-    _composed,
     _derivative_terms,
     _kills,
     _merge_fermions,
